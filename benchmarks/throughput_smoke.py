@@ -243,6 +243,14 @@ def main(argv=None):
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
+    # measurements of deleted code paths cannot be retaken; carry them
+    try:
+        with open(out) as fh:
+            historical = json.load(fh).get("historical")
+    except (OSError, ValueError):
+        historical = None
+    if historical:
+        record["historical"] = historical
     with open(out, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

@@ -32,16 +32,21 @@ from repro.harness.runner import run_one
 #: cache-format version; bump to orphan every existing cache entry.
 _CACHE_FORMAT = 1
 
+#: file types under ``repro`` that the model executes
+_MODEL_SOURCE_SUFFIXES = (".py", ".c")
+
 _version_cache = None
 
 
 def model_version():
     """Digest of the simulator sources: the cache-invalidation stamp.
 
-    Hashes every ``.py`` file under the installed ``repro`` package (path
-    and contents, in sorted path order) so any change to the model —
-    pipeline, fault injector, energy model, workload generator — retires
-    all previously cached results.
+    Hashes the path and contents of every model source under the
+    installed ``repro`` package, in sorted path order: each ``.py`` file
+    and the batch kernel's ``.c`` source. Any change to the model
+    (pipeline, fault injector, energy model, workload generator, batch
+    kernel) therefore retires all previously cached results and
+    snapshots.
     """
     global _version_cache
     if _version_cache is not None:
@@ -53,7 +58,7 @@ def model_version():
     for dirpath, dirnames, filenames in sorted(os.walk(root)):
         dirnames.sort()
         for name in sorted(filenames):
-            if not name.endswith(".py"):
+            if not name.endswith(_MODEL_SOURCE_SUFFIXES):
                 continue
             path = os.path.join(dirpath, name)
             rel = os.path.relpath(path, root)

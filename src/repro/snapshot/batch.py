@@ -6,14 +6,15 @@ which reseeds the fault injector at the warmup→measurement boundary. The
 batch path exploits this: one fork supplies the lane-invariant plan
 (:func:`repro.uarch.batchcore.build_plan`), the per-lane fault tapes are
 drawn up front (:func:`repro.uarch.batchstream.build_tapes`), and the
-vector engine advances all N lanes per Python dispatch.
+compiled kernel advances all N lanes in one call.
 
-Correctness never depends on the vector path handling every corner:
+Correctness never depends on the batch path handling every corner:
 
 * a spec the engine cannot model (storm, telemetry, verify, no
   measurement seed, exotic config) is simply not batch-eligible;
-* a *batch* the planner rejects (:class:`~repro.uarch.batchstream.
-  BatchFallback`) falls back to per-lane scalar runs, bit-identically;
+* a *batch* with no compiled kernel, or one the planner rejects
+  (:class:`~repro.uarch.batchstream.BatchFallback`), falls back to
+  per-lane scalar runs, bit-identically;
 * a *lane* the engine evicts mid-window (safety-net replay, watchdog)
   re-runs alone on the scalar path, also bit-identically.
 
@@ -28,6 +29,7 @@ from repro.harness.runner import SimResult, measure, run_one
 from repro.isa.opcodes import OpClass, PipeStage
 from repro.power.energy_model import EnergyModel
 from repro.snapshot.fork import ensure_snapshot, snapshot_eligible, warmed_core
+from repro.uarch import batchkernel
 from repro.uarch.batchstream import BatchFallback, build_tapes, have_numpy
 from repro.uarch.stats import SimStats
 
@@ -156,8 +158,10 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
 
     All specs must share one warmup key and be :func:`batch_eligible`;
     violations raise ``ValueError`` (they indicate a grouping bug, not a
-    modeling limit). Engine-level limits (:class:`BatchFallback`) and
-    per-lane evictions degrade to the scalar path transparently.
+    modeling limit). A missing compiled kernel, other engine-level limits
+    (:class:`BatchFallback`) and per-lane evictions all degrade to the
+    scalar path transparently; with no kernel, nothing is forked or
+    planned for the batch.
 
     ``force_evict`` (lane index → virtual cycle) is a test hook forcing
     divergence-path coverage at arbitrary points.
@@ -179,6 +183,8 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
     try:
         from repro.uarch.batchcore import BatchEngine, build_plan
 
+        if batchkernel.load_kernel() is None:
+            raise BatchFallback("compiled batch kernel unavailable")
         ensure_snapshot(ref, snapshot_dir)
         donor = warmed_core(ref, snapshot_dir)
         plan = build_plan(donor, ref.n_instructions)

@@ -5,27 +5,32 @@ the identical instruction stream; only the injected timing faults differ
 per measurement seed. This module exploits that: :func:`build_plan`
 flattens the forked core's boundary state plus the shared future stream
 (:mod:`repro.uarch.batchstream`) into plain arrays, and
-:class:`BatchEngine` advances N lanes cycle by cycle with (N,)-shaped
-numpy operations — one Python dispatch per array op instead of one per
-instruction per lane.
+:class:`BatchEngine` lays out one row of machine state per lane and
+hands the whole batch to the compiled kernel (``batchkernel.c``, bound
+by :mod:`repro.uarch.batchkernel`), which advances every lane to the end
+of its window in place.
 
-The engine is a transliteration of ``OoOCore.run`` (pipeline.py) under
+The kernel is a transliteration of ``OoOCore.run`` (pipeline.py) under
 the invariants the campaign path guarantees (selective replay mode, no
 store-set predictor, no telemetry, static TEP gate). Per-lane divergence
-that the vector model does not cover — safety-net replays, watchdog
-hangs, running past the prepared stream — *evicts* the lane: it is
-marked dead and the caller re-runs that seed on the scalar path, so
-correctness never depends on the vector engine handling every corner.
+that it does not cover — safety-net replays, watchdog hangs, running
+past the prepared stream — *evicts* the lane: it is marked dead and the
+caller re-runs that seed on the scalar path, so correctness never
+depends on the batch engine handling every corner. A batch the engine
+cannot take at all (no compiled kernel, a configuration outside the
+model) raises :class:`~repro.uarch.batchstream.BatchFallback` and runs
+scalar lane by lane.
 
 EP stalls use a virtual-time trick: a whole-pipeline stall shifts every
 in-flight event by one cycle (``_shift_in_flight``), which means the
-machine state is *invariant* in stall-excised time. The engine therefore
+machine state is *invariant* in stall-excised time. The kernel therefore
 burns all pending stalls in bulk at the top of each virtual cycle and
 tracks them in a per-lane ``burned`` counter; real cycles are
 ``v + burned``.
 
 Bit-identity with the scalar path is asserted by
-``tests/uarch/test_batchcore.py`` over a scheme x vdd x lanes grid.
+``tests/snapshot/test_batch_equivalence.py`` over a scheme x vdd x lanes
+grid.
 """
 
 try:  # pragma: no cover - exercised on numpy-free installs
@@ -35,29 +40,28 @@ except Exception:  # pragma: no cover
 
 from repro.core.vte import FreezeKind, vte_effects
 from repro.isa.opcodes import OP_FU_KIND, OP_LATENCY, OpClass, PipeStage
-from repro.uarch.batchkernel import call_kernel, load_kernel
+from repro.uarch import batchkernel
+from repro.uarch.batchkernel import ARRAYS, PARAMS, RING, call_kernel
 from repro.uarch.batchstream import BatchFallback, build_stream
 from repro.uarch.issue_queue import TIMESTAMP_MASK
 from repro.uarch.regfile import INFINITE as _SCOREBOARD_INF
 
 INF = 1 << 60
-_BIG_KEY = 1 << 40
-_RING = 4096          # schedulable horizon in cycles (events land < ~300 out)
-_RING_MASK = _RING - 1
-#: fault-stage bits the OoO issue path handles (ISSUE..WRITEBACK)
-_OOO_MASK = 0b111110000
+#: fault-stage bits of the in-order stages, which the kernel does not model
 _INORDER_MASK = 0b1000001111
+#: the kernel's static selection scratch holds this many IQ entries / issues
+_KERNEL_MAX_IQ = 64
+_KERNEL_MAX_WIDTH = 8
 
-_FRZ_NONE, _FRZ_SLOT, _FRZ_UNTIL, _FRZ_BUSY, _FRZ_WB = range(5)
+#: VTE freeze kinds as the kernel's FRZ_* codes
 _FRZ_CODE = {
-    FreezeKind.NONE: _FRZ_NONE,
-    FreezeKind.SLOT_ONE_CYCLE: _FRZ_SLOT,
-    FreezeKind.UNTIL_COMPLETE: _FRZ_UNTIL,
-    FreezeKind.BUSY_PLUS_ONE: _FRZ_BUSY,
-    FreezeKind.WB_SLOT: _FRZ_WB,
+    FreezeKind.NONE: 0,
+    FreezeKind.SLOT_ONE_CYCLE: 1,
+    FreezeKind.UNTIL_COMPLETE: 2,
+    FreezeKind.BUSY_PLUS_ONE: 3,
+    FreezeKind.WB_SLOT: 4,
 }
 
-_IDIV = int(OpClass.IDIV)
 _LOAD = int(OpClass.LOAD)
 _STORE = int(OpClass.STORE)
 
@@ -91,88 +95,6 @@ def _vte_tables():
     return _VTE_TABLES
 
 
-class _LaneMem:
-    """Per-lane d-side cache state as a copy-on-write overlay.
-
-    The batch shares one post-warmup hierarchy; each lane's loads and
-    store-commits mutate LRU state, so every touched set is lazily
-    copied into the lane's overlay dict. The shared base lists are never
-    mutated. The i-side L1 is lane-invariant (driven only by the shared
-    fetch stream) and lives in the plan; its misses go through
-    :meth:`access_l2` because L2 contents *do* diverge via the d-side.
-    """
-
-    __slots__ = (
-        "d_sets", "d_base", "d_shift", "d_mask", "d_assoc",
-        "l2_sets", "l2_base", "l2_shift", "l2_mask", "l2_assoc",
-        "lat_l1", "lat_l2", "lat_mem",
-        "l1d_hits", "l1d_misses", "l2_hits", "l2_misses", "mem_accesses",
-    )
-
-    def __init__(self, plan):
-        self.d_sets = {}
-        self.l2_sets = {}
-        self.d_base = plan.l1d_sets
-        self.d_shift = plan.l1d_shift
-        self.d_mask = plan.l1d_mask
-        self.d_assoc = plan.l1d_assoc
-        self.l2_base = plan.l2_sets
-        self.l2_shift = plan.l2_shift
-        self.l2_mask = plan.l2_mask
-        self.l2_assoc = plan.l2_assoc
-        self.lat_l1 = plan.lat_l1
-        self.lat_l2 = plan.lat_l2
-        self.lat_mem = plan.lat_mem
-        self.l1d_hits = 0
-        self.l1d_misses = 0
-        self.l2_hits = 0
-        self.l2_misses = 0
-        self.mem_accesses = 0
-
-    def access_data(self, addr):
-        """L1D -> L2 -> memory; returns total latency (Cache.access exact)."""
-        tag = addr >> self.d_shift
-        si = tag & self.d_mask
-        over = self.d_sets
-        ways = over.get(si)
-        if ways is None:
-            ways = list(self.d_base[si])
-            over[si] = ways
-        if tag in ways:
-            self.l1d_hits += 1
-            if ways[-1] != tag:
-                ways.remove(tag)
-                ways.append(tag)
-            return self.lat_l1
-        self.l1d_misses += 1
-        if len(ways) >= self.d_assoc:
-            del ways[0]
-        ways.append(tag)
-        return self.access_l2(addr)
-
-    def access_l2(self, addr):
-        """L2 -> memory leg, also used directly for L1I misses."""
-        tag = addr >> self.l2_shift
-        si = tag & self.l2_mask
-        over = self.l2_sets
-        ways = over.get(si)
-        if ways is None:
-            ways = list(self.l2_base[si])
-            over[si] = ways
-        if tag in ways:
-            self.l2_hits += 1
-            if ways[-1] != tag:
-                ways.remove(tag)
-                ways.append(tag)
-            return self.lat_l2
-        self.l2_misses += 1
-        if len(ways) >= self.l2_assoc:
-            del ways[0]
-        ways.append(tag)
-        self.mem_accesses += 1
-        return self.lat_mem
-
-
 class BatchPlan:
     """Lane-invariant flattening of one forked core + its future stream.
 
@@ -196,10 +118,14 @@ def build_plan(core, target, margin=256):
 
     ``target`` is the commit budget of the measured window. Raises
     :class:`~repro.uarch.batchstream.BatchFallback` whenever any piece of
-    the boundary state or configuration falls outside the vector model.
+    the boundary state or configuration falls outside the kernel's model.
     """
     _fallback(np is None, "numpy unavailable")
     cfg = core.config
+    _fallback(
+        cfg.iq_size > _KERNEL_MAX_IQ or cfg.width > _KERNEL_MAX_WIDTH,
+        "IQ size or width beyond the kernel's static scratch",
+    )
     scheme = core.scheme
     A0 = core.cycle
 
@@ -273,13 +199,12 @@ def build_plan(core, target, margin=256):
     plan.redirect_penalty = cfg.redirect_penalty
     plan.replay_recovery = cfg.replay_recovery
     plan.recovery_bubbles = cfg.recovery_bubbles
-    plan.model_wrong_path = cfg.model_wrong_path
-    plan.uses_tep = scheme.uses_tep
-    plan.uses_vte = scheme.uses_vte
-    plan.uses_ep_stall = scheme.uses_ep_stall
-    plan.tolerates = scheme.tolerates_predicted_faults
+    plan.model_wrong_path = bool(cfg.model_wrong_path)
+    plan.tep_probe = bool(scheme.uses_tep and core._tep_gate == 0)
+    plan.uses_vte = bool(scheme.uses_vte)
+    plan.uses_ep_stall = bool(scheme.uses_ep_stall)
+    plan.tolerates = bool(scheme.tolerates_predicted_faults)
     plan.sel_mode = sel_mode
-    plan.tep_gate = core._tep_gate
     plan.max_cycles = 400 * int(target) + 20000
     plan.hang_cycles = 20000
 
@@ -332,7 +257,6 @@ def build_plan(core, target, margin=256):
     is_store = op == _STORE
     is_mem = is_load | is_store
 
-    plan.pc = pc
     plan.op = op
     plan.mem_addr = mem_addr
     plan.addr8 = mem_addr >> 3
@@ -358,6 +282,7 @@ def build_plan(core, target, margin=256):
     srank[store_slots] = np.arange(len(store_slots))
     plan.srank = srank
     plan.n_stores = len(store_slots)
+    plan.nst_alloc = max(plan.n_stores, 1)
     plan.st_addr8 = plan.addr8[store_slots]
 
     # TEP lookup keys for every slot (pure PC hash: history_bits == 0)
@@ -384,8 +309,14 @@ def build_plan(core, target, margin=256):
         plan.tep_cnt0 = cnt0
         plan.tep_stage0 = stage0
     else:
-        plan.tepi = plan.tept = None
-        plan.tep_n = 0
+        plan.tepi = np.zeros(NS, dtype=np.int64)
+        plan.tept = np.zeros(NS, dtype=np.int64)
+        plan.tep_n = plan.tep_cmax = 0
+        plan.tep_tag0 = plan.tep_cnt0 = plan.tep_stage0 = np.zeros(
+            0, dtype=np.int64
+        )
+    (plan.T_RR, plan.T_EX, plan.T_MEM, plan.T_WB,
+     plan.T_FRZ, plan.T_HAS) = _vte_tables()
 
     # ---- wake-source indices (producer slots / scoreboard pseudo) ----
     n_phys = cfg.n_phys_regs
@@ -453,19 +384,11 @@ def build_plan(core, target, margin=256):
             last_writer[dest] = s
     plan.ws0 = ws0
     plan.ws1 = ws1
-    plan.ws01 = np.stack([ws0, ws1])
     plan.wake0 = wake0
-    plan.fu1hot = np.stack([fu == 0, fu == 1, fu == 2])
-    # ts is linear in slot whenever the prelude dispatch orders are
-    # consecutive (no commits between head and tail, no squashes) — the
-    # selection fast path keys ranking off IQ position in that case
-    plan.ts_linear = bool(np.array_equal(
-        ts, (ts[0] + np.arange(NS, dtype=np.int64)) & TIMESTAMP_MASK
-    ))
 
     _plan_boundary_state(plan, core, seq_slot, srank)
     _plan_stream_groups(plan, stream)
-    _plan_lane_mem(plan, hier)
+    _plan_caches(plan, hier)
     plan.stream = stream
     return plan
 
@@ -486,7 +409,7 @@ def _plan_boundary_state(plan, core, seq_slot, srank):
     blk_resolve0 = INF
     for c, evs in core._events.items():
         vc = c - A0
-        _fallback(vc < 0 or vc >= _RING, "event outside schedulable horizon")
+        _fallback(vc < 0 or vc >= RING, "event outside schedulable horizon")
         for kind, inst, version in evs:
             if inst.squashed or inst.version != version:
                 continue  # stale, a no-op when fired
@@ -524,13 +447,13 @@ def _plan_boundary_state(plan, core, seq_slot, srank):
     ep0 = []
     for c, n in core._ep_stalls.items():
         vc = c - A0
-        _fallback(vc < 0 or vc >= _RING, "EP stall outside horizon")
+        _fallback(vc < 0 or vc >= RING, "EP stall outside horizon")
         ep0.append((vc, n))
     plan.ep0 = ep0
     wb0 = []
     for c, n in core._wb_count.items():
         vc = c - A0
-        _fallback(vc < 0 or vc >= _RING, "WB reservation outside horizon")
+        _fallback(vc < 0 or vc >= RING, "WB reservation outside horizon")
         wb0.append((vc, n))
     plan.wb0 = wb0
 
@@ -604,7 +527,7 @@ def _plan_stream_groups(plan, stream):
     plan.cum_l1i_misses = np.concatenate(([0], np.cumsum(stream.g_l1i_misses)))
     plan.g_miss_off = stream.g_miss_off
     plan.miss_pcs = stream.miss_pcs
-    # groups with at least one L1I miss (rare) get the scalar fixup
+    plan.n_miss = len(stream.miss_pcs)
     plan.g_has_miss = (stream.g_miss_off[1:] - stream.g_miss_off[:-1]) > 0
 
 
@@ -634,128 +557,101 @@ def _flat_sets(sets, nsets, assoc):
     return tags, cnt
 
 
-def _plan_lane_mem(plan, hier):
-    """Shared d-side base state for per-lane copy-on-write overlays."""
-    plan.l1d_sets = hier.l1d._sets
-    plan.l1d_shift = hier.l1d._line_shift
-    plan.l1d_mask = hier.l1d._set_mask
-    plan.l1d_assoc = hier.l1d._assoc
-    plan.l2_sets = hier.l2._sets
-    plan.l2_shift = hier.l2._line_shift
-    plan.l2_mask = hier.l2._set_mask
-    plan.l2_assoc = hier.l2._assoc
+def _plan_caches(plan, hier):
+    """Geometry and post-warmup contents of the shared d-side caches."""
+    for name, cache in (("l1d", hier.l1d), ("l2", hier.l2)):
+        nsets = cache._set_mask + 1
+        tags, cnt = _flat_sets(cache._sets, nsets, cache._assoc)
+        setattr(plan, f"{name}_shift", cache._line_shift)
+        setattr(plan, f"{name}_mask", cache._set_mask)
+        setattr(plan, f"{name}_assoc", cache._assoc)
+        setattr(plan, f"{name}_nsets", nsets)
+        setattr(plan, f"{name}_tags0", tags)
+        setattr(plan, f"{name}_cnt0", cnt)
     plan.lat_l1 = hier._lat_l1
     plan.lat_l2 = hier._lat_l2
     plan.lat_mem = hier._lat_mem
 
 
+#: per-lane int64 counters and cursors that start at zero
+_ZEROED = (
+    "cp", "g_ptr", "burned", "v_end", "last_commit_real", "evict_code",
+    "committed", "fetched", "dispatched", "issued", "replays",
+    "branch_mispredicts", "branches", "false_predictions", "ep_stalls",
+    "slot_freezes", "padded", "wrong_path", "regreads", "regwrites",
+    "broadcasts", "broadcast_occ", "iq_occ", "cam_searches", "forwards",
+    "faults_total", "faults_predicted", "faults_unpredicted",
+    "l1d_hits", "l1d_misses", "l2_hits", "l2_misses", "mem_accesses",
+)
+
+
 class BatchEngine:
-    """Advance N fault-tape lanes over one plan in virtual lockstep.
+    """N fault-tape lanes over one plan, advanced by the compiled kernel.
 
     All lanes share the plan's slot space and fetch-group schedule; only
     fault tapes (and everything downstream of them: timing, TEP state,
-    d-side cache contents) differ. A lane leaves the convoy only by
-    *eviction* — the caller re-runs that seed on the scalar path.
+    d-side cache contents) differ. Every per-lane row is an attribute
+    named after its entry in :data:`repro.uarch.batchkernel.ARRAYS`. A
+    lane leaves the convoy only by *eviction* — the caller re-runs that
+    seed on the scalar path.
     """
 
     def __init__(self, plan, stream_tapes):
         self.plan = plan
         N = self.N = stream_tapes.shape[0]
-        NS = plan.NS
-        self.NW = plan.NW
-        self.tape = np.zeros((N, NS), dtype=np.int16)
-        self.tape[:, :plan.P] = plan.prelude_tape[None, :]
+
+        def lanes(row):
+            return np.repeat(row[None], N, axis=0)
+
+        def full(value, dtype=np.int64):
+            return np.full(N, value, dtype=dtype)
+
+        self.tape = np.zeros((N, plan.NS), dtype=np.int16)
+        self.tape[:, :plan.P] = plan.prelude_tape
         self.tape[:, plan.P:] = stream_tapes
-        self.pred = np.repeat(plan.pred0[None, :], N, axis=0)
-        self.cec = np.repeat(plan.cec0[None, :], N, axis=0)
-        self.cec_flat = self.cec.reshape(-1)
-        self.wake = np.repeat(plan.wake0[None, :], N, axis=0)
-        self.wake_flat = self.wake.reshape(-1)
-        self.iq_slot = np.zeros((N, plan.iq_size), dtype=np.int64)
+        self.pred = lanes(plan.pred0)
+        self.cec = lanes(plan.cec0)
+        self.wake = lanes(plan.wake0)
         n0 = len(plan.iq0)
-        if n0:
-            self.iq_slot[:, :n0] = plan.iq0[None, :]
-        self.iq_len = np.full(N, n0, dtype=np.int64)
-        self.conv_start = np.repeat(plan.conv0[None, :, 0], N, axis=0)
-        self.conv_len = np.repeat(plan.conv0[None, :, 1], N, axis=0)
-        self.fu_ni = np.repeat(plan.fu_ni0[None, :], N, axis=0)
-        self.wbring = np.zeros((N, _RING), dtype=np.int16)
-        self.epring = np.zeros((N, _RING), dtype=np.int32)
+        self.iq_slot = np.zeros((N, plan.iq_size), dtype=np.int64)
+        self.iq_slot[:, :n0] = plan.iq0
+        self.iq_len = full(n0)
+        self.conv_start = lanes(plan.conv0[:, 0])
+        self.conv_len = lanes(plan.conv0[:, 1])
+        self.fu_ni = lanes(plan.fu_ni0)
+        self.wbring = np.zeros((N, RING), dtype=np.int16)
+        self.epring = np.zeros((N, RING), dtype=np.int32)
         for vc, n in plan.wb0:
             self.wbring[:, vc] = n
         for vc, n in plan.ep0:
             self.epring[:, vc] = n
-        nst = max(plan.n_stores, 1)
-        self.store_resolve = np.full((N, nst), INF, dtype=np.int64)
-        self.premax = np.zeros((N, nst), dtype=np.int64)
-        if plan.n_stores:
-            self.store_resolve[:, :] = INF
-            self.store_resolve[:, :len(plan.store_resolve0)] = (
-                plan.store_resolve0[None, :]
-            )
-            self.premax[:, :len(plan.premax0)] = plan.premax0[None, :]
-        self.frontier = np.full(N, plan.frontier0, dtype=np.int64)
-        self.pm_run = np.full(N, plan.pm_run0, dtype=np.int64)
-        self.lsq_occ = np.full(N, plan.lsq_occ0, dtype=np.int64)
-        self.free_cnt = np.full(N, plan.free_cnt0, dtype=np.int64)
-        self.cp = np.zeros(N, dtype=np.int64)
-        self.dp = np.full(N, plan.R, dtype=np.int64)
-        self.blk_active = np.full(N, plan.blk_active0, dtype=bool)
-        self.blk_resolve_v = np.full(N, plan.blk_resolve0, dtype=np.int64)
-        self.blk_fetch_abs = np.full(N, plan.blk_fetch_abs0, dtype=np.int64)
-        self.resume_v = np.full(N, plan.resume_v0, dtype=np.int64)
-        self.g_ptr = np.zeros(N, dtype=np.int64)
-        self.burned = np.zeros(N, dtype=np.int64)
-        self.v_end = np.zeros(N, dtype=np.int64)
-        self.last_commit_real = np.zeros(N, dtype=np.int64)
-        self.active = np.ones(N, dtype=bool)
-        self.evicted_reason = [None] * N
-
-        z = lambda: np.zeros(N, dtype=np.int64)
-        self.committed = z()
-        self.fetched = z()
-        self.dispatched = z()
-        self.issued = z()
-        self.replays = z()
-        self.branch_mispredicts = z()
-        self.branches = z()
-        self.false_predictions = z()
-        self.ep_stalls_stat = z()
-        self.slot_freezes = z()
-        self.padded = z()
-        self.wrong_path = z()
-        self.regreads = z()
-        self.regwrites = z()
-        self.broadcasts = z()
-        self.broadcast_occ = z()
-        self.iq_occ = z()
-        self.cam_searches = z()
-        self.forwards = z()
-        self.faults_total = z()
-        self.faults_predicted = z()
-        self.faults_unpredicted = z()
+        self.store_resolve = np.full((N, plan.nst_alloc), INF, dtype=np.int64)
+        self.store_resolve[:, :plan.n_stores] = plan.store_resolve0
+        self.premax = np.zeros((N, plan.nst_alloc), dtype=np.int64)
+        self.premax[:, :plan.n_stores] = plan.premax0
+        self.frontier = full(plan.frontier0)
+        self.pm_run = full(plan.pm_run0)
+        self.lsq_occ = full(plan.lsq_occ0)
+        self.free_cnt = full(plan.free_cnt0)
+        self.dp = full(plan.R)
+        self.blk_active = full(plan.blk_active0, bool)
+        self.blk_resolve_v = full(plan.blk_resolve0)
+        self.blk_fetch_abs = full(plan.blk_fetch_abs0)
+        self.resume_v = full(plan.resume_v0)
+        self.active = full(True, bool)
+        self.force_at = full(-1)
+        self.tep_tag = lanes(plan.tep_tag0)
+        self.tep_cnt = lanes(plan.tep_cnt0)
+        self.tep_stage = lanes(plan.tep_stage0)
+        self.l1d_tags = lanes(plan.l1d_tags0)
+        self.l1d_cnt = lanes(plan.l1d_cnt0)
+        self.l2_tags = lanes(plan.l2_tags0)
+        self.l2_cnt = lanes(plan.l2_cnt0)
+        for name in _ZEROED:
+            setattr(self, name, full(0))
         self.stage_faults = np.zeros((N, 10), dtype=np.int64)
         self.fu_op_counts = np.zeros((N, 8), dtype=np.int64)
-
-        self.tep_probe = plan.uses_tep and plan.tep_gate == 0
-        if self.tep_probe:
-            self.tep_tag = np.repeat(plan.tep_tag0[None, :], N, axis=0)
-            self.tep_cnt = np.repeat(plan.tep_cnt0[None, :], N, axis=0)
-            self.tep_stage = np.repeat(plan.tep_stage0[None, :], N, axis=0)
-
-        self.lanemem = [_LaneMem(plan) for _ in range(N)]
-        self._km = None  # compiled-kernel hier counters, set by _run_kernel
-        if plan.uses_vte:
-            (self.T_RR, self.T_EX, self.T_MEM, self.T_WB,
-             self.T_FRZ, self.T_HAS) = _vte_tables()
-        self._arangeIQ = np.arange(plan.iq_size, dtype=np.int64)
-        self._arangeW = np.arange(plan.width, dtype=np.int64)
-        arangeN = np.arange(N, dtype=np.int64)
-        self._laneoffW = (arangeN * plan.NW).reshape(1, N, 1)
-        self._laneoffNS = (arangeN * NS)[:, None]
-        self._laneoffIQ = (arangeN * plan.iq_size)[:, None]
-        self._laneoffS0 = arangeN * plan.iq_size
-        self._laneoffS = (arangeN * self.premax.shape[1])[:, None]
+        self.evicted_reason = [None] * N
 
     # ------------------------------------------------------------------
     def _evict(self, lane, reason):
@@ -764,619 +660,27 @@ class BatchEngine:
         self.active[lane] = False
 
     # ------------------------------------------------------------------
-    def _commit(self, v):
-        p = self.plan
-        NS = p.NS
-        cecf = self.cec_flat
-        for _ in range(p.width):
-            el = self.active & (self.cp < self.dp)
-            idx = np.nonzero(el)[0]
-            if idx.size == 0:
-                return
-            s = self.cp[idx]
-            rdy = cecf[idx * NS + s] <= v
-            if not rdy.any():
-                return
-            idx = idx[rdy]
-            s = s[rdy]
-            self.committed[idx] += 1
-            hd = p.has_dest[s]
-            self.regwrites[idx] += hd
-            self.free_cnt[idx] += hd
-            self.lsq_occ[idx] -= p.is_mem[s]
-            self.last_commit_real[idx] = v + self.burned[idx]
-            st = p.is_store[s]
-            if st.any():
-                for lane, slot in zip(idx[st].tolist(), s[st].tolist()):
-                    self.lanemem[lane].access_data(int(p.mem_addr[slot]))
-            if self.tep_probe:
-                f = self.tape[idx, s]
-                pr = self.pred[idx, s]
-                need = (f != 0) | (pr >= 0)
-                if need.any():
-                    for lane, slot, fm, pv in zip(
-                        idx[need].tolist(), s[need].tolist(),
-                        f[need].tolist(), pr[need].tolist(),
-                    ):
-                        self._train_tep(lane, slot, fm, pv)
-            self.cp[idx] += 1
-
-    def _train_tep(self, lane, slot, fmask, pred):
-        """Commit-time TEP training (pipeline._train_tep + tep.train)."""
-        p = self.plan
-        ti = int(p.tepi[slot])
-        tg = int(p.tept[slot])
-        if fmask:
-            stage = (fmask & -fmask).bit_length() - 1
-            if self.tep_tag[lane, ti] == tg:
-                c = int(self.tep_cnt[lane, ti])
-                if c < p.tep_cmax:
-                    self.tep_cnt[lane, ti] = c + 1
-                self.tep_stage[lane, ti] = stage
-            else:
-                self.tep_tag[lane, ti] = tg
-                self.tep_cnt[lane, ti] = 1
-                self.tep_stage[lane, ti] = stage
-        elif pred >= 0:
-            self.false_predictions[lane] += 1
-            if self.tep_tag[lane, ti] == tg and self.tep_cnt[lane, ti] > 0:
-                self.tep_cnt[lane, ti] -= 1
-
-    # ------------------------------------------------------------------
-    def _load_data_lat(self, lane, slot, cam):
-        """search_forward + hierarchy access for one issuing load."""
-        p = self.plan
-        lo = int(p.SM[self.cp[lane]])
-        hi = int(p.SM[slot])
-        if hi > lo:
-            a8 = int(p.addr8[slot])
-            seg = self.store_resolve[lane, lo:hi]
-            if bool(((p.st_addr8[lo:hi] == a8) & (seg <= cam)).any()):
-                self.forwards[lane] += 1
-                return 1
-        return self.lanemem[lane].access_data(int(p.mem_addr[slot]))
-
-    def _count_fault(self, lane, stage, predicted):
-        self.faults_total[lane] += 1
-        self.stage_faults[lane, stage] += 1
-        if predicted:
-            self.faults_predicted[lane] += 1
-        else:
-            self.faults_unpredicted[lane] += 1
-
-    def _fault_fixup(self, e, lane, slot, fmask, pr,
-                     rr_e, ex_e, mem_e, wb_e, bubbles):
-        """Scalar per-instruction violation handling (issue-time)."""
-        p = self.plan
-        is_mem = bool(p.is_mem[slot])
-        pen = p.replay_recovery
-        for stage in (4, 5, 6, 7, 8):
-            if not fmask & (1 << stage):
-                continue
-            if stage == 7 and not is_mem:
-                # storm-mode wild MEM fault: scalar takes the safety-net
-                # stall-and-replay, which the vector model doesn't carry
-                self._count_fault(lane, stage, False)
-                self._evict(lane, "safety-net replay (wild MEM fault)")
-                continue
-            tol = stage == pr and p.tolerates
-            if (tol and p.uses_vte
-                    and not self.T_HAS[pr + 1, int(p.op[slot])]):
-                self._evict(lane, "safety-net replay (unpadded)")
-                tol = False
-            self._count_fault(lane, stage, tol)
-            if tol:
-                continue
-            self.replays[lane] += 1
-            if stage == 4 or stage == 5:
-                rr_e[e] += pen
-            elif stage == 6:
-                ex_e[e] += pen
-            elif stage == 7:
-                mem_e[e] += pen
-            else:
-                wb_e[e] += pen
-            bubbles.append((e, stage))
-
-    @staticmethod
-    def _stage_cycle(stage, v, e, agen_end, exec_end, wb_c, is_mem_e):
-        """pipeline._stage_cycle on step-local arrays."""
-        if stage == 4:
-            return v
-        if stage == 5:
-            return v + 1
-        if stage == 6:
-            return int(exec_end[e])
-        if stage == 7:
-            return int(agen_end[e]) if is_mem_e else None
-        if stage == 8:
-            return int(wb_c[e])
-        return None
-
-    # ------------------------------------------------------------------
-    def _select_issue(self, v):
-        p = self.plan
-        iqs = self.iq_slot
-        iql = self.iq_len
-        valid = self._arangeIQ[None, :] < iql[:, None]
-        if not self.active.all():
-            valid = valid & self.active[:, None]
-        slots = np.where(valid, iqs, 0)
-        w01 = p.ws01[:, slots] + self._laneoffW
-        wk01 = self.wake_flat.take(w01)
-        wk = np.maximum(wk01[0], wk01[1])
-        rdy = valid & (wk <= v)
-        ld = p.is_load[slots] & valid
-        if p.n_stores and ld.any():
-            oc = p.SM[slots]
-            pmg = self.premax.reshape(-1).take(
-                np.maximum(oc - 1, 0) + self._laneoffS
-            )
-            # premax carries REAL resolve cycles (unshifted by EP stalls,
-            # like scalar's LSQ), so gate against real time, not virtual
-            real = v + self.burned[:, None]
-            gate_ok = (self.frontier[:, None] >= oc) & (
-                (oc == 0) | (pmg <= real)
-            )
-            rdy &= ~ld | gate_ok
-        if not rdy.any():
-            return
-        # Fast path: ranking by IQ position. EXACT keys *are* positions;
-        # AGE keys are monotone in position whenever the per-lane slot
-        # span fits the timestamp window (ts is linear in slot — asserted
-        # by build_plan); FFS degenerates to AGE when nothing ready
-        # carries a fault prediction.
-        fast = p.sel_mode == _SEL_EXACT
-        if not fast and p.ts_linear:
-            tail = iqs.ravel().take(
-                self._laneoffS0 + np.maximum(iql - 1, 0)
-            )
-            fast = bool(((tail - iqs[:, 0]) <= TIMESTAMP_MASK).all())
-            if fast and p.sel_mode == _SEL_FFS:
-                predg = self.pred.reshape(-1).take(
-                    slots + self._laneoffNS
-                )
-                fast = not (rdy & (predg >= 0)).any()
-        if fast:
-            k3 = p.fu1hot[:, slots] & rdy[None]
-            cum3 = k3.cumsum(axis=2)
-            le = self.fu_ni <= v
-            caps = np.empty((3, self.N, 1), dtype=np.int64)
-            caps[0, :, 0] = le[:, 0].astype(np.int64) + le[:, 1]
-            caps[1, :, 0] = le[:, 2]
-            caps[2, :, 0] = le[:, 3]
-            elig3 = k3 & (cum3 <= caps)
-            elig = elig3[0] | elig3[1] | elig3[2]
-            rank = np.cumsum(elig, 1)
-            sel = elig & (rank <= p.width)
-            if not sel.any():
-                return
-            rows, cols = np.nonzero(sel)
-            slots_f = slots[rows, cols]
-            jj = rank[rows, cols] - 1
-            kf = p.fu[slots_f]
-            ucol = kf + 1
-            sm = kf == 0
-            if sm.any():
-                ucol[sm] = (
-                    cum3[0][rows[sm], cols[sm]] - 1
-                    + (1 - le[rows[sm], 0])
-                )
-            self._issue_all(v, rows, slots_f, jj, ucol, iql)
-            keep = valid & ~sel
-        else:
-            rel = (p.ts[slots] - p.ts[iqs[:, 0]][:, None]) & TIMESTAMP_MASK
-            key = rel * p.iq_size + self._arangeIQ[None, :]
-            if p.sel_mode == _SEL_FFS:
-                key = key + (
-                    self.pred.reshape(-1).take(slots + self._laneoffNS) < 0
-                ) * ((TIMESTAMP_MASK + 1) * p.iq_size)
-            key = np.where(rdy, key, _BIG_KEY)
-            order = np.argsort(key, axis=1)
-            oflat = order + self._laneoffIQ
-            oslots = slots.ravel().take(oflat)
-            ordy = rdy.ravel().take(oflat)
-            kind = p.fu[oslots]
-            fu_ni = self.fu_ni
-            c0 = fu_ni[:, 0] <= v
-            cap_s = c0.astype(np.int64) + (fu_ni[:, 1] <= v)
-            cap_c = (fu_ni[:, 2] <= v).astype(np.int64)
-            cap_m = (fu_ni[:, 3] <= v).astype(np.int64)
-            ks = ordy & (kind == 0)
-            kc = ordy & (kind == 1)
-            km = ordy & (kind == 2)
-            cum_s = np.cumsum(ks, 1)
-            elig = (
-                (ks & (cum_s <= cap_s[:, None]))
-                | (kc & (np.cumsum(kc, 1) <= cap_c[:, None]))
-                | (km & (np.cumsum(km, 1) <= cap_m[:, None]))
-            )
-            rank = np.cumsum(elig, 1)
-            sel = elig & (rank <= p.width)
-            if not sel.any():
-                return
-            rows, cols = np.nonzero(sel)
-            slots_f = oslots[rows, cols]
-            jj = rank[rows, cols] - 1
-            kf = kind[rows, cols]
-            ucol = kf + 1
-            sm = kf == 0
-            if sm.any():
-                ucol[sm] = (
-                    cum_s[rows[sm], cols[sm]] - 1
-                    + (1 - c0[rows[sm]].astype(np.int64))
-                )
-            self._issue_all(v, rows, slots_f, jj, ucol, iql)
-            keep = valid
-            keep[rows, order[rows, cols]] = False
-        # compact: drop issued entries, preserving age order
-        sidx = np.argsort(~keep, axis=1, kind="stable")
-        self.iq_slot = iqs.ravel().take(sidx + self._laneoffIQ)
-        self.iq_len = iql - np.bincount(rows, minlength=self.N)
-
-    def _issue_all(self, v, lf, sf, jj, uc, iq_len0):
-        """Issue all selected instructions in one vector pass.
-
-        ``lf``/``sf``/``jj``/``uc`` are flat (lane, slot, per-lane rank,
-        FU unit column) arrays in row-major selection order, i.e. each
-        lane's instructions appear in ascending rank. Lanes repeat, so
-        per-lane counters accumulate via bincount; per-(lane, slot) and
-        per-(lane, unit) scatters are duplicate-free within one cycle.
-        """
-        p = self.plan
-        N = self.N
-        n = lf.size
-        o = p.op[sf]
-        nsel = np.bincount(lf, minlength=N)
-        self.issued += nsel
-        self.regreads += np.bincount(
-            lf, weights=p.nsrcs[sf], minlength=N
-        ).astype(np.int64)
-        foc = self.fu_op_counts.reshape(-1)
-        foc += np.bincount(lf * 8 + o, minlength=N * 8)
-        pr = self.pred[lf, sf].astype(np.int64)
-        if p.uses_vte:
-            pi = pr + 1
-            rr_e = self.T_RR[pi, o].copy()
-            ex_e = self.T_EX[pi, o].copy()
-            mem_e = self.T_MEM[pi, o].copy()
-            wb_e = self.T_WB[pi, o].copy()
-            frz = self.T_FRZ[pi, o]
-            self.padded += np.bincount(
-                lf, weights=self.T_HAS[pi, o], minlength=N
-            ).astype(np.int64)
-        else:
-            rr_e = np.zeros(n, dtype=np.int64)
-            ex_e = np.zeros(n, dtype=np.int64)
-            mem_e = np.zeros(n, dtype=np.int64)
-            wb_e = np.zeros(n, dtype=np.int64)
-            frz = None
-        f = self.tape[lf, sf]
-        bubbles = []
-        if f.any():
-            for e in np.nonzero(f)[0].tolist():
-                self._fault_fixup(
-                    e, int(lf[e]), int(sf[e]), int(f[e]), int(pr[e]),
-                    rr_e, ex_e, mem_e, wb_e, bubbles,
-                )
-        exec_lat = p.lat[sf] + ex_e
-        agen_end = v + 2 + rr_e
-        exec_end = v + 1 + rr_e + exec_lat
-        wakeup = np.empty(n, dtype=np.int64)
-        wbreq = np.empty(n, dtype=np.int64)
-        mm = p.is_mem[sf]
-        nm = ~mm
-        if nm.any():
-            wakeup[nm] = v + p.lat[sf][nm] + rr_e[nm] + ex_e[nm]
-            wbreq[nm] = v + 2 + rr_e[nm] + exec_lat[nm]
-        if mm.any():
-            ldm = p.is_load[sf]
-            for e in np.nonzero(ldm)[0].tolist():
-                lane = int(lf[e])
-                cam = int(agen_end[e])
-                self.cam_searches[lane] += 1
-                # the CAM compares store resolve times, which scalar keeps
-                # in unshifted real cycles (see _shift_in_flight) — so the
-                # probe time must be real too
-                dlat = self._load_data_lat(
-                    lane, int(sf[e]), cam + int(self.burned[lane])
-                )
-                wakeup[e] = cam + int(mem_e[e]) + dlat
-                wbreq[e] = wakeup[e] + 1
-            stm = mm & ~ldm
-            for e in np.nonzero(stm)[0].tolist():
-                lane = int(lf[e])
-                self.cam_searches[lane] += 1
-                r = int(p.srank[int(sf[e])])
-                rc = int(agen_end[e])
-                # store resolve times live in REAL cycles: scalar's
-                # _shift_in_flight never shifts LSQ resolve_cycle, so a
-                # whole-pipeline stall moves everything else but leaves
-                # the disambiguation gate where it was. The WB request
-                # below stays virtual (it rides the shifted event world).
-                srow = self.store_resolve[lane]
-                srow[r] = rc + int(self.burned[lane])
-                fr = int(self.frontier[lane])
-                pm = int(self.pm_run[lane])
-                prow = self.premax[lane]
-                nst = p.n_stores
-                while fr < nst and srow[fr] < INF:
-                    x = int(srow[fr])
-                    if x > pm:
-                        pm = x
-                    prow[fr] = pm
-                    fr += 1
-                self.frontier[lane] = fr
-                self.pm_run[lane] = pm
-                wakeup[e] = INF
-                wbreq[e] = rc + int(mem_e[e]) + 1
-        else:
-            stm = np.zeros(n, dtype=bool)
-        # writeback arbitration: first cycle with a free port, claimed
-        # sequentially in rank order (same lane's later ranks see the
-        # earlier claims — a scalar loop, n is tiny)
-        width = p.width
-        wb = self.wbring
-        lfl = lf.tolist()
-        clist = wbreq.tolist()
-        wbl = wb_e.tolist()
-        for e in range(n):
-            row = wb[lfl[e]]
-            cc = clist[e]
-            while row[cc & _RING_MASK] >= width:
-                cc += 1
-            row[cc & _RING_MASK] += 1
-            if wbl[e]:
-                row[(cc + 1) & _RING_MASK] += 1
-            clist[e] = cc
-        c = np.asarray(clist, dtype=np.int64)
-        self.cec_flat[lf * p.NS + sf] = c + wb_e
-        # result broadcast (set_ready): consumers read next cycle
-        br = (p.has_dest[sf] > 0) & ~stm
-        if br.any():
-            self.wake_flat[(lf * p.NW + sf)[br]] = wakeup[br]
-            lb = lf[br]
-            self.broadcasts += np.bincount(lb, minlength=self.N)
-            self.broadcast_occ += np.bincount(
-                lb, weights=iq_len0[lb] - (jj[br] + 1), minlength=self.N
-            ).astype(np.int64)
-        # functional-unit reservation + VTE freezing
-        ni = v + np.where(o == _IDIV, exec_lat, 1)
-        if frz is not None:
-            self.slot_freezes += np.bincount(
-                lf, weights=(frz != _FRZ_NONE), minlength=self.N
-            ).astype(np.int64)
-            slm = frz == _FRZ_SLOT
-            if slm.any():
-                ni[slm] = np.maximum(ni[slm], v + 2)
-            unm = frz == _FRZ_UNTIL
-            if unm.any():
-                ni[unm] = np.maximum(ni[unm], exec_end[unm])
-            ni[frz == _FRZ_BUSY] += 1
-        self.fu_ni[lf, uc] = ni
-        bm = p.cond_mispred[sf]
-        if bm.any():
-            self.blk_resolve_v[lf[bm]] = exec_end[bm]
-        if p.uses_ep_stall:
-            for e in np.nonzero(pr >= 0)[0].tolist():
-                sc = self._stage_cycle(
-                    int(pr[e]), v, e, agen_end, exec_end, c,
-                    bool(mm[e]),
-                )
-                if sc is None:
-                    continue
-                lane = int(lf[e])
-                self.padded[lane] += 1
-                self.epring[lane, max(sc, v + 1) & _RING_MASK] += 1
-        for e, stage in bubbles:
-            sc = self._stage_cycle(
-                stage, v, e, agen_end, exec_end, c, bool(mm[e])
-            )
-            if sc is None:
-                continue
-            self.epring[int(lf[e]), max(sc, v + 1) & _RING_MASK] += (
-                p.recovery_bubbles
-            )
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, v):
-        p = self.plan
-        d = p.depth - 1
-        D = np.nonzero(self.active & (self.conv_len[:, d] > 0))[0]
-        if D.size == 0:
-            return
-        s = self.conv_start[D, d]
-        i_arr = self._arangeW[None, :]
-        si = np.minimum(s[:, None] + i_arr, p.NS - 1)
-        cond = i_arr < self.conv_len[D, d][:, None]
-        cond &= (self.dp[D] - self.cp[D])[:, None] + i_arr < p.rob_size
-        cond &= self.iq_len[D][:, None] + i_arr < p.iq_size
-        memi = p.is_mem[si]
-        if memi.any():
-            cond &= ~memi | (
-                self.lsq_occ[D][:, None] + (p.M[si] - p.M[s][:, None])
-                < p.lsq_size
-            )
-        hdi = p.has_dest[si] > 0
-        cond &= ~hdi | (
-            self.free_cnt[D][:, None] - (p.HD[si] - p.HD[s][:, None]) >= 1
-        )
-        k = np.cumprod(cond, axis=1).sum(axis=1)
-        km = k > 0
-        if not km.any():
-            return
-        Dk = D[km]
-        sk = s[km]
-        kk = k[km]
-        pos = self.iq_len[Dk][:, None] + i_arr
-        mfill = i_arr < kk[:, None]
-        rr, cc = np.nonzero(mfill)
-        self.iq_slot[Dk[rr], pos[rr, cc]] = sk[rr] + cc
-        self.dp[Dk] += kk
-        self.lsq_occ[Dk] += p.M[sk + kk] - p.M[sk]
-        self.free_cnt[Dk] -= p.HD[sk + kk] - p.HD[sk]
-        self.dispatched[Dk] += kk
-        self.iq_len[Dk] += kk
-        self.conv_start[Dk, d] += kk
-        self.conv_len[Dk, d] -= kk
-
-    # ------------------------------------------------------------------
-    def _fetch(self, v):
-        p = self.plan
-        fl = (
-            self.active & (self.conv_len[:, 0] == 0)
-            & ~self.blk_active & (self.resume_v <= v)
-        )
-        if not fl.any():
-            return
-        idx = np.nonzero(fl)[0]
-        g = self.g_ptr[idx]
-        ex = g >= p.NG
-        if ex.any():
-            for lane in idx[ex].tolist():
-                self._evict(lane, "ran past the prepared stream")
-            keep = ~ex
-            idx = idx[keep]
-            g = g[keep]
-            if idx.size == 0:
-                return
-        gs = p.g_start[g]
-        gl = p.g_len[g]
-        self.conv_start[idx, 0] = gs
-        self.conv_len[idx, 0] = gl
-        self.fetched[idx] += gl
-        self.branches[idx] += p.g_branches[g]
-        mp = p.g_mispred[g]
-        if mp.any():
-            lm = idx[mp]
-            self.branch_mispredicts[lm] += 1
-            self.blk_active[lm] = True
-            self.blk_fetch_abs[lm] = v + self.burned[lm]
-        if self.tep_probe:
-            for jj in range(int(gl.max())):
-                sub = gl > jj
-                if not sub.any():
-                    break
-                li = idx[sub]
-                sl = gs[sub] + jj
-                ti = p.tepi[sl]
-                hit = (self.tep_tag[li, ti] == p.tept[sl]) & (
-                    self.tep_cnt[li, ti] > 0
-                )
-                self.pred[li, sl] = np.where(
-                    hit, self.tep_stage[li, ti], -1
-                ).astype(np.int8)
-        hm = p.g_has_miss[g]
-        if hm.any():
-            for lane, gi in zip(idx[hm].tolist(), g[hm].tolist()):
-                lo = int(p.g_miss_off[gi])
-                hi = int(p.g_miss_off[gi + 1])
-                stall = 0
-                mem = self.lanemem[lane]
-                for mpc in p.miss_pcs[lo:hi].tolist():
-                    lat2 = mem.access_l2(int(mpc)) - 1
-                    if lat2 > stall:
-                        stall = lat2
-                if stall and v + 1 + stall > self.resume_v[lane]:
-                    self.resume_v[lane] = v + 1 + stall
-        self.g_ptr[idx] += 1
-
-    # ------------------------------------------------------------------
     def _run_kernel(self, fn, force_evict):
         """Advance every lane to completion with one compiled-kernel call.
 
         The kernel mutates this engine's own arrays in place, so
-        :meth:`_export` (and tests poking at engine state) see exactly
-        what the numpy loop would have produced. Only the d-side cache
-        overlays differ in representation: the kernel needs them
-        materialized per lane as flat tag arrays up front.
+        :meth:`_export` (and tests poking at engine state) read the
+        results straight from them.
         """
         p = self.plan
-        N = self.N
-        d_nsets = p.l1d_mask + 1
-        l2_nsets = p.l2_mask + 1
-        dt, dc = _flat_sets(p.l1d_sets, d_nsets, p.l1d_assoc)
-        lt, lc = _flat_sets(p.l2_sets, l2_nsets, p.l2_assoc)
-        l1d_tags = np.repeat(dt.reshape(1, -1), N, axis=0)
-        l1d_cnt = np.repeat(dc.reshape(1, -1), N, axis=0)
-        l2_tags = np.repeat(lt.reshape(1, -1), N, axis=0)
-        l2_cnt = np.repeat(lc.reshape(1, -1), N, axis=0)
-        km = {
-            k: np.zeros(N, dtype=np.int64)
-            for k in ("l1d_hits", "l1d_misses", "l2_hits", "l2_misses",
-                      "mem_accesses")
-        }
-        evict_code = np.zeros(N, dtype=np.int64)
-        force_at = np.full(N, -1, dtype=np.int64)
         for lane, at in force_evict.items():
-            force_at[lane] = at
-        d64 = np.zeros(1, dtype=np.int64)
-        d8 = np.zeros(1, dtype=np.int8)
-        if self.tep_probe:
-            tepi, tept = p.tepi, p.tept
-            ttag, tcnt, tstg = self.tep_tag, self.tep_cnt, self.tep_stage
-        else:
-            tepi = tept = ttag = tcnt = tstg = d64
-        if p.uses_vte:
-            t_rr, t_ex, t_mem, t_wb = self.T_RR, self.T_EX, self.T_MEM, self.T_WB
-            t_frz, t_has = self.T_FRZ, self.T_HAS
-        else:
-            t_rr = t_ex = t_mem = t_wb = t_has = d64
-            t_frz = d8
-        arrays = [
-            p.op, p.lat, p.fu, p.nsrcs, p.has_dest,
-            p.is_load, p.is_store, p.is_mem, p.cond_mispred,
-            p.ts, p.SM, p.M, p.HD,
-            p.srank, p.st_addr8, p.addr8, p.mem_addr,
-            p.ws0, p.ws1,
-            p.g_start, p.g_len, p.g_branches, p.g_mispred, p.g_has_miss,
-            p.g_miss_off, p.miss_pcs,
-            tepi, tept,
-            t_rr, t_ex, t_mem, t_wb, t_frz, t_has,
-            self.tape, self.pred,
-            self.cec, self.wake, self.iq_slot, self.iq_len,
-            self.conv_start, self.conv_len, self.fu_ni,
-            self.wbring, self.epring,
-            self.store_resolve, self.premax, self.frontier, self.pm_run,
-            self.lsq_occ, self.free_cnt, self.cp, self.dp,
-            self.blk_active, self.blk_resolve_v, self.blk_fetch_abs,
-            self.resume_v, self.g_ptr, self.burned, self.v_end,
-            self.last_commit_real, self.active, evict_code, force_at,
-            self.committed, self.fetched, self.dispatched, self.issued,
-            self.replays, self.branch_mispredicts, self.branches,
-            self.false_predictions, self.ep_stalls_stat, self.slot_freezes,
-            self.padded, self.wrong_path, self.regreads, self.regwrites,
-            self.broadcasts, self.broadcast_occ, self.iq_occ,
-            self.cam_searches, self.forwards,
-            self.faults_total, self.faults_predicted, self.faults_unpredicted,
-            self.stage_faults, self.fu_op_counts,
-            ttag, tcnt, tstg,
-            l1d_tags, l1d_cnt, l2_tags, l2_cnt,
-            km["l1d_hits"], km["l1d_misses"], km["l2_hits"],
-            km["l2_misses"], km["mem_accesses"],
-        ]
-        for i, a in enumerate(arrays):
-            if not a.flags["C_CONTIGUOUS"]:
-                raise BatchFallback(f"non-contiguous kernel array #{i}")
-        params = [
-            N, p.NS, p.NW, p.n_stores, self.premax.shape[1],
-            p.width, p.depth, p.iq_size, p.rob_size, p.lsq_size,
-            p.target, p.redirect_penalty, p.replay_recovery,
-            p.recovery_bubbles, int(bool(p.model_wrong_path)),
-            int(self.tep_probe), int(bool(p.uses_vte)),
-            int(bool(p.uses_ep_stall)), int(bool(p.tolerates)),
-            p.sel_mode, p.max_cycles, p.hang_cycles,
-            p.NG, p.tep_n, getattr(p, "tep_cmax", 0),
-            p.l1d_shift, p.l1d_mask, p.l1d_assoc, d_nsets,
-            p.l2_shift, p.l2_mask, p.l2_assoc, l2_nsets,
-            p.lat_l1, p.lat_l2, p.lat_mem,
-        ]
+            self.force_at[lane] = at
+        arrays = {
+            name: getattr(self if shape[0] == "N" else p, name)
+            for name, _, shape in ARRAYS
+        }
+        params = {name: getattr(p, name) for name in PARAMS if name != "N"}
+        params["N"] = self.N
         call_kernel(fn, arrays, params)
-        for lane in np.nonzero(evict_code)[0].tolist():
-            code = int(evict_code[lane])
+        for lane in np.nonzero(self.evict_code)[0].tolist():
+            code = int(self.evict_code[lane])
             self._evict(lane, _EVICT_REASON.get(code, "kernel eviction"))
         self.active[:] = False  # every lane either finished or evicted
-        self._km = km
 
     # ------------------------------------------------------------------
     def run(self, force_evict=None):
@@ -1384,84 +688,18 @@ class BatchEngine:
 
         ``force_evict`` maps lane -> virtual cycle; the lane is evicted
         at the top of that cycle (test hook for the divergence path).
+        Raises :class:`~repro.uarch.batchstream.BatchFallback` when the
+        compiled kernel is unavailable.
         """
-        p = self.plan
-        active = self.active
-        width = p.width
+        fn = batchkernel.load_kernel()
+        if fn is None:
+            raise BatchFallback("compiled batch kernel unavailable")
         # tapes carrying in-order-stage bits would hit the scalar
-        # dispatch-side checks the engine doesn't model
+        # dispatch-side checks the kernel doesn't model
         bad = np.nonzero((self.tape & _INORDER_MASK).any(axis=1))[0]
         for lane in bad.tolist():
             self._evict(lane, "in-order-stage fault on tape")
-        force_evict = dict(force_evict or {})
-        # the compiled kernel sizes its selection scratch statically
-        if p.iq_size <= 64 and p.width <= 8:
-            fn = load_kernel()
-            if fn is not None:
-                self._run_kernel(fn, force_evict)
-                return self._export()
-        v = 0
-        cl = self.conv_len
-        cs = self.conv_start
-        while True:
-            fin = active & (self.committed >= p.target)
-            if fin.any():
-                self.v_end[fin] = v
-                active[fin] = False
-            if force_evict:
-                for lane, at in list(force_evict.items()):
-                    if v >= at:
-                        if active[lane]:
-                            self._evict(lane, "forced eviction (test hook)")
-                        del force_evict[lane]
-            if not active.any():
-                break
-            if not v & 255:
-                real = v + self.burned
-                bad = active & (
-                    (real > p.max_cycles)
-                    | (real - self.last_commit_real >= p.hang_cycles)
-                )
-                if bad.any():
-                    for lane in np.nonzero(bad)[0].tolist():
-                        self._evict(lane, "watchdog (hang or cycle budget)")
-                    if not active.any():
-                        break
-            vm = v & _RING_MASK
-            # whole-pipeline stalls burn in bulk (virtual-time excision)
-            k = self.epring[:, vm]
-            kb = active & (k > 0)
-            if kb.any():
-                kk = k[kb].astype(np.int64)
-                self.burned[kb] += kk
-                self.ep_stalls_stat[kb] += kk
-                self.epring[kb, vm] = 0
-            res = active & (self.blk_resolve_v == v)
-            if res.any():
-                self.blk_active[res] = False
-                self.blk_resolve_v[res] = INF
-                np.maximum(
-                    self.resume_v, v + p.redirect_penalty,
-                    out=self.resume_v, where=res,
-                )
-                if p.model_wrong_path:
-                    wasted = np.maximum(
-                        (v + self.burned) - self.blk_fetch_abs - 1, 0
-                    )
-                    self.wrong_path[res] += wasted[res] * width
-            self._commit(v)
-            self._select_issue(v)
-            self._dispatch(v)
-            for i in range(p.depth - 1, 0, -1):
-                m = active & (cl[:, i] == 0)
-                if m.any():
-                    cl[m, i] = cl[m, i - 1]
-                    cs[m, i] = cs[m, i - 1]
-                    cl[m, i - 1] = 0
-            self._fetch(v)
-            self.iq_occ[active] += self.iq_len[active]
-            self.wbring[:, vm] = 0
-            v += 1
+        self._run_kernel(fn, dict(force_evict or {}))
         return self._export()
 
     # ------------------------------------------------------------------
@@ -1475,18 +713,6 @@ class BatchEngine:
                 continue
             ve = int(self.v_end[lane])
             cec = self.cec[lane]
-            km = self._km
-            if km is not None:
-                dside = {k: int(v_[lane]) for k, v_ in km.items()}
-            else:
-                mem = self.lanemem[lane]
-                dside = {
-                    "l1d_hits": mem.l1d_hits,
-                    "l1d_misses": mem.l1d_misses,
-                    "l2_hits": mem.l2_hits,
-                    "l2_misses": mem.l2_misses,
-                    "mem_accesses": mem.mem_accesses,
-                }
             g = int(self.g_ptr[lane])
             stage_faults = {}
             for st in range(10):
@@ -1516,7 +742,7 @@ class BatchEngine:
                 "faults_unpredicted": int(self.faults_unpredicted[lane]),
                 "false_predictions": int(self.false_predictions[lane]),
                 "stage_faults": stage_faults,
-                "ep_stalls": int(self.ep_stalls_stat[lane]),
+                "ep_stalls": int(self.ep_stalls[lane]),
                 "slot_freezes": int(self.slot_freezes[lane]),
                 "padded_instructions": int(self.padded[lane]),
                 "inorder_stalls": 0,
@@ -1533,7 +759,11 @@ class BatchEngine:
                 "hier": {
                     "l1i_hits": int(p.cum_l1i_hits[g]),
                     "l1i_misses": int(p.cum_l1i_misses[g]),
-                    **dside,
+                    "l1d_hits": int(self.l1d_hits[lane]),
+                    "l1d_misses": int(self.l1d_misses[lane]),
+                    "l2_hits": int(self.l2_hits[lane]),
+                    "l2_misses": int(self.l2_misses[lane]),
+                    "mem_accesses": int(self.mem_accesses[lane]),
                 },
             })
         return out

@@ -1,28 +1,30 @@
 /* Compiled per-lane kernel for the batched lockstep engine.
  *
- * This is a transliteration of repro.uarch.batchcore.BatchEngine's
- * per-cycle semantics (itself a transliteration of OoOCore.run under the
- * campaign invariants).  It operates IN PLACE on the engine's own
- * structure-of-arrays numpy state: python builds the plan, tapes and
- * (N,)-shaped state arrays exactly as for the pure-numpy path, then
- * hands raw pointers here; results are read back from the same arrays
- * by BatchEngine._export, so the two paths share everything except the
- * inner loop.  Bit-identity against the scalar core is asserted by the
- * same tests that cover the numpy path.
+ * This is the batch engine's cycle loop: OoOCore.run transliterated
+ * under the campaign invariants (selective replay, no store-set
+ * predictor, no telemetry, static TEP gate).  It operates IN PLACE on
+ * repro.uarch.batchcore.BatchEngine's structure-of-arrays numpy state:
+ * python builds the plan, tapes and (N,)-shaped state arrays, hands
+ * their pointers here, and BatchEngine._export reads the results back
+ * from the same arrays.  Bit-identity against the scalar core is
+ * asserted by tests/snapshot/test_batch_equivalence.py.
  *
  * Lanes are advanced independently (the virtual-time/burn excision
  * makes each lane's trajectory self-contained); an evicted lane stops
  * immediately and is re-run by the caller on the scalar path.
  *
- * Compiled on demand by repro.uarch.batchkernel with the system C
- * compiler; when that fails the engine silently keeps the numpy loop.
+ * Every argument is reached by name through ARR(A, name) and
+ * PRM(p, name), from batchkernel_abi.h.  That header is generated from
+ * the ARRAYS and PARAMS tables in repro.uarch.batchkernel when the
+ * kernel is compiled, so the argument order lives in one place.
  */
 
 #include <stdint.h>
 #include <string.h>
 
+#include "batchkernel_abi.h"
+
 #define K_INF (((int64_t)1) << 60)
-#define K_RING 4096
 #define K_RMASK (K_RING - 1)
 
 /* eviction codes, mapped to reason strings in python */
@@ -622,184 +624,170 @@ static void lane_run(Ctx *c) {
 
 /* ---- entry point ----------------------------------------------------- */
 
-#define I64(i) ((int64_t *)A[i])
-#define U8(i) ((uint8_t *)A[i])
-
 void repro_batch_run(void **A, const int64_t *p) {
     Ctx base;
     memset(&base, 0, sizeof(base));
-    base.op = I64(0);
-    base.lat = I64(1);
-    base.fu = I64(2);
-    base.nsrcs = I64(3);
-    base.has_dest = I64(4);
-    base.is_load = U8(5);
-    base.is_store = U8(6);
-    base.is_mem = U8(7);
-    base.cond_mispred = U8(8);
-    base.ts = I64(9);
-    base.SM = I64(10);
-    base.M = I64(11);
-    base.HD = I64(12);
-    base.srank = I64(13);
-    base.st_addr8 = I64(14);
-    base.addr8 = I64(15);
-    base.mem_addr = I64(16);
-    base.ws0 = I64(17);
-    base.ws1 = I64(18);
-    base.g_start = I64(19);
-    base.g_len = I64(20);
-    base.g_branches = I64(21);
-    base.g_mispred = U8(22);
-    base.g_has_miss = U8(23);
-    base.g_miss_off = I64(24);
-    base.miss_pcs = I64(25);
-    base.tepi = I64(26);
-    base.tept = I64(27);
-    base.T_RR = I64(28);
-    base.T_EX = I64(29);
-    base.T_MEM = I64(30);
-    base.T_WB = I64(31);
-    base.T_FRZ = (int8_t *)A[32];
-    base.T_HAS = I64(33);
-    base.N = p[0];
-    base.NS = p[1];
-    base.NW = p[2];
-    base.n_stores = p[3];
-    /* p[4] = allocated store row stride (max(n_stores, 1)) */
-    base.width = p[5];
-    base.depth = p[6];
-    base.iq_size = p[7];
-    base.rob_size = p[8];
-    base.lsq_size = p[9];
-    base.target = p[10];
-    base.redirect_penalty = p[11];
-    base.replay_recovery = p[12];
-    base.recovery_bubbles = p[13];
-    base.model_wrong_path = p[14];
-    base.tep_probe = p[15];
-    base.uses_vte = p[16];
-    base.uses_ep_stall = p[17];
-    base.tolerates = p[18];
-    base.sel_mode = p[19];
-    base.max_cycles = p[20];
-    base.hang_cycles = p[21];
-    base.NG = p[22];
-    base.tep_n = p[23];
-    base.tep_cmax = p[24];
-    base.d_shift = p[25];
-    base.d_mask = p[26];
-    base.d_assoc = p[27];
-    /* p[28] = d_nsets */
-    base.l2_shift = p[29];
-    base.l2_mask = p[30];
-    base.l2_assoc = p[31];
-    /* p[32] = l2_nsets */
-    base.lat_l1 = p[33];
-    base.lat_l2 = p[34];
-    base.lat_mem = p[35];
-    int64_t nst_alloc = p[4];
-    int64_t d_nsets = p[28];
-    int64_t l2_nsets = p[32];
-
-    const int16_t *tape = (const int16_t *)A[34];
-    int8_t *pred = (int8_t *)A[35];
-    uint8_t *active = U8(61);
-    int64_t *evict_code = I64(62);
-    const int64_t *force_at = I64(63);
+    base.op = ARR(A, op);
+    base.lat = ARR(A, lat);
+    base.fu = ARR(A, fu);
+    base.nsrcs = ARR(A, nsrcs);
+    base.has_dest = ARR(A, has_dest);
+    base.is_load = ARR(A, is_load);
+    base.is_store = ARR(A, is_store);
+    base.is_mem = ARR(A, is_mem);
+    base.cond_mispred = ARR(A, cond_mispred);
+    base.ts = ARR(A, ts);
+    base.SM = ARR(A, SM);
+    base.M = ARR(A, M);
+    base.HD = ARR(A, HD);
+    base.srank = ARR(A, srank);
+    base.st_addr8 = ARR(A, st_addr8);
+    base.addr8 = ARR(A, addr8);
+    base.mem_addr = ARR(A, mem_addr);
+    base.ws0 = ARR(A, ws0);
+    base.ws1 = ARR(A, ws1);
+    base.g_start = ARR(A, g_start);
+    base.g_len = ARR(A, g_len);
+    base.g_branches = ARR(A, g_branches);
+    base.g_mispred = ARR(A, g_mispred);
+    base.g_has_miss = ARR(A, g_has_miss);
+    base.g_miss_off = ARR(A, g_miss_off);
+    base.miss_pcs = ARR(A, miss_pcs);
+    base.tepi = ARR(A, tepi);
+    base.tept = ARR(A, tept);
+    base.T_RR = ARR(A, T_RR);
+    base.T_EX = ARR(A, T_EX);
+    base.T_MEM = ARR(A, T_MEM);
+    base.T_WB = ARR(A, T_WB);
+    base.T_FRZ = ARR(A, T_FRZ);
+    base.T_HAS = ARR(A, T_HAS);
+    base.N = PRM(p, N);
+    base.NS = PRM(p, NS);
+    base.NW = PRM(p, NW);
+    base.n_stores = PRM(p, n_stores);
+    base.width = PRM(p, width);
+    base.depth = PRM(p, depth);
+    base.iq_size = PRM(p, iq_size);
+    base.rob_size = PRM(p, rob_size);
+    base.lsq_size = PRM(p, lsq_size);
+    base.target = PRM(p, target);
+    base.redirect_penalty = PRM(p, redirect_penalty);
+    base.replay_recovery = PRM(p, replay_recovery);
+    base.recovery_bubbles = PRM(p, recovery_bubbles);
+    base.model_wrong_path = PRM(p, model_wrong_path);
+    base.tep_probe = PRM(p, tep_probe);
+    base.uses_vte = PRM(p, uses_vte);
+    base.uses_ep_stall = PRM(p, uses_ep_stall);
+    base.tolerates = PRM(p, tolerates);
+    base.sel_mode = PRM(p, sel_mode);
+    base.max_cycles = PRM(p, max_cycles);
+    base.hang_cycles = PRM(p, hang_cycles);
+    base.NG = PRM(p, NG);
+    base.tep_n = PRM(p, tep_n);
+    base.tep_cmax = PRM(p, tep_cmax);
+    base.d_shift = PRM(p, l1d_shift);
+    base.d_mask = PRM(p, l1d_mask);
+    base.d_assoc = PRM(p, l1d_assoc);
+    base.l2_shift = PRM(p, l2_shift);
+    base.l2_mask = PRM(p, l2_mask);
+    base.l2_assoc = PRM(p, l2_assoc);
+    base.lat_l1 = PRM(p, lat_l1);
+    base.lat_l2 = PRM(p, lat_l2);
+    base.lat_mem = PRM(p, lat_mem);
+    int64_t nst_alloc = PRM(p, nst_alloc);
+    int64_t d_nsets = PRM(p, l1d_nsets);
+    int64_t l2_nsets = PRM(p, l2_nsets);
 
     for (int64_t lane = 0; lane < base.N; lane++) {
-        if (!active[lane])
+        if (!ARR(A, active)[lane])
             continue;
         Ctx c = base;
-        c.tape = tape + lane * base.NS;
-        c.pred = pred + lane * base.NS;
-        c.cec = I64(36) + lane * base.NS;
-        c.wake = I64(37) + lane * base.NW;
-        c.iq_slot = I64(38) + lane * base.iq_size;
-        c.conv_start = I64(40) + lane * base.depth;
-        c.conv_len = I64(41) + lane * base.depth;
-        c.fu_ni = I64(42) + lane * 4;
-        c.wbring = (int16_t *)A[43] + lane * K_RING;
-        c.epring = (int32_t *)A[44] + lane * K_RING;
-        c.store_resolve = I64(45) + lane * nst_alloc;
-        c.premax = I64(46) + lane * nst_alloc;
-        if (base.tep_probe) {
-            c.tep_tag = I64(88) + lane * base.tep_n;
-            c.tep_cnt = I64(89) + lane * base.tep_n;
-            c.tep_stage = I64(90) + lane * base.tep_n;
-        }
-        c.l1d_tags = I64(91) + lane * d_nsets * base.d_assoc;
-        c.l1d_cnt = I64(92) + lane * d_nsets;
-        c.l2_tags = I64(93) + lane * l2_nsets * base.l2_assoc;
-        c.l2_cnt = I64(94) + lane * l2_nsets;
-        c.iq_len = I64(39)[lane];
-        c.frontier = I64(47)[lane];
-        c.pm_run = I64(48)[lane];
-        c.lsq_occ = I64(49)[lane];
-        c.free_cnt = I64(50)[lane];
-        c.cp = I64(51)[lane];
-        c.dp = I64(52)[lane];
-        c.blk_active = U8(53)[lane];
-        c.blk_resolve_v = I64(54)[lane];
-        c.blk_fetch_abs = I64(55)[lane];
-        c.resume_v = I64(56)[lane];
-        c.g_ptr = I64(57)[lane];
-        c.burned = I64(58)[lane];
-        c.last_commit_real = I64(60)[lane];
-        c.force_at = force_at[lane];
-        c.committed = I64(64)[lane];
-        c.stage_faults = I64(86) + lane * 10;
-        c.fu_op_counts = I64(87) + lane * 8;
+        c.tape = ARR(A, tape) + lane * base.NS;
+        c.pred = ARR(A, pred) + lane * base.NS;
+        c.cec = ARR(A, cec) + lane * base.NS;
+        c.wake = ARR(A, wake) + lane * base.NW;
+        c.iq_slot = ARR(A, iq_slot) + lane * base.iq_size;
+        c.conv_start = ARR(A, conv_start) + lane * base.depth;
+        c.conv_len = ARR(A, conv_len) + lane * base.depth;
+        c.fu_ni = ARR(A, fu_ni) + lane * 4;
+        c.wbring = ARR(A, wbring) + lane * K_RING;
+        c.epring = ARR(A, epring) + lane * K_RING;
+        c.store_resolve = ARR(A, store_resolve) + lane * nst_alloc;
+        c.premax = ARR(A, premax) + lane * nst_alloc;
+        c.tep_tag = ARR(A, tep_tag) + lane * base.tep_n;
+        c.tep_cnt = ARR(A, tep_cnt) + lane * base.tep_n;
+        c.tep_stage = ARR(A, tep_stage) + lane * base.tep_n;
+        c.l1d_tags = ARR(A, l1d_tags) + lane * d_nsets * base.d_assoc;
+        c.l1d_cnt = ARR(A, l1d_cnt) + lane * d_nsets;
+        c.l2_tags = ARR(A, l2_tags) + lane * l2_nsets * base.l2_assoc;
+        c.l2_cnt = ARR(A, l2_cnt) + lane * l2_nsets;
+        c.iq_len = ARR(A, iq_len)[lane];
+        c.frontier = ARR(A, frontier)[lane];
+        c.pm_run = ARR(A, pm_run)[lane];
+        c.lsq_occ = ARR(A, lsq_occ)[lane];
+        c.free_cnt = ARR(A, free_cnt)[lane];
+        c.cp = ARR(A, cp)[lane];
+        c.dp = ARR(A, dp)[lane];
+        c.blk_active = ARR(A, blk_active)[lane];
+        c.blk_resolve_v = ARR(A, blk_resolve_v)[lane];
+        c.blk_fetch_abs = ARR(A, blk_fetch_abs)[lane];
+        c.resume_v = ARR(A, resume_v)[lane];
+        c.g_ptr = ARR(A, g_ptr)[lane];
+        c.burned = ARR(A, burned)[lane];
+        c.last_commit_real = ARR(A, last_commit_real)[lane];
+        c.force_at = ARR(A, force_at)[lane];
+        c.committed = ARR(A, committed)[lane];
+        c.stage_faults = ARR(A, stage_faults) + lane * 10;
+        c.fu_op_counts = ARR(A, fu_op_counts) + lane * 8;
         c.evict_code = 0;
 
         lane_run(&c);
 
-        I64(39)[lane] = c.iq_len;
-        I64(47)[lane] = c.frontier;
-        I64(48)[lane] = c.pm_run;
-        I64(49)[lane] = c.lsq_occ;
-        I64(50)[lane] = c.free_cnt;
-        I64(51)[lane] = c.cp;
-        I64(52)[lane] = c.dp;
-        U8(53)[lane] = (uint8_t)c.blk_active;
-        I64(54)[lane] = c.blk_resolve_v;
-        I64(55)[lane] = c.blk_fetch_abs;
-        I64(56)[lane] = c.resume_v;
-        I64(57)[lane] = c.g_ptr;
-        I64(58)[lane] = c.burned;
-        I64(59)[lane] = c.v_end;
-        I64(60)[lane] = c.last_commit_real;
-        I64(64)[lane] = c.committed;
-        I64(65)[lane] += c.fetched;
-        I64(66)[lane] += c.dispatched;
-        I64(67)[lane] += c.issued;
-        I64(68)[lane] += c.replays;
-        I64(69)[lane] += c.branch_mispredicts;
-        I64(70)[lane] += c.branches;
-        I64(71)[lane] += c.false_predictions;
-        I64(72)[lane] += c.ep_stalls;
-        I64(73)[lane] += c.slot_freezes;
-        I64(74)[lane] += c.padded;
-        I64(75)[lane] += c.wrong_path;
-        I64(76)[lane] += c.regreads;
-        I64(77)[lane] += c.regwrites;
-        I64(78)[lane] += c.broadcasts;
-        I64(79)[lane] += c.broadcast_occ;
-        I64(80)[lane] += c.iq_occ;
-        I64(81)[lane] += c.cam_searches;
-        I64(82)[lane] += c.forwards;
-        I64(83)[lane] += c.faults_total;
-        I64(84)[lane] += c.faults_predicted;
-        I64(85)[lane] += c.faults_unpredicted;
-        I64(95)[lane] += c.l1d_hits;
-        I64(96)[lane] += c.l1d_misses;
-        I64(97)[lane] += c.l2_hits;
-        I64(98)[lane] += c.l2_misses;
-        I64(99)[lane] += c.mem_accesses;
+        ARR(A, iq_len)[lane] = c.iq_len;
+        ARR(A, frontier)[lane] = c.frontier;
+        ARR(A, pm_run)[lane] = c.pm_run;
+        ARR(A, lsq_occ)[lane] = c.lsq_occ;
+        ARR(A, free_cnt)[lane] = c.free_cnt;
+        ARR(A, cp)[lane] = c.cp;
+        ARR(A, dp)[lane] = c.dp;
+        ARR(A, blk_active)[lane] = (uint8_t)c.blk_active;
+        ARR(A, blk_resolve_v)[lane] = c.blk_resolve_v;
+        ARR(A, blk_fetch_abs)[lane] = c.blk_fetch_abs;
+        ARR(A, resume_v)[lane] = c.resume_v;
+        ARR(A, g_ptr)[lane] = c.g_ptr;
+        ARR(A, burned)[lane] = c.burned;
+        ARR(A, v_end)[lane] = c.v_end;
+        ARR(A, last_commit_real)[lane] = c.last_commit_real;
+        ARR(A, committed)[lane] = c.committed;
+        ARR(A, fetched)[lane] += c.fetched;
+        ARR(A, dispatched)[lane] += c.dispatched;
+        ARR(A, issued)[lane] += c.issued;
+        ARR(A, replays)[lane] += c.replays;
+        ARR(A, branch_mispredicts)[lane] += c.branch_mispredicts;
+        ARR(A, branches)[lane] += c.branches;
+        ARR(A, false_predictions)[lane] += c.false_predictions;
+        ARR(A, ep_stalls)[lane] += c.ep_stalls;
+        ARR(A, slot_freezes)[lane] += c.slot_freezes;
+        ARR(A, padded)[lane] += c.padded;
+        ARR(A, wrong_path)[lane] += c.wrong_path;
+        ARR(A, regreads)[lane] += c.regreads;
+        ARR(A, regwrites)[lane] += c.regwrites;
+        ARR(A, broadcasts)[lane] += c.broadcasts;
+        ARR(A, broadcast_occ)[lane] += c.broadcast_occ;
+        ARR(A, iq_occ)[lane] += c.iq_occ;
+        ARR(A, cam_searches)[lane] += c.cam_searches;
+        ARR(A, forwards)[lane] += c.forwards;
+        ARR(A, faults_total)[lane] += c.faults_total;
+        ARR(A, faults_predicted)[lane] += c.faults_predicted;
+        ARR(A, faults_unpredicted)[lane] += c.faults_unpredicted;
+        ARR(A, l1d_hits)[lane] += c.l1d_hits;
+        ARR(A, l1d_misses)[lane] += c.l1d_misses;
+        ARR(A, l2_hits)[lane] += c.l2_hits;
+        ARR(A, l2_misses)[lane] += c.l2_misses;
+        ARR(A, mem_accesses)[lane] += c.mem_accesses;
         if (c.evict_code) {
-            evict_code[lane] = c.evict_code;
-            active[lane] = 0;
+            ARR(A, evict_code)[lane] = c.evict_code;
+            ARR(A, active)[lane] = 0;
         }
     }
 }

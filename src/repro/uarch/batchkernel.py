@@ -1,35 +1,199 @@
-"""On-demand builder for the compiled batch-engine kernel.
+"""The compiled batch kernel: its ABI table, build, and call.
 
-``batchkernel.c`` holds a per-lane C transliteration of the
-:class:`~repro.uarch.batchcore.BatchEngine` cycle loop. This module
-compiles it with the system C compiler the first time a batch runs and
-binds the entry point via :mod:`ctypes`. Everything is best-effort: no
-compiler, a failed compile, a read-only cache dir, or
-``REPRO_BATCH_KERNEL=0`` all degrade to returning ``None``, in which
-case the engine keeps its pure-numpy loop (same results, slower).
+``batchkernel.c`` advances every lane of a :class:`~repro.uarch.batchcore.
+BatchEngine` to the end of its measurement window, in place on the
+engine's structure-of-arrays state. This module compiles it with the
+system C compiler the first time a batch runs and binds the entry point
+via :mod:`ctypes`. No compiler, or a failed compile, makes
+:func:`load_kernel` return ``None``; the batch then runs on the scalar
+snapshot-fork path (same results, slower). A failed compile is reported
+on stderr with the compiler's own output.
 
-The shared object is cached on disk keyed by a hash of the C source, so
-recompiles happen only when the kernel changes. Set
+The argument list is declared once, in :data:`ARRAYS` and
+:data:`PARAMS`. :func:`call_kernel` checks every argument against it by
+name, and :func:`abi_header` turns the same tables into the C header of
+named accessors (``ARR(A, name)``, ``PRM(p, name)``) that the kernel is
+compiled against, so the two sides cannot drift apart by position.
+
+The shared object is cached on disk, keyed by the C source, the
+generated header, the compiler path, the flags and the platform. Set
 ``REPRO_KERNEL_CACHE`` to move the cache out of the default temp dir.
 """
 
 import ctypes
 import hashlib
+import operator
 import os
+import platform
 import shutil
 import subprocess
+import sys
 import tempfile
 
-_N_PTRS = 100
-_N_PARAMS = 36
+try:  # pragma: no cover - exercised on numpy-free installs
+    import numpy as np
+except Exception:  # pragma: no cover
+    np = None
+
+#: length of the per-lane writeback and EP-stall rings, in cycles
+RING = 4096
+
+CFLAGS = ("-O2", "-shared", "-fPIC")
+
+#: Every int64 parameter, by name. Shapes in :data:`ARRAYS` refer to them.
+PARAMS = (
+    "N", "NS", "NW", "NG", "n_stores", "nst_alloc", "n_miss",
+    "width", "depth", "iq_size", "rob_size", "lsq_size", "target",
+    "redirect_penalty", "replay_recovery", "recovery_bubbles",
+    "model_wrong_path", "tep_probe", "uses_vte", "uses_ep_stall",
+    "tolerates", "sel_mode", "max_cycles", "hang_cycles",
+    "tep_n", "tep_cmax",
+    "l1d_shift", "l1d_mask", "l1d_assoc", "l1d_nsets",
+    "l2_shift", "l2_mask", "l2_assoc", "l2_nsets",
+    "lat_l1", "lat_l2", "lat_mem",
+)
+
+#: Every array argument as ``(name, dtype, shape)``. A shape entry is an
+#: int, a parameter name, or ``"name+k"``. Arrays whose shape starts
+#: with ``"N"`` are per-lane rows owned by the engine; the rest are
+#: lane-invariant and owned by the plan.
+ARRAYS = (
+    # ---- plan: per-slot static state -----------------------------------
+    ("op", "int64", ("NS",)),
+    ("lat", "int64", ("NS",)),
+    ("fu", "int64", ("NS",)),
+    ("nsrcs", "int64", ("NS",)),
+    ("has_dest", "int64", ("NS",)),
+    ("is_load", "bool", ("NS",)),
+    ("is_store", "bool", ("NS",)),
+    ("is_mem", "bool", ("NS",)),
+    ("cond_mispred", "bool", ("NS",)),
+    ("ts", "int64", ("NS",)),
+    ("SM", "int64", ("NS+1",)),
+    ("M", "int64", ("NS+1",)),
+    ("HD", "int64", ("NS+1",)),
+    ("srank", "int64", ("NS",)),
+    ("st_addr8", "int64", ("n_stores",)),
+    ("addr8", "int64", ("NS",)),
+    ("mem_addr", "int64", ("NS",)),
+    ("ws0", "int64", ("NS",)),
+    ("ws1", "int64", ("NS",)),
+    ("tepi", "int64", ("NS",)),
+    ("tept", "int64", ("NS",)),
+    # ---- plan: fetch groups --------------------------------------------
+    ("g_start", "int64", ("NG",)),
+    ("g_len", "int64", ("NG",)),
+    ("g_branches", "int64", ("NG",)),
+    ("g_mispred", "bool", ("NG",)),
+    ("g_has_miss", "bool", ("NG",)),
+    ("g_miss_off", "int64", ("NG+1",)),
+    ("miss_pcs", "int64", ("n_miss",)),
+    # ---- plan: VTE effects by (predicted stage + 1, op) ------------------
+    ("T_RR", "int64", (11, 8)),
+    ("T_EX", "int64", (11, 8)),
+    ("T_MEM", "int64", (11, 8)),
+    ("T_WB", "int64", (11, 8)),
+    ("T_FRZ", "int8", (11, 8)),
+    ("T_HAS", "int64", (11, 8)),
+    # ---- engine: per-lane machine state --------------------------------
+    ("tape", "int16", ("N", "NS")),
+    ("pred", "int8", ("N", "NS")),
+    ("cec", "int64", ("N", "NS")),
+    ("wake", "int64", ("N", "NW")),
+    ("iq_slot", "int64", ("N", "iq_size")),
+    ("iq_len", "int64", ("N",)),
+    ("conv_start", "int64", ("N", "depth")),
+    ("conv_len", "int64", ("N", "depth")),
+    ("fu_ni", "int64", ("N", 4)),
+    ("wbring", "int16", ("N", RING)),
+    ("epring", "int32", ("N", RING)),
+    ("store_resolve", "int64", ("N", "nst_alloc")),
+    ("premax", "int64", ("N", "nst_alloc")),
+    ("frontier", "int64", ("N",)),
+    ("pm_run", "int64", ("N",)),
+    ("lsq_occ", "int64", ("N",)),
+    ("free_cnt", "int64", ("N",)),
+    ("cp", "int64", ("N",)),
+    ("dp", "int64", ("N",)),
+    ("blk_active", "bool", ("N",)),
+    ("blk_resolve_v", "int64", ("N",)),
+    ("blk_fetch_abs", "int64", ("N",)),
+    ("resume_v", "int64", ("N",)),
+    ("g_ptr", "int64", ("N",)),
+    ("burned", "int64", ("N",)),
+    ("v_end", "int64", ("N",)),
+    ("last_commit_real", "int64", ("N",)),
+    ("active", "bool", ("N",)),
+    ("evict_code", "int64", ("N",)),
+    ("force_at", "int64", ("N",)),
+    ("tep_tag", "int64", ("N", "tep_n")),
+    ("tep_cnt", "int64", ("N", "tep_n")),
+    ("tep_stage", "int64", ("N", "tep_n")),
+    ("l1d_tags", "int64", ("N", "l1d_nsets", "l1d_assoc")),
+    ("l1d_cnt", "int64", ("N", "l1d_nsets")),
+    ("l2_tags", "int64", ("N", "l2_nsets", "l2_assoc")),
+    ("l2_cnt", "int64", ("N", "l2_nsets")),
+    # ---- engine: per-lane counters -------------------------------------
+    ("committed", "int64", ("N",)),
+    ("fetched", "int64", ("N",)),
+    ("dispatched", "int64", ("N",)),
+    ("issued", "int64", ("N",)),
+    ("replays", "int64", ("N",)),
+    ("branch_mispredicts", "int64", ("N",)),
+    ("branches", "int64", ("N",)),
+    ("false_predictions", "int64", ("N",)),
+    ("ep_stalls", "int64", ("N",)),
+    ("slot_freezes", "int64", ("N",)),
+    ("padded", "int64", ("N",)),
+    ("wrong_path", "int64", ("N",)),
+    ("regreads", "int64", ("N",)),
+    ("regwrites", "int64", ("N",)),
+    ("broadcasts", "int64", ("N",)),
+    ("broadcast_occ", "int64", ("N",)),
+    ("iq_occ", "int64", ("N",)),
+    ("cam_searches", "int64", ("N",)),
+    ("forwards", "int64", ("N",)),
+    ("faults_total", "int64", ("N",)),
+    ("faults_predicted", "int64", ("N",)),
+    ("faults_unpredicted", "int64", ("N",)),
+    ("stage_faults", "int64", ("N", 10)),
+    ("fu_op_counts", "int64", ("N", 8)),
+    ("l1d_hits", "int64", ("N",)),
+    ("l1d_misses", "int64", ("N",)),
+    ("l2_hits", "int64", ("N",)),
+    ("l2_misses", "int64", ("N",)),
+    ("mem_accesses", "int64", ("N",)),
+)
+
+_C_TYPES = {
+    "bool": "uint8_t", "int8": "int8_t", "int16": "int16_t",
+    "int32": "int32_t", "int64": "int64_t",
+}
 
 _loaded = False
 _fn = None
 
 
-def kernel_enabled():
-    """False when the user opted out via ``REPRO_BATCH_KERNEL=0``."""
-    return os.environ.get("REPRO_BATCH_KERNEL", "1") != "0"
+class KernelABIError(ValueError):
+    """An argument to :func:`call_kernel` disagrees with the ABI table."""
+
+
+def abi_header():
+    """The C header the kernel is compiled against, generated from the tables."""
+    lines = [
+        "/* Generated by repro.uarch.batchkernel.abi_header() from",
+        " * ARRAYS and PARAMS; do not edit. */",
+        "#include <stdint.h>",
+        f"#define K_RING {RING}",
+        "#define ARR(A, name) ((arr_t_##name *)(A)[ARR_##name])",
+        "#define PRM(p, name) ((p)[PRM_##name])",
+    ]
+    for i, (name, dtype, _) in enumerate(ARRAYS):
+        lines.append(f"#define ARR_{name} {i}")
+        lines.append(f"typedef {_C_TYPES[dtype]} arr_t_{name};")
+    for i, name in enumerate(PARAMS):
+        lines.append(f"#define PRM_{name} {i}")
+    return "\n".join(lines) + "\n"
 
 
 def _source_path():
@@ -47,29 +211,49 @@ def _cache_dir():
     return os.environ.get("REPRO_KERNEL_CACHE") or tempfile.gettempdir()
 
 
+def so_path(cc, flags=CFLAGS):
+    """Cache path of the shared object ``cc`` builds with ``flags``.
+
+    Keyed by everything that shapes the binary: the C source, the
+    generated ABI header, the compiler, the flags and the platform.
+    """
+    digest = hashlib.sha256()
+    with open(_source_path(), "rb") as f:
+        digest.update(f.read())
+    for part in (abi_header(), cc, *flags, sys.platform, platform.machine()):
+        digest.update(part.encode() + b"\0")
+    return os.path.join(
+        _cache_dir(), f"repro-batchkernel-{digest.hexdigest()[:16]}.so"
+    )
+
+
 def build_kernel():
     """Compile (or reuse) the shared object; returns its path or None."""
-    src = _source_path()
-    try:
-        with open(src, "rb") as f:
-            code = f.read()
-    except OSError:
-        return None
-    digest = hashlib.sha256(code).hexdigest()[:16]
-    so = os.path.join(_cache_dir(), f"repro-batchkernel-{digest}.so")
-    if os.path.exists(so):
-        return so
     cc = _compiler()
     if cc is None:
+        print("[batchkernel] no C compiler found; batches run scalar",
+              file=sys.stderr)
         return None
+    try:
+        so = so_path(cc)
+    except OSError:
+        return None
+    if os.path.exists(so):
+        return so
     tmp = f"{so}.{os.getpid()}.tmp"
     try:
-        subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, src],
-            check=True, capture_output=True, timeout=120,
-        )
+        with tempfile.TemporaryDirectory() as inc:
+            with open(os.path.join(inc, "batchkernel_abi.h"), "w") as f:
+                f.write(abi_header())
+            subprocess.run(
+                [cc, *CFLAGS, "-I", inc, "-o", tmp, _source_path()],
+                check=True, capture_output=True, text=True, timeout=120,
+            )
         os.replace(tmp, so)
-    except (OSError, subprocess.SubprocessError):
+    except (OSError, subprocess.SubprocessError) as exc:
+        detail = getattr(exc, "stderr", None) or exc
+        print(f"[batchkernel] compiling with {cc} failed; batches run "
+              f"scalar:\n{detail}", file=sys.stderr)
         try:
             os.unlink(tmp)
         except OSError:
@@ -84,14 +268,11 @@ def load_kernel():
     if _loaded:
         return _fn
     _loaded = True
-    if not kernel_enabled():
-        return None
     so = build_kernel()
     if so is None:
         return None
     try:
-        lib = ctypes.CDLL(so)
-        fn = lib.repro_batch_run
+        fn = ctypes.CDLL(so).repro_batch_run
     except (OSError, AttributeError):
         return None
     fn.argtypes = [
@@ -104,16 +285,64 @@ def load_kernel():
 
 
 def reset_kernel_cache():
-    """Forget the memoized load result (test hook for the env gates)."""
+    """Forget the memoized load result (test hook)."""
     global _loaded, _fn
     _loaded = False
     _fn = None
 
 
+def _extent(dim, params):
+    if isinstance(dim, int):
+        return dim
+    name, _, extra = dim.partition("+")
+    return params[name] + int(extra or 0)
+
+
+def _check_names(kind, given, declared):
+    missing = [n for n in declared if n not in given]
+    extra = sorted(set(given) - set(declared))
+    if missing or extra:
+        raise KernelABIError(
+            f"kernel {kind}: missing {missing}, unexpected {extra}"
+        )
+
+
 def call_kernel(fn, arrays, params):
-    """Invoke the kernel on ``arrays`` (numpy, order fixed by the C side)."""
-    if len(arrays) != _N_PTRS or len(params) != _N_PARAMS:
-        raise ValueError("kernel ABI mismatch")
-    ptrs = (ctypes.c_void_p * _N_PTRS)(*[a.ctypes.data for a in arrays])
-    prm = (ctypes.c_int64 * _N_PARAMS)(*[int(x) for x in params])
-    fn(ptrs, prm)
+    """Invoke ``fn`` with ``arrays`` and ``params`` (name -> value maps).
+
+    Every entry is checked against :data:`ARRAYS` / :data:`PARAMS` by
+    name, dtype, C-contiguity and element count before anything reaches
+    C; a mismatch raises :class:`KernelABIError` naming the argument.
+    """
+    _check_names("params", params, PARAMS)
+    _check_names("arrays", arrays, [name for name, _, _ in ARRAYS])
+    prm = {}
+    for name in PARAMS:
+        try:
+            prm[name] = operator.index(params[name])
+        except TypeError:
+            raise KernelABIError(
+                f"kernel param {name!r}: {params[name]!r} is not an integer"
+            ) from None
+    for name, dtype, shape in ARRAYS:
+        a = arrays[name]
+        if not isinstance(a, np.ndarray) or a.dtype != np.dtype(dtype):
+            got = getattr(a, "dtype", type(a).__name__)
+            raise KernelABIError(
+                f"kernel array {name!r}: dtype {got}, expected {dtype}"
+            )
+        if not a.flags["C_CONTIGUOUS"]:
+            raise KernelABIError(f"kernel array {name!r}: not C-contiguous")
+        count = 1
+        for dim in shape:
+            count *= _extent(dim, prm)
+        if a.size != count:
+            raise KernelABIError(
+                f"kernel array {name!r}: {a.size} elements, expected "
+                f"{count} for shape {shape}"
+            )
+    ptrs = (ctypes.c_void_p * len(ARRAYS))(
+        *[arrays[name].ctypes.data for name, _, _ in ARRAYS]
+    )
+    vals = (ctypes.c_int64 * len(PARAMS))(*[prm[name] for name in PARAMS])
+    fn(ptrs, vals)

@@ -212,6 +212,33 @@ def test_model_version_is_stable():
     assert len(model_version()) == 16
 
 
+def test_model_version_covers_kernel_source(tmp_path, monkeypatch):
+    """Editing the batch kernel's C source must retire cached results."""
+    import shutil
+
+    import repro
+    from repro.harness import parallel
+
+    pkg = tmp_path / "repro"
+    shutil.copytree(
+        os.path.dirname(repro.__file__), pkg,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    monkeypatch.setattr(repro, "__file__", str(pkg / "__init__.py"))
+
+    def version():
+        monkeypatch.setattr(parallel, "_version_cache", None)
+        return model_version()
+
+    before = version()
+    kernel = pkg / "uarch" / "batchkernel.c"
+    kernel.write_text(kernel.read_text() + "/* semantic fix */\n")
+    after = version()
+    assert after != before
+    (pkg / "notes.txt").write_text("not a model source\n")
+    assert version() == after
+
+
 # ----------------------------------------------------------------------
 # sweeps ride the engine
 # ----------------------------------------------------------------------

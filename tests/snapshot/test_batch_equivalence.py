@@ -6,11 +6,15 @@ for every lane, its SimStats digest, cache counters, and energy numbers
 must equal the scalar snapshot-fork run bit for bit, and a campaign
 journal written with batching on must be byte-identical to one written
 with it off. The grid here crosses schemes × supply × storm on/off ×
-lane counts N∈{1,4,16}, on both engine back ends (compiled kernel and
-pure-numpy fallback), and a hypothesis test pins that forcing lane
-evictions at arbitrary points (the mid-window divergence path) cannot
-change any result.
+lane counts N∈{1,4,16}, on both execution paths: the compiled kernel,
+and no kernel at all, where every batch must fall back to the scalar
+path lane by lane and say so in its report. A hypothesis test pins that
+forcing lane evictions at arbitrary points (the mid-window divergence
+path) cannot change any result, on both paths too.
 """
+
+import contextlib
+from unittest import mock
 
 import pytest
 
@@ -72,15 +76,36 @@ def scalar_ref(snap_dir):
     return ref
 
 
-@pytest.fixture(params=["kernel", "numpy"])
-def engine_path(request, monkeypatch):
+ENGINE_PATHS = ("kernel", "nokernel")
+
+
+@contextlib.contextmanager
+def _engine(path):
+    """Run the body with the compiled kernel, or with kernel loading off."""
+    if path == "kernel":
+        yield path
+        return
     from repro.uarch import batchkernel
 
-    if request.param == "numpy":
-        monkeypatch.setenv("REPRO_BATCH_KERNEL", "0")
-    batchkernel.reset_kernel_cache()
-    yield request.param
-    batchkernel.reset_kernel_cache()
+    with mock.patch.object(batchkernel, "load_kernel", lambda: None):
+        yield path
+
+
+@pytest.fixture(params=ENGINE_PATHS)
+def engine_path(request):
+    with _engine(request.param) as path:
+        yield path
+
+
+def _check_report(report, engine_path, n_lanes):
+    """The report must say which path the batch really took."""
+    if engine_path == "nokernel":
+        assert "kernel" in report.fallback_reason
+        assert report.vector_lanes == 0
+        assert report.scalar_lanes == n_lanes
+    else:
+        assert report.fallback_reason is None
+        assert report.vector_lanes + report.scalar_lanes == n_lanes
 
 
 @pytest.mark.parametrize("n", LANE_COUNTS)
@@ -90,10 +115,35 @@ def engine_path(request, monkeypatch):
 )
 def test_batch_matches_scalar(scheme, vdd, n, snap_dir, scalar_ref,
                               engine_path):
-    batched = run_many(
-        _specs(scheme, vdd, n, snap_dir), batch_lanes=max(2, n)
-    )
+    from repro.snapshot.batch import BatchReport, run_batch
+
+    specs = _specs(scheme, vdd, n, snap_dir)
+    batched = run_many(specs, batch_lanes=max(2, n))
     assert [_digest(r) for r in batched] == scalar_ref(scheme, vdd, n)
+    report = BatchReport()
+    direct = run_batch(specs, str(snap_dir), report)
+    assert [_digest(r) for r in direct] == scalar_ref(scheme, vdd, n)
+    _check_report(report, engine_path, n)
+
+
+def test_no_kernel_batch_skips_fork_and_plan(snap_dir, scalar_ref):
+    """Without a kernel, the batch goes scalar before any batch setup."""
+    from repro.snapshot import batch
+    from repro.uarch import batchcore
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("batch setup ran with no kernel")
+
+    report = batch.BatchReport()
+    with _engine("nokernel"), \
+            mock.patch.object(batch, "ensure_snapshot", forbidden), \
+            mock.patch.object(batchcore, "build_plan", forbidden):
+        results = batch.run_batch(
+            _specs(SchemeKind.EP, 0.97, 4, snap_dir), str(snap_dir), report
+        )
+    _check_report(report, "nokernel", 4)
+    assert ([_digest(r) for r in results]
+            == scalar_ref(SchemeKind.EP, 0.97, 4))
 
 
 @pytest.mark.parametrize("vdd", VDDS)
@@ -173,11 +223,14 @@ if HAVE_HYPOTHESIS:
         """Evicting any lane at any cycle must not change any lane."""
         from repro.snapshot.batch import BatchReport, run_batch
 
-        report = BatchReport()
-        results = run_batch(
-            _specs(SchemeKind.ABS, 0.97, 4, snap_dir), str(snap_dir),
-            report, force_evict=evictions,
-        )
-        assert report.scalar_lanes >= len(evictions)
-        assert ([_digest(r) for r in results]
-                == scalar_ref(SchemeKind.ABS, 0.97, 4))
+        for path in ENGINE_PATHS:
+            report = BatchReport()
+            with _engine(path):
+                results = run_batch(
+                    _specs(SchemeKind.ABS, 0.97, 4, snap_dir),
+                    str(snap_dir), report, force_evict=evictions,
+                )
+            assert report.scalar_lanes >= len(evictions)
+            _check_report(report, path, 4)
+            assert ([_digest(r) for r in results]
+                    == scalar_ref(SchemeKind.ABS, 0.97, 4))
