@@ -16,7 +16,8 @@ Layers
 :mod:`repro.campaign.stats`
     Normal and Wilson interval math plus the per-point accumulator.
 :mod:`repro.campaign.journal`
-    Crash-safe campaign directory: manifest + append-only JSONL journal.
+    Crash-safe campaign directory: manifest + append-only JSONL
+    journals, and the one fold every reader applies to them.
 :mod:`repro.campaign.scheduler`
     The draw-level batch iterator + stopping rule one grid point is
     measured through — driven synchronously by the executor and leased

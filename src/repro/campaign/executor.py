@@ -27,6 +27,7 @@ import time
 
 from repro.campaign.journal import (
     Journal,
+    point_event,
     read_manifest,
     run_event,
     write_manifest,
@@ -287,16 +288,13 @@ def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
             acc, reason, failure = measure_point(
                 spec, point, run_fn, acc, on_run
             )
-            event = {
-                "event": "point", "point": point.id, "n": acc.n,
-                "stopped": reason,
-                "summary": acc.summary() if acc.n else None,
-            }
-            if failure is not None:
-                # the point is journaled as completed-but-failed (resume
-                # skips it; the campaign continues past it) with enough
-                # to find and replay the repro bundle
-                event["failure"] = failure_record(failure)
-            journal.append(event)
+            # a failed point is journaled as completed-but-failed
+            # (resume skips it; the campaign continues past it) with
+            # enough to find and replay the repro bundle
+            journal.append(point_event(
+                point.id, acc.n, reason,
+                acc.summary() if acc.n else None,
+                failure_record(failure) if failure is not None else None,
+            ))
         journal.append({"event": "done"})
     return write_reports(directory)

@@ -1,28 +1,42 @@
-"""Crash-safe campaign state: manifest plus append-only JSONL journal.
+"""Crash-safe campaign state: manifest, append-only JSONL journals, one fold.
 
 A campaign directory holds::
 
     <dir>/manifest.json    # the CampaignSpec + model version (written once)
     <dir>/journal.jsonl    # append-only event log, one JSON object per line
+    <dir>/shards/*.jsonl   # fleet only: one journal per worker + _coordinator
     <dir>/report.json      # aggregate report (rewritten on completion)
     <dir>/report.md        # human-readable rendering of the same
 
-The journal is the single source of truth for progress. Every completed
-seed draw appends a ``run`` event carrying its extracted metrics, every
-finished grid point appends a ``point`` event with the stopping summary,
-and campaign completion appends ``done``. Appends are flushed and
-fsynced line-by-line, so a kill can lose at most the line being written;
-:meth:`Journal.replay` tolerates a torn trailing line by ignoring any
-undecodable tail. Resume = replay the journal, skip completed points,
-and continue partial points from their recorded draw count.
+The journals are the single source of truth for progress. Every
+completed seed draw appends a ``run`` event carrying its extracted
+metrics, every finished grid point appends a ``point`` event with the
+stopping summary, and campaign completion appends ``done``. Appends are
+flushed and fsynced line-by-line, so a kill can lose at most the line
+being written.
+
+:meth:`JournalState.fold` is the only code that decides what a record
+does to campaign state: a draw counts once per ``(point, index)`` and
+runs stay in index order, a point's first ``point`` event wins, ``done``
+is a latch, and an undecodable line (a torn tail) is counted and
+otherwise ignored. Re-executed draws are bit-identical, so the folded
+state does not depend on how records are split across files, ordered,
+or repeated. Every reader goes through it: :meth:`Journal.replay` folds
+the one file a single-pool resume appends to; :func:`fold_directory`
+folds ``journal.jsonl`` and then every shard journal (status, report,
+fleet merge and fleet resume); the dashboard folds records as it tails
+them. :func:`decode_lines` is the one line decoder they all share.
 """
 
+import bisect
 import json
 import os
 import sys
 
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
+SHARD_DIR = "shards"
+COORDINATOR_SHARD = "_coordinator"
 
 #: manifest/journal format version; bump on incompatible layout changes.
 FORMAT = 1
@@ -98,22 +112,127 @@ def read_manifest(directory):
         return json.load(fh)
 
 
+def shard_dir(directory):
+    return os.path.join(str(directory), SHARD_DIR)
+
+
+def shard_path(directory, name):
+    return os.path.join(shard_dir(directory), f"{name}.jsonl")
+
+
+def list_shards(directory):
+    """Paths of every shard journal, coordinator shard first."""
+    root = shard_dir(directory)
+    try:
+        names = sorted(os.listdir(root))
+    except FileNotFoundError:
+        return []
+    paths = [
+        os.path.join(root, name) for name in names
+        if name.endswith(".jsonl")
+    ]
+    first = shard_path(directory, COORDINATOR_SHARD)
+    return [p for p in paths if p == first] + [
+        p for p in paths if p != first
+    ]
+
+
+def decode_lines(lines):
+    """Decode JSONL ``lines``: one item per non-blank line.
+
+    Yields the line's JSON object, or ``None`` when the line holds none
+    — a torn tail from a kill mid-append, or corruption.
+    """
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:  # JSONDecodeError, UnicodeDecodeError
+            record = None
+        yield record if isinstance(record, dict) else None
+
+
 class JournalState:
-    """Replayed view of a journal: what already happened."""
+    """Campaign progress folded from journal records."""
 
     def __init__(self):
-        #: point id -> list of run records (in append order)
+        #: point id -> its ``run`` records, in draw-index order
         self.runs = {}
-        #: point id -> its ``point`` completion event
+        #: point id -> its first ``point`` completion event
         self.completed = {}
         self.done = False
+        #: records that changed the state / undecodable lines
         self.n_events = 0
         self.n_torn = 0
+        self._indices = {}  # point id -> sorted draw indices of runs
 
     @property
     def total_runs(self):
         """Seed draws recorded across all points."""
         return sum(len(records) for records in self.runs.values())
+
+    def fold(self, record):
+        """Apply one :func:`decode_lines` item; True if the state changed.
+
+        A repeated ``(point, index)`` draw, a second ``point`` event for
+        a point, a second ``done`` and an unknown event are no-ops, so
+        folding is idempotent; ``None`` (an undecodable line) only
+        counts in ``n_torn``.
+        """
+        if record is None:
+            self.n_torn += 1
+            return False
+        kind = record.get("event")
+        point_id = record.get("point")
+        if kind == "run":
+            index = record["index"]
+            indices = self._indices.setdefault(point_id, [])
+            at = bisect.bisect_left(indices, index)
+            if at < len(indices) and indices[at] == index:
+                return False
+            indices.insert(at, index)
+            self.runs.setdefault(point_id, []).insert(at, record)
+        elif kind == "point":
+            if point_id in self.completed:
+                return False
+            self.completed[point_id] = record
+        elif kind == "done":
+            if self.done:
+                return False
+            self.done = True
+        else:
+            return False
+        self.n_events += 1
+        return True
+
+
+def fold_files(paths, state=None):
+    """Fold every line of the JSONL files at ``paths``, in order.
+
+    ``state`` is any reducer with a ``fold(record)`` method (a fresh
+    :class:`JournalState` by default) and is returned. A missing file
+    folds as empty.
+    """
+    state = JournalState() if state is None else state
+    for path in paths:
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
+            continue
+        with fh:
+            for record in decode_lines(fh):
+                state.fold(record)
+    return state
+
+
+def fold_directory(directory):
+    """Fold a campaign directory: ``journal.jsonl``, then every shard."""
+    return fold_files(
+        [os.path.join(str(directory), JOURNAL_NAME)]
+        + list_shards(directory)
+    )
 
 
 class Journal:
@@ -166,9 +285,7 @@ class Journal:
                 return 0
             cut = data.rfind(b"\n") + 1  # 0 when the whole file is one tail
             tail = data[cut:]
-            try:
-                json.loads(tail.decode())
-            except (UnicodeDecodeError, ValueError):
+            if next(decode_lines([tail]), None) is None:
                 fh.truncate(cut)
                 print(
                     f"[journal] truncated torn trailing record "
@@ -188,34 +305,11 @@ class Journal:
         self.close()
 
     def replay(self):
-        """Fold the journal into a :class:`JournalState`.
+        """Fold this journal file into a :class:`JournalState`.
 
-        Undecodable lines (a torn tail from a kill mid-append) are
-        counted in ``n_torn`` and otherwise ignored — the corresponding
-        run simply re-executes, served from the result cache if one is
-        shared with the killed process.
+        A torn tail from a kill mid-append counts in ``n_torn`` and is
+        otherwise ignored — the run it described simply re-executes,
+        served from the result cache if one is shared with the killed
+        process.
         """
-        state = JournalState()
-        try:
-            fh = open(self.path)
-        except FileNotFoundError:
-            return state
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    state.n_torn += 1
-                    continue
-                state.n_events += 1
-                kind = event.get("event")
-                if kind == "run":
-                    state.runs.setdefault(event["point"], []).append(event)
-                elif kind == "point":
-                    state.completed[event["point"]] = event
-                elif kind == "done":
-                    state.done = True
-        return state
+        return fold_files([self.path])

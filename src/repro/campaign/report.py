@@ -1,7 +1,7 @@
 """Campaign report builder: JSON + Markdown aggregates.
 
-Rebuilds everything from the campaign directory (manifest + journal), so
-it can run standalone (``campaign report``) on a live, killed, or
+Rebuilds everything from the campaign directory (manifest + journals),
+so it can run standalone (``campaign report``) on a live, killed, or
 finished campaign. Every reported metric carries the ``(mean,
 halfwidth, n)`` triple — the statistical qualification the paper's
 point-estimate tables lack — and the Markdown rendering mirrors the
@@ -17,7 +17,7 @@ order — an interrupted-then-resumed campaign produces a byte-identical
 import json
 import os
 
-from repro.campaign.journal import Journal, read_manifest
+from repro.campaign.journal import fold_directory, read_manifest
 from repro.campaign.plan import METRICS, CampaignSpec
 from repro.campaign.stats import PointAccumulator
 
@@ -26,11 +26,10 @@ REPORT_MD = "report.md"
 
 
 def build_report(directory):
-    """Aggregate the campaign directory into the report dict."""
+    """Aggregate the campaign directory's folded journals into a dict."""
     manifest = read_manifest(directory)
     spec = CampaignSpec.from_dict(manifest["spec"])
-    state = Journal(directory).replay()
-    return report_from_state(spec, state)
+    return report_from_state(spec, fold_directory(directory))
 
 
 def report_from_state(spec, state):

@@ -2,14 +2,14 @@
 
 ``campaign status`` (and ``fleet status`` on a merged or sharded fleet
 directory) answers "how far along is this study?" without touching the
-executor: replay the journal, rebuild each point's accumulator, and
+executor: fold the journals, rebuild each point's accumulator, and
 report its draw count, every target metric's current CI half-width
 against its target, and the stopping-rule state. Works on a live,
-killed, or finished campaign — the journal is the single source of
-truth.
+killed, or finished campaign, single-pool or fleet — the journals are
+the single source of truth.
 """
 
-from repro.campaign.journal import Journal, read_manifest
+from repro.campaign.journal import fold_directory, read_manifest
 from repro.campaign.plan import CampaignSpec
 from repro.campaign.stats import PointAccumulator
 
@@ -18,13 +18,13 @@ def build_status(directory):
     """Status dict for the campaign rooted at ``directory``.
 
     Reads ``manifest.json`` (:class:`FileNotFoundError` if absent) and
-    replays ``journal.jsonl``. See :func:`status_from_state` for the
-    shape.
+    folds ``journal.jsonl`` plus any fleet shard journals
+    (:func:`~repro.campaign.journal.fold_directory`). See
+    :func:`status_from_state` for the shape.
     """
     manifest = read_manifest(directory)
     spec = CampaignSpec.from_dict(manifest["spec"])
-    state = Journal(directory).replay()
-    return status_from_state(spec, state)
+    return status_from_state(spec, fold_directory(directory))
 
 
 def status_from_state(spec, state):
@@ -43,16 +43,16 @@ def status_from_state(spec, state):
     (draws recorded, stopping rule not yet satisfied), or the recorded
     stopping reason (``"ci"``, ``"max_seeds"``, ``"failed"``).
 
-    Shared by the offline CLI path and the fleet coordinator's live
-    status endpoint (which folds its in-memory schedulers into the same
-    shape), so both render identically.
+    Shared by ``campaign status``, ``fleet status`` (live through the
+    coordinator, or offline) and the dashboard's live view: each folds
+    the same journal records, so all of them render identically.
     """
     points = []
     for point in spec.points():
         completion = state.completed.get(point.id)
         records = state.runs.get(point.id, [])
         acc = PointAccumulator(z=spec.z)
-        for record in sorted(records, key=lambda r: r["index"]):
+        for record in records:
             acc.push(record["metrics"], record["counts"])
         if completion is not None:
             point_state = completion["stopped"]

@@ -3,44 +3,38 @@
 :class:`CampaignView` folds the records a
 :class:`~repro.dashboard.watcher.JournalWatcher` emits into exactly the
 state the offline tools rebuild from scratch — and then answers every
-dashboard question from memory. The aggregation code is *shared*, not
-mirrored: ``status()`` calls :func:`repro.campaign.status.
-status_from_state` and ``report()`` calls :func:`repro.campaign.report.
-report_from_state`, so a live view is byte-identical (as sorted-key
-JSON) to a cold ``campaign status`` / ``campaign report`` rebuild of
-the same journal — pinned by ``tests/dashboard/test_view.py``.
+dashboard question from memory. Nothing is mirrored: journal and shard
+records go through :meth:`~repro.campaign.journal.JournalState.fold`,
+the fold ``campaign status``, ``campaign report`` and the fleet merge
+use, and ``status()`` / ``report()`` call :func:`repro.campaign.status.
+status_from_state` / :func:`repro.campaign.report.report_from_state`.
+A live view is therefore byte-identical (as sorted-key JSON) to a cold
+rebuild of the same directory — pinned by
+``tests/dashboard/test_view.py`` and ``tests/campaign/test_fold.py``.
+The fold is idempotent, so a journal rotation (the coordinator's atomic
+merge) that makes the watcher re-read a file from byte zero converges
+to the same state instead of double-counting.
 
-Folding is idempotent where re-emission is possible: draw records are
-keyed by ``(point, index)`` (the fleet's exactly-once rule), point
-completions first-write-win, and ``done`` is a latch — so a journal
-rotation (the coordinator's atomic merge) that makes the watcher re-read
-a file from byte zero converges to the same state instead of
-double-counting.
-
-The lease ledger feeds a fleet-health side model: open leases, per-worker
+The lease ledger feeds a fleet-health side model through
+:class:`~repro.fleet.ledger.LedgerState` (the fold behind
+:meth:`~repro.fleet.ledger.LeaseLedger.replay`): open leases, per-worker
 grant/complete/revoke tallies, steal and autoscale event logs, and the
-coordinator's security audit counters (persisted as ledger ``audit``
-records — see :meth:`~repro.fleet.ledger.LeaseLedger.audited`).
+coordinator's security audit counters.
 """
 
-import bisect
 import os
 
-from repro.campaign.journal import JournalState, read_manifest
+from repro.campaign.journal import (
+    COORDINATOR_SHARD,
+    JournalState,
+    read_manifest,
+)
 from repro.campaign.plan import CampaignSpec
 from repro.campaign.report import report_from_state
 from repro.campaign.stats import PointAccumulator
 from repro.campaign.status import status_from_state
-from repro.dashboard.watcher import (
-    SOURCE_JOURNAL,
-    SOURCE_LEDGER,
-    SOURCE_SHARD,
-    JournalWatcher,
-)
-
-#: how many steal / scale events the fleet side model retains (newest
-#: kept; the full history stays in leases.jsonl)
-EVENT_LOG_LIMIT = 200
+from repro.dashboard.watcher import SOURCE_LEDGER, JournalWatcher
+from repro.fleet.ledger import WORKER_TALLIES, LedgerState
 
 
 class CampaignView:
@@ -59,20 +53,9 @@ class CampaignView:
         self.model_version = manifest.get("model_version")
         self.watcher = watcher or JournalWatcher(self.directory)
         self.state = JournalState()
+        self.ledger = LedgerState()
         self.version = 0
-        self._seen = set()  # (point, index) exactly-once gate
-        self._indices = {}  # point id -> sorted draw indices (for bisect)
-        self._point_ids = {p.id for p in self.spec.points()}
-        self.fleet = {
-            "workers": {},  # name -> {granted, completed, revoked, stolen_from}
-            "open_leases": {},  # lease id -> grant record
-            "steals": [],
-            "scale_events": [],
-            "audit": None,  # last persisted coordinator audit counters
-            "leases_granted": 0,
-            "leases_completed": 0,
-            "leases_revoked": 0,
-        }
+        self._draws = {}  # worker -> draws folded from its shard
 
     # ------------------------------------------------------------------
     # folding
@@ -81,92 +64,16 @@ class CampaignView:
         """Poll the watcher and fold; returns the number of new records."""
         changed = 0
         for source, shard, record in self.watcher.poll():
-            if source in (SOURCE_JOURNAL, SOURCE_SHARD):
-                changed += self._fold_journal(record, shard)
-            elif source == SOURCE_LEDGER:
-                changed += self._fold_ledger(record)
+            if source == SOURCE_LEDGER:
+                changed += self.ledger.fold(record)
+            elif self.state.fold(record):
+                changed += 1
+                if shard not in (None, COORDINATOR_SHARD):
+                    # a worker's shard holds only that worker's draws
+                    self._draws[shard] = self._draws.get(shard, 0) + 1
         if changed:
             self.version += 1
         return changed
-
-    def _fold_journal(self, record, shard):
-        kind = record.get("event")
-        if kind == "run":
-            point_id = record.get("point")
-            index = record.get("index")
-            if point_id not in self._point_ids:
-                return 0  # foreign record (corrupt line that decoded?)
-            key = (point_id, index)
-            if key in self._seen:
-                return 0
-            self._seen.add(key)
-            records = self.state.runs.setdefault(point_id, [])
-            indices = self._indices.setdefault(point_id, [])
-            # keep index order on insert: shard arrival order interleaves
-            # workers, but aggregation must push draws in index order
-            at = bisect.bisect_left(indices, index)
-            indices.insert(at, index)
-            records.insert(at, record)
-            if shard is not None and shard != "_coordinator":
-                worker = self._worker(shard)
-                worker["draws"] = worker.get("draws", 0) + 1
-            self.state.n_events += 1
-            return 1
-        if kind == "point":
-            point_id = record.get("point")
-            if point_id in self.state.completed:
-                return 0
-            self.state.completed[point_id] = record
-            self.state.n_events += 1
-            return 1
-        if kind == "done":
-            if self.state.done:
-                return 0
-            self.state.done = True
-            self.state.n_events += 1
-            return 1
-        return 0
-
-    def _worker(self, name):
-        return self.fleet["workers"].setdefault(
-            name,
-            {"draws": 0, "granted": 0, "completed": 0, "revoked": 0,
-             "stolen_from": 0},
-        )
-
-    def _fold_ledger(self, record):
-        fleet = self.fleet
-        kind = record.get("event")
-        if kind == "lease":
-            fleet["open_leases"][record["lease"]] = record
-            fleet["leases_granted"] += 1
-            self._worker(record.get("worker", "?"))["granted"] += 1
-            return 1
-        if kind == "complete":
-            grant = fleet["open_leases"].pop(record.get("lease"), None)
-            fleet["leases_completed"] += 1
-            if grant is not None:
-                self._worker(grant.get("worker", "?"))["completed"] += 1
-            return 1
-        if kind == "revoke":
-            grant = fleet["open_leases"].pop(record.get("lease"), None)
-            fleet["leases_revoked"] += 1
-            if grant is not None:
-                self._worker(grant.get("worker", "?"))["revoked"] += 1
-            return 1
-        if kind == "steal":
-            fleet["steals"].append(record)
-            del fleet["steals"][:-EVENT_LOG_LIMIT]
-            self._worker(record.get("victim", "?"))["stolen_from"] += 1
-            return 1
-        if kind == "scale":
-            fleet["scale_events"].append(record)
-            del fleet["scale_events"][:-EVENT_LOG_LIMIT]
-            return 1
-        if kind == "audit":
-            fleet["audit"] = dict(record.get("counters") or {})
-            return 1
-        return 0
 
     # ------------------------------------------------------------------
     # queries (shared offline aggregation — byte-identical by reuse)
@@ -351,23 +258,24 @@ class CampaignView:
         killed, or finished fleet without touching the coordinator —
         the multi-viewer answer to ``fleet status``.
         """
-        fleet = self.fleet
+        ledger = self.ledger
+        workers = {}
+        for name in sorted(set(ledger.workers) | set(self._draws)):
+            tallies = ledger.workers.get(name)
+            workers[name] = dict(
+                tallies or dict.fromkeys(WORKER_TALLIES, 0),
+                draws=self._draws.get(name, 0),
+            )
         return {
-            "workers": {
-                name: dict(info)
-                for name, info in sorted(fleet["workers"].items())
-            },
-            "open_leases": [
-                fleet["open_leases"][k]
-                for k in sorted(fleet["open_leases"])
-            ],
-            "leases_granted": fleet["leases_granted"],
-            "leases_completed": fleet["leases_completed"],
-            "leases_revoked": fleet["leases_revoked"],
-            "steals": list(fleet["steals"]),
-            "scale_events": list(fleet["scale_events"]),
+            "workers": workers,
+            "open_leases": [ledger.open[k] for k in sorted(ledger.open)],
+            "leases_granted": ledger.totals["granted"],
+            "leases_completed": ledger.totals["completed"],
+            "leases_revoked": ledger.totals["revoked"],
+            "steals": list(ledger.steals),
+            "scale_events": list(ledger.scale_events),
             "audit": (
-                dict(fleet["audit"]) if fleet["audit"] is not None else None
+                dict(ledger.audit) if ledger.audit is not None else None
             ),
             "endpoint": self._endpoint(),
         }

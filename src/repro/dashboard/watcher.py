@@ -20,20 +20,19 @@ Durability edge cases are first-class, not best-effort:
   ``journal.jsonl``; ``Journal.repair`` truncates torn bytes in place.
   A shrunken size or a changed inode resets that file's cursor to zero
   and re-emits its records; consumers that fold records idempotently
-  (:class:`~repro.dashboard.view.CampaignView` keys draws by
-  ``(point, index)``) converge to the same state regardless.
+  (:class:`~repro.dashboard.view.CampaignView`, through
+  :meth:`~repro.campaign.journal.JournalState.fold`) converge to the
+  same state regardless.
 * **Late files** — shard journals appear only when their worker first
   reports, and ``leases.jsonl`` only when a coordinator runs. Every
   poll re-globs the directory, so files born after the watch started
   are picked up from byte zero.
 """
 
-import json
 import os
 
-from repro.campaign.journal import JOURNAL_NAME
+from repro.campaign.journal import JOURNAL_NAME, decode_lines, list_shards
 from repro.fleet.ledger import LEDGER_NAME
-from repro.fleet.merge import shard_dir
 
 #: source tags carried on every emitted record
 SOURCE_JOURNAL = "journal"
@@ -90,14 +89,11 @@ class TailedFile:
         # (offset already covers them, so they are never re-read.)
         self._tail = data[cut:]
         records = []
-        for line in data[:cut].splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line.decode()))
-            except (UnicodeDecodeError, ValueError):
+        for record in decode_lines(data[:cut].splitlines()):
+            if record is None:
                 self.n_bad += 1
+            else:
+                records.append(record)
         return records
 
 
@@ -105,8 +101,9 @@ class JournalWatcher:
     """Tail every journal artifact of one campaign directory.
 
     ``poll()`` returns ``[(source, shard_or_None, record), ...]`` in a
-    deterministic order: the canonical journal first, then shards sorted
-    by name, then the lease ledger. Call it on whatever cadence suits
+    deterministic order: the canonical journal first, then shards in
+    :func:`~repro.campaign.journal.list_shards` order (the offline
+    fold's), then the lease ledger. Call it on whatever cadence suits
     the consumer — each call does one ``os.stat`` per known file plus
     one directory listing, so a sub-second poll is cheap even on large
     campaigns.
@@ -122,22 +119,7 @@ class JournalWatcher:
         self._ledger = TailedFile(
             os.path.join(self.directory, LEDGER_NAME), SOURCE_LEDGER
         )
-        self._shards = {}  # shard name -> TailedFile
-
-    def _discover_shards(self):
-        try:
-            names = sorted(os.listdir(shard_dir(self.directory)))
-        except OSError:
-            return
-        for name in names:
-            if not name.endswith(".jsonl"):
-                continue
-            shard = name[: -len(".jsonl")]
-            if shard not in self._shards:
-                self._shards[shard] = TailedFile(
-                    os.path.join(shard_dir(self.directory), name),
-                    SOURCE_SHARD, shard=shard,
-                )
+        self._shards = {}  # shard path -> TailedFile
 
     def poll(self):
         """Every record appended (to any watched file) since last poll."""
@@ -145,11 +127,16 @@ class JournalWatcher:
         for record in self._journal.poll():
             out.append((SOURCE_JOURNAL, None, record))
         if self.with_shards:
-            self._discover_shards()
-            for shard in sorted(self._shards):
-                tail = self._shards[shard]
+            # re-listed every poll: shards appear as workers first report
+            for path in list_shards(self.directory):
+                tail = self._shards.get(path)
+                if tail is None:
+                    name = os.path.basename(path)[: -len(".jsonl")]
+                    tail = self._shards[path] = TailedFile(
+                        path, SOURCE_SHARD, shard=name
+                    )
                 for record in tail.poll():
-                    out.append((SOURCE_SHARD, shard, record))
+                    out.append((SOURCE_SHARD, tail.shard, record))
         if self.with_ledger:
             for record in self._ledger.poll():
                 out.append((SOURCE_LEDGER, None, record))

@@ -21,7 +21,7 @@ Layers
 :mod:`repro.fleet.ledger`
     Append-only lease ledger (dispatch audit + lease numbering).
 :mod:`repro.fleet.merge`
-    Shard replay, exactly-once dedup, canonical byte-identical merge.
+    Canonical byte-identical merge of the folded shard journals.
 :mod:`repro.fleet.coordinator`
     The asyncio TCP coordinator: leases, heartbeats, stopping, status.
 :mod:`repro.fleet.worker`

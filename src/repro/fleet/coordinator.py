@@ -21,9 +21,10 @@ Robustness invariants:
   revokes the worker's leases; the unrecorded indices are re-leased.
   Entries already journaled from the dead worker are kept.
 * **Coordinator death** — every accepted entry was already fsynced to a
-  shard journal; a restarted coordinator replays shards (+ the lease
-  ledger for lease numbering) and continues, identical to single-pool
-  ``campaign resume``.
+  shard journal; a restarted coordinator folds ``journal.jsonl`` and
+  the shards (+ the lease ledger for lease numbering) and continues,
+  identical to single-pool ``campaign resume``. The same fold adopts a
+  single-pool campaign's journal, so a fleet can finish one.
 * **Work-stealing** — when no unleased work remains, an idle worker is
   granted the unfinished tail of the largest outstanding lease (the
   straggler's). The victim keeps executing its shortened lease; any
@@ -45,21 +46,20 @@ import sys
 import time
 
 from repro.campaign.journal import (
+    COORDINATOR_SHARD,
+    JOURNAL_NAME,
     Journal,
+    fold_directory,
+    list_shards,
     read_manifest,
+    shard_dir,
     write_manifest,
 )
 from repro.campaign.plan import CampaignSpec
 from repro.campaign.scheduler import PointScheduler
-from repro.campaign.status import status_from_state
+from repro.campaign.status import build_status
 from repro.fleet.ledger import LeaseLedger
-from repro.fleet.merge import (
-    COORDINATOR_SHARD,
-    merge_journals,
-    replay_shards,
-    shard_dir,
-    shard_path,
-)
+from repro.fleet.merge import merge_journals
 from repro.fleet.protocol import ProtocolError, read_message, send_message
 from repro.fleet.security import (
     coordinator_proof,
@@ -187,14 +187,11 @@ class FleetCoordinator:
         else:
             self.worker_snapshot_dir = None
 
-        base_journal = Journal(self.directory)
         if self.resume:
-            base_journal.repair()
-            for path in self._existing_shards():
-                Journal(os.path.dirname(path),
-                        os.path.basename(path)).repair()
-        base = base_journal.replay()
-        state = replay_shards(self.directory, base=base)
+            journal = os.path.join(self.directory, JOURNAL_NAME)
+            for path in [journal] + list_shards(self.directory):
+                Journal(*os.path.split(path)).repair()
+        state = fold_directory(self.directory)
         if state.n_events and not self.resume:
             raise FleetError(
                 f"{self.directory} already has journaled progress; "
@@ -216,11 +213,6 @@ class FleetCoordinator:
         if state.done:
             self._finished = True
         return state
-
-    def _existing_shards(self):
-        from repro.fleet.merge import list_shards
-
-        return list_shards(self.directory)
 
     @staticmethod
     def _replay_point(scheduler, records):
@@ -762,10 +754,7 @@ class FleetCoordinator:
 
     def status(self):
         """Live status dict (same shape as ``campaign status`` + fleet)."""
-        state = replay_shards(
-            self.directory, base=Journal(self.directory).replay()
-        )
-        status = status_from_state(self.spec, state)
+        status = build_status(self.directory)
         status["complete"] = self._finished
         now = time.monotonic()
         status["workers"] = {

@@ -1,123 +1,70 @@
-"""Shard journals: replay and byte-identical canonical merge.
+"""Canonical merge of a fleet directory's journals.
 
 A fleet directory keeps one JSONL journal per worker under ``shards/``
 (entries appended by the coordinator as they stream in, in arrival
 order) plus ``shards/_coordinator.jsonl`` for point-completion and
-``done`` events. :func:`merge_journals` folds them into the canonical
-``journal.jsonl`` — every point's ``run`` events in index order followed
-by its ``point`` event, points in grid order, ``done`` last — which is
-byte-identical to the journal a single-pool ``campaign run`` of the
-same spec writes. From there the stock campaign report/status/resume
-machinery applies unchanged.
+``done`` events; a fleet that resumes a single-pool campaign also finds
+that campaign's ``journal.jsonl``. :func:`merge_journals` folds all of
+them through :func:`~repro.campaign.journal.fold_directory` — the
+canonical journal first, then the shards — and writes the state back
+as the canonical ``journal.jsonl``: every point's ``run`` events in
+index order followed by its ``point`` event, points in grid order,
+``done`` last. That is byte-identical to the journal a single-pool
+``campaign run`` of the same spec writes, and since the merged journal
+is itself folded first, re-merging is idempotent.
 
-Deduplication is deterministic: draws are keyed by ``(point, index)``
-and every execution of a draw is bit-identical (the seed stream is
-hash-derived from the campaign's master seed), so when lease
-reassignment makes two workers run the same draw, dropping either copy
-is safe.
+Deduplication is the fold's exactly-once rule: draws are keyed by
+``(point, index)`` and every execution of a draw is bit-identical (the
+seed stream is hash-derived from the campaign's master seed), so when
+lease reassignment makes two workers run the same draw, dropping either
+copy is safe.
 """
 
 import json
 import os
 
-from repro.campaign.journal import JOURNAL_NAME, JournalState, read_manifest
+from repro.campaign.journal import (
+    JOURNAL_NAME,
+    fold_directory,
+    fold_files,
+    list_shards,
+    read_manifest,
+    shard_dir,
+    shard_path,
+)
 from repro.campaign.plan import CampaignSpec
 
-SHARD_DIR = "shards"
-COORDINATOR_SHARD = "_coordinator"
-
-
-def shard_dir(directory):
-    return os.path.join(str(directory), SHARD_DIR)
-
-
-def shard_path(directory, name):
-    return os.path.join(shard_dir(directory), f"{name}.jsonl")
-
-
-def list_shards(directory):
-    """Paths of every shard journal, coordinator shard first."""
-    root = shard_dir(directory)
-    try:
-        names = sorted(os.listdir(root))
-    except FileNotFoundError:
-        return []
-    paths = [
-        os.path.join(root, name) for name in names
-        if name.endswith(".jsonl")
-    ]
-    first = shard_path(directory, COORDINATOR_SHARD)
-    return [p for p in paths if p == first] + [
-        p for p in paths if p != first
-    ]
+__all__ = [
+    "list_shards",
+    "merge_journals",
+    "replay_shards",
+    "shard_dir",
+    "shard_path",
+]
 
 
 def replay_shards(directory, base=None):
-    """Fold every shard journal into one deduplicated JournalState.
+    """Fold every shard journal, in :func:`list_shards` order.
 
-    ``state.runs[point]`` is sorted by draw index with ``(point, index)``
-    duplicates dropped (first occurrence wins — re-executed draws are
-    byte-identical, so the choice is cosmetic). Torn trailing lines are
-    tolerated exactly as in single-journal replay.
-
-    ``base`` seeds the fold with an already-replayed
-    :class:`JournalState` — the merged ``journal.jsonl`` of a previous
-    merge or of a single-pool run being adopted by a fleet resume. Base
-    events win the dedup.
+    Folds onto ``base`` (a :class:`~repro.campaign.journal.JournalState`
+    whose records win the dedup) or a fresh state, and returns it.
     """
-    state = JournalState()
-    seen = set()  # (point, index) exactly-once accounting
-    if base is not None:
-        state.done = base.done
-        state.n_events = base.n_events
-        state.n_torn = base.n_torn
-        for point_id, records in base.runs.items():
-            state.runs[point_id] = list(records)
-            for record in records:
-                seen.add((point_id, record["index"]))
-        state.completed.update(base.completed)
-    for path in list_shards(directory):
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    state.n_torn += 1
-                    continue
-                kind = event.get("event")
-                if kind == "run":
-                    key = (event["point"], event["index"])
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    state.n_events += 1
-                    state.runs.setdefault(event["point"], []).append(event)
-                elif kind == "point":
-                    state.n_events += 1
-                    state.completed.setdefault(event["point"], event)
-                elif kind == "done":
-                    state.n_events += 1
-                    state.done = True
-    for records in state.runs.values():
-        records.sort(key=lambda r: r["index"])
-    return state
+    return fold_files(list_shards(directory), base)
 
 
 def merge_journals(directory, state=None):
-    """Write the canonical ``journal.jsonl`` from the shard journals.
+    """Write the canonical ``journal.jsonl`` of a fleet directory.
 
-    Returns the merged :class:`JournalState`. The write is atomic
-    (temp + rename), so a crash mid-merge never corrupts an existing
-    merged journal; re-merging is idempotent.
+    ``state`` defaults to :func:`~repro.campaign.journal.fold_directory`
+    of ``directory``; it is returned. The write is atomic (temp +
+    rename), so a crash mid-merge never corrupts an existing merged
+    journal.
     """
     directory = str(directory)
     manifest = read_manifest(directory)
     spec = CampaignSpec.from_dict(manifest["spec"])
     if state is None:
-        state = replay_shards(directory)
+        state = fold_directory(directory)
     path = os.path.join(directory, JOURNAL_NAME)
     tmp = path + ".tmp.%d" % os.getpid()
     with open(tmp, "w") as fh:

@@ -70,23 +70,18 @@ def query_status(host, port, timeout=5.0, secret=None, tls_ca=None):
 def offline_status(directory):
     """Status of a fleet directory from its journals (no coordinator).
 
-    Folds the merged journal (if any) with the shard journals, so it is
-    correct for a live-but-unreachable, killed, or finished fleet — the
-    same ``campaign status`` shape, fed by :func:`replay_shards`. The
-    coordinator's last persisted security audit counters ride along
-    under ``"audit"`` (``None`` when the ledger never recorded any),
-    matching the live :meth:`~repro.fleet.coordinator.FleetCoordinator.
-    status` shape.
+    :func:`~repro.campaign.status.build_status` — which folds the
+    merged journal (if any) and the shard journals, so it is correct
+    for a live-but-unreachable, killed, or finished fleet — plus the
+    coordinator's last persisted security audit counters under
+    ``"audit"`` (``None`` when the ledger never recorded any), matching
+    the live :meth:`~repro.fleet.coordinator.FleetCoordinator.status`
+    shape.
     """
-    from repro.campaign.journal import Journal, read_manifest
-    from repro.campaign.plan import CampaignSpec
-    from repro.campaign.status import status_from_state
+    from repro.campaign.status import build_status
     from repro.fleet.ledger import LeaseLedger
-    from repro.fleet.merge import replay_shards
 
-    spec = CampaignSpec.from_dict(read_manifest(directory)["spec"])
-    state = replay_shards(directory, base=Journal(directory).replay())
-    status = status_from_state(spec, state)
+    status = build_status(directory)
     status["audit"] = LeaseLedger(directory).replay()["audit"]
     return status
 

@@ -126,6 +126,38 @@ class TestByteIdentity:
         view_b.refresh()
         assert _dump(view_a.report()) == _dump(view_b.report())
 
+    def test_shard_only_directory_status_agrees_across_readers(
+        self, tmp_path
+    ):
+        """A live fleet before its merge: every status reader agrees.
+
+        ``campaign status``, offline ``fleet status`` and the view fold
+        the same shard journals, so they report the same draws.
+        """
+        from repro.fleet.service import offline_status
+
+        spec = _spec()
+        write_manifest(tmp_path, spec)
+        first, second = (p.id for p in spec.points())
+        os.makedirs(tmp_path / "shards")
+        shards = {
+            "w0": [_run(first, 1), _run(second, 0)],
+            "w1": [_run(first, 0)],
+            "_coordinator": [{"event": "point", "point": first, "n": 2,
+                              "stopped": "ci", "summary": {}}],
+        }
+        for name, events in shards.items():
+            with open(shard_path(tmp_path, name), "w") as fh:
+                fh.writelines(_dump(event) + "\n" for event in events)
+        view = CampaignView(tmp_path)
+        view.refresh()
+        status = build_status(tmp_path)
+        fleet = offline_status(tmp_path)
+        assert fleet.pop("audit") is None
+        assert status["runs_total"] == 3 and status["points_done"] == 1
+        assert _dump(status) == _dump(view.status())
+        assert _dump(status) == _dump(fleet)
+
     def test_duplicate_draw_across_journal_and_shard_deduped(
         self, tmp_path
     ):

@@ -1,6 +1,7 @@
 """End to end: a local fleet reproduces the single-pool campaign bytes."""
 
 import json
+import shutil
 
 import pytest
 
@@ -55,18 +56,51 @@ class TestFleetRun:
             lines = (tmp_path / "shards" / shard).read_text().splitlines()
             assert len(lines) >= 1
 
-    def test_rerun_of_complete_campaign_is_idempotent(self, tmp_path):
-        fleet_run(
-            tmp_path, spec=_spec(), workers=1, cache=False,
-            snapshots=False, linger=0.2,
-        )
+    @pytest.mark.parametrize("writer", ["fleet", "pool"])
+    def test_rerun_of_complete_campaign_is_idempotent(self, tmp_path,
+                                                      writer):
+        """A fleet resume of a finished directory rewrites nothing.
+
+        Holds whoever wrote the directory: a fleet, or a single pool
+        whose ``journal.jsonl`` the fleet adopts.
+        """
+        if writer == "fleet":
+            fleet_run(
+                tmp_path, spec=_spec(), workers=1, cache=False,
+                snapshots=False, linger=0.2,
+            )
+        else:
+            _single_pool(tmp_path)
+        journal = (tmp_path / "journal.jsonl").read_bytes()
         before = (tmp_path / "report.json").read_bytes()
         report = fleet_run(
             tmp_path, workers=1, resume=True, cache=False,
             snapshots=False, linger=0.2,
         )
         assert report["complete"]
+        assert (tmp_path / "journal.jsonl").read_bytes() == journal
         assert (tmp_path / "report.json").read_bytes() == before
+
+    def test_resume_adopts_cut_single_pool_journal(self, tmp_path):
+        """A fleet finishes a single-pool journal cut after two draws.
+
+        The adopted draws stay in the merge, so the result is the
+        uninterrupted single-pool run, byte for byte.
+        """
+        _single_pool(tmp_path / "pool")
+        cut = tmp_path / "cut"
+        shutil.copytree(tmp_path / "pool", cut)
+        lines = (cut / "journal.jsonl").read_text().splitlines(True)
+        runs = [line for line in lines if json.loads(line)["event"] == "run"]
+        (cut / "journal.jsonl").write_text("".join(runs[:2]))
+        fleet_run(
+            cut, workers=1, resume=True, cache=False, snapshots=False,
+            linger=0.2,
+        )
+        for name in ("journal.jsonl", "report.json"):
+            assert (cut / name).read_bytes() == (
+                tmp_path / "pool" / name
+            ).read_bytes(), name
 
     def test_refuses_progress_without_resume(self, tmp_path):
         fleet_run(
