@@ -5,14 +5,14 @@ Runs the same workload as ``test_throughput.py::test_pipeline_throughput``
 pytest-benchmark, and records the best observed rate. It then measures
 campaign draw throughput on the standard statistical-campaign point
 (gcc/ABS at 0.97V, 6000 measured instructions after a 3000-instruction
-warmup, each draw a scheme-run/fault-free-baseline pair) three ways:
-per-seed cold pairs on the reference cycle loop (the pre-optimization
-campaign), the same cold pairs on the fast kernel, and fault-draw mode
-forking every draw from one warmup snapshot with the collapsed
-baseline amortized over the batch. Finally it measures the lockstep
-batch engine (N draws per dispatch from one snapshot,
-``repro.snapshot.batch.run_batch``) over a small lane-count sweep and
-records the N=16 rate plus its speedup over the marginal scalar rate.
+warmup, each draw a scheme-run/fault-free-baseline pair) two ways:
+per-seed cold pairs, and fault-draw mode forking every draw from one
+warmup snapshot with the collapsed baseline amortized over the batch.
+Finally it measures the lockstep batch engine (N draws per dispatch
+from one snapshot, ``repro.snapshot.batch.run_batch``) over a small
+lane-count sweep and records the N=16 rate plus its speedup over the
+marginal scalar rate. Every scalar run goes through the one cycle loop,
+``OoOCore.run``.
 CI runs this after the test suite so every build leaves a
 machine-readable throughput record.
 
@@ -22,7 +22,6 @@ Usage::
 """
 
 import json
-import os
 import platform
 import sys
 import tempfile
@@ -50,7 +49,6 @@ CAMPAIGN_POINT = dict(
 #: the warm batch (rounds x per-round = 48 draws) matches a realistic
 #: per-point draw count so the one-time warmup amortizes as it would in
 #: a real campaign rather than over a token handful of draws
-PURE_COLD_DRAWS = 4
 CAMPAIGN_ROUNDS = 3
 COLD_PER_ROUND = 2
 WARM_PER_ROUND = 16
@@ -107,12 +105,9 @@ def _cold_draws(n, first_seed):
 
 
 def measure_campaign():
-    """Campaign draws/s on the standard point, three ways.
+    """Campaign draws/s on the standard point, two ways.
 
-    * ``pure_cold`` — the pre-optimization campaign: per-seed cold
-      pairs on the reference cycle loop (``REPRO_PURE_LOOP=1``).
-    * ``cold`` — the same per-seed cold pairs on the current build
-      (fast kernel, still no warmup sharing).
+    * ``cold`` — per-seed cold pairs, no warmup sharing.
     * ``warm`` — fault-draw mode: the point's single snapshot warmup
       and the single collapsed baseline are timed into the warm total
       (amortized over the batch exactly as the campaign executor
@@ -127,14 +122,6 @@ def measure_campaign():
     minute-scale throughput drift lands on both sides of the ratio.
     """
     run_one(_scheme_spec(1))  # warm the program/profile caches
-
-    os.environ["REPRO_PURE_LOOP"] = "1"
-    try:
-        t0 = time.perf_counter()
-        _cold_draws(PURE_COLD_DRAWS, first_seed=100)
-        pure_cold_rate = PURE_COLD_DRAWS / (time.perf_counter() - t0)
-    finally:
-        del os.environ["REPRO_PURE_LOOP"]
 
     cold_s = warm_s = once_s = 0.0
     cold_n = warm_n = 0
@@ -155,12 +142,7 @@ def measure_campaign():
                 run_one(_scheme_spec(2, mseed, snap_dir))
             warm_s += time.perf_counter() - t0
             warm_n += WARM_PER_ROUND
-    return (
-        pure_cold_rate,
-        cold_n / cold_s,
-        warm_n / (warm_s + once_s),
-        warm_n / warm_s,
-    )
+    return cold_n / cold_s, warm_n / (warm_s + once_s), warm_n / warm_s
 
 
 def measure_batch():
@@ -207,7 +189,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     out = argv[0] if argv else "BENCH_throughput.json"
     best, samples = measure()
-    pure_cold_rate, cold_rate, warm_rate, marginal_rate = measure_campaign()
+    cold_rate, warm_rate, marginal_rate = measure_campaign()
     batch_rates, batch_vector_lanes = measure_batch()
     batch_n = str(max(BATCH_LANE_SWEEP))
     batch_rate = batch_rates.get(batch_n, 0.0)
@@ -225,10 +207,8 @@ def main(argv=None):
         "campaign_draws_per_s": round(warm_rate, 2),
         "campaign_marginal_draws_per_s": round(marginal_rate, 2),
         "campaign_cold_draws_per_s": round(cold_rate, 2),
-        "campaign_pure_cold_draws_per_s": round(pure_cold_rate, 2),
         "snapshot_speedup": round(warm_rate / cold_rate, 2),
         "snapshot_marginal_speedup": round(marginal_rate / cold_rate, 2),
-        "campaign_speedup_vs_pure_cold": round(warm_rate / pure_cold_rate, 2),
         "batch_workload": (
             f"same point, N={batch_n} lockstep lanes per dispatch, "
             "scheme-run draws forked from one shared snapshot"

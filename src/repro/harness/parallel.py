@@ -83,7 +83,9 @@ class ResultCache(BlobStore):
     mechanics live in :class:`~repro.harness.diskcache.BlobStore`, shared
     with the snapshot cache). Loads and stores are best-effort — a
     corrupt or unreadable entry is treated as a miss and overwritten,
-    never raised to the caller.
+    never raised to the caller. Profiled runs
+    (``TelemetryConfig(profile=True)``) are never cached: their result
+    carries wall-clock seconds, which a hit would replay.
     """
 
     suffix = ".pkl"
@@ -104,8 +106,11 @@ class ResultCache(BlobStore):
         Any unreadable entry — truncated write, corrupted bytes, a
         pickle from renamed classes — is logged, unlinked, and treated
         as a miss: a bad cache file must cost one recompute, never a
-        crashed batch.
+        crashed batch. A profiled spec always misses.
         """
+        if _profiled(spec):
+            self.misses += 1
+            return None
         key = spec.key()
         payload = self.read_bytes(key)
         if payload is None:
@@ -126,9 +131,19 @@ class ResultCache(BlobStore):
         return result
 
     def store(self, spec, result):
-        """Persist ``result`` under ``spec``'s content address."""
+        """Persist ``result`` under ``spec``'s content address.
+
+        A profiled spec is skipped: its timings belong to this run only.
+        """
+        if _profiled(spec):
+            return
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         self.write_bytes(spec.key(), payload)
+
+
+def _profiled(spec):
+    telemetry = getattr(spec, "telemetry", None)
+    return telemetry is not None and telemetry.profile
 
 
 def _worker(spec):
@@ -273,10 +288,6 @@ def prewarm_snapshots(specs, n_jobs=1):
     else:
         for spec in todo:
             ensure_snapshot(spec, spec.snapshot_dir)
-
-
-#: former private name, kept for callers that predate the public export
-_prewarm_snapshots = prewarm_snapshots
 
 
 def run_many(specs, jobs=1, cache=False, cache_dir=None, snapshot_dir=None,

@@ -159,8 +159,10 @@ def attach_telemetry(core, config):
     Returns a :class:`TelemetryCollector`, or ``None`` when ``config``
     is ``None`` or all-off. Attach *after* warmup (the sampler starts
     its first window at the core's current cycle) and *before* the
-    measured ``core.run`` call (the run loop latches the sampler and
-    the profiler wraps methods the loop binds at entry).
+    measured ``core.run`` call: the profiler wraps methods the loop
+    binds at entry, and the loop latches the sampler at entry (a
+    sampler attached mid-window is picked up at the next 1024-cycle
+    re-latch).
     """
     if config is None or not config.enabled:
         return None

@@ -7,7 +7,8 @@ carries exactly the telemetry its spec asked for.
 
 Telemetry never changes simulation outcomes — the sampler and event bus
 only *read* machine state — but it does change what a run returns, which
-is why it participates in the cache key.
+is why it participates in the cache key. Profiled runs are never cached
+at all: their wall-clock seconds belong to the run that measured them.
 """
 
 
@@ -32,7 +33,8 @@ class TelemetryConfig:
     profile:
         Wall-clock self-profiling of the simulator's own stage methods
         (fetch/dispatch/select/commit/events). Nondeterministic by
-        nature; excluded from determinism guarantees.
+        nature; excluded from determinism guarantees, and a profiled
+        run is never cached.
     """
 
     FIELDS = ("metrics", "interval", "events", "event_capacity", "profile")

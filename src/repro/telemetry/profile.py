@@ -10,7 +10,8 @@ bound methods on one core instance before its run loop binds them; with
 profiling off, no wrapper exists and the loop executes the original
 methods untouched. (The numbers are wall-clock and therefore
 nondeterministic; they are excluded from telemetry determinism
-guarantees and from cached-result byte-identity.)
+guarantees, and the result cache never stores or serves a profiled
+run.)
 """
 
 from time import perf_counter

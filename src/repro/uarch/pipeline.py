@@ -251,25 +251,10 @@ class OoOCore:
             raise ValueError("max_committed must be positive")
         if max_cycles is None:
             max_cycles = 400 * max_committed + 20000
-        from repro.uarch.fastloop import fast_eligible, run_fast
-
-        if fast_eligible(self):
-            result = run_fast(self, max_committed, max_cycles, hang_cycles)
-            if result is not None:
-                return result
-            # an observer attached mid-window and the fast loop bailed
-            # at a cycle boundary; the reference loop below picks the
-            # window up with the observer live from its next cycle
         stats = self.stats
         progress_committed = stats.committed
         progress_cycle = self.cycle
-        thermal = getattr(self.sensor, "thermal", None)
-        # interval-metrics sampling: one int-vs-inf compare per cycle
-        # when no sampler is attached (see repro.telemetry.metrics)
-        sampler = self.telemetry_sampler
-        sample_due = (
-            sampler.next_cycle if sampler is not None else float("inf")
-        )
+        sampler, sample_due, thermal = self._latch_observers()
         # bind bound methods and stable sub-objects once: the loop below
         # runs once per simulated cycle. Dict-valued state
         # (``_events``/``_ep_stalls``/``_wb_count``) is rebound wholesale
@@ -287,6 +272,10 @@ class OoOCore:
         depth = len(conveyor)
         while stats.committed < max_committed:
             cycle = self.cycle
+            if not cycle & 1023:
+                # re-latch every 1024 cycles: an observer attached
+                # mid-window takes effect within 1024 cycles
+                sampler, sample_due, thermal = self._latch_observers()
             if cycle >= sample_due:
                 sample_due = sampler.sample(self, cycle)
             if thermal is not None and not cycle & 127:
@@ -347,6 +336,18 @@ class OoOCore:
         stats.lsq_searches = self.lsq.cam_searches
         stats.store_forwards = self.lsq.forwards
         return stats
+
+    def _latch_observers(self):
+        """The run loop's observers: ``(sampler, sample_due, thermal)``.
+
+        Interval-metrics sampling costs one int-vs-inf compare per cycle
+        when no sampler is attached (see :mod:`repro.telemetry.metrics`).
+        """
+        sampler = self.telemetry_sampler
+        sample_due = (
+            sampler.next_cycle if sampler is not None else float("inf")
+        )
+        return sampler, sample_due, getattr(self.sensor, "thermal", None)
 
     def occupancy(self):
         """Occupancy of every queueing structure (hang diagnostics)."""

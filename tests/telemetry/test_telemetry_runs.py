@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.parallel import collect_series, run_many
+from repro.harness.parallel import ResultCache, collect_series, run_many
 from repro.harness.runner import RunSpec, run_one
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.events import events_to_jsonl
@@ -43,6 +43,13 @@ def test_cache_hit_returns_identical_telemetry(tmp_path):
     first = run_many([_spec()], cache=True, cache_dir=tmp_path)[0]
     again = run_many([_spec()], cache=True, cache_dir=tmp_path)[0]
     assert _fingerprint(first.telemetry) == _fingerprint(again.telemetry)
+
+
+def test_profiled_run_is_never_cached(tmp_path):
+    first = run_many([_spec(profile=True)], cache=True, cache_dir=tmp_path)
+    assert first[0].telemetry.profile["wall_seconds"] > 0
+    # wall-clock seconds must not be replayed to a later run
+    assert ResultCache(tmp_path).load(_spec(profile=True)) is None
 
 
 def test_spec_key_distinguishes_telemetry_config():
