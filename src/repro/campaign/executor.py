@@ -15,15 +15,18 @@ outright, partial points replay their recorded draws into the
 accumulator and continue from the next index, and the shared result
 cache makes any re-executed in-flight run nearly free.
 
+Every draw runs through one generator, :func:`run_draws`: the
+single-pool executor drives it once per scheduler batch, and fleet
+workers (:mod:`repro.fleet.worker`) drive it once per lease, so both
+journal the same ``run`` events by construction.
+
 Worker failures are bounded: a batch that raises (worker crash) or
 exceeds the per-run timeout is retried up to ``retries`` times before
 the campaign aborts with :class:`CampaignError`; the journal keeps every
 draw that finished, so an abort is always resumable.
 """
 
-import math
 import os
-import time
 
 from repro.campaign.journal import (
     Journal,
@@ -35,82 +38,27 @@ from repro.campaign.journal import (
 from repro.campaign.plan import CampaignSpec, extract_metrics
 from repro.campaign.scheduler import PointScheduler, failure_record
 from repro.campaign.stats import PointAccumulator
-from repro.harness.parallel import ResultCache, prewarm_snapshots, run_many
+from repro.harness.parallel import ResultCache, run_many
 
 
 class CampaignError(RuntimeError):
     """A campaign could not proceed (exhausted retries, bad state...)."""
 
 
-class CampaignTimeout(CampaignError):
-    """A batch exceeded its per-run timeout budget."""
-
-
-def _pool_run(specs, jobs, store, timeout):
-    """Run ``specs`` on a pool, enforcing a wall-clock budget.
-
-    The budget is ``timeout`` per run over the pool's effective depth
-    (``ceil(n / jobs)`` waves), i.e. a per-run timeout enforced at batch
-    granularity: one hung worker trips it within a bounded multiple of
-    ``timeout``. On breach the pool is terminated (killing hung workers)
-    and :class:`CampaignTimeout` is raised; finished results are already
-    in the cache, so a retry only re-runs the stragglers.
-    """
-    import multiprocessing
-
-    results = [store.load(spec) if store else None for spec in specs]
-    todo = [i for i, r in enumerate(results) if r is None]
-    if not todo:
-        return results
-    n_jobs = max(1, min(jobs or os.cpu_count() or 1, len(todo)))
-    # warm missing snapshot prefixes before dispatch: each single-spec
-    # apply_async below would otherwise re-warm the shared prefix in its
-    # own worker (the prewarm itself is outside the timeout budget)
-    prewarm_snapshots([specs[i] for i in todo], n_jobs)
-    budget = timeout * math.ceil(len(todo) / n_jobs)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        ctx = multiprocessing.get_context()
-    pool = ctx.Pool(n_jobs)
-    try:
-        handles = [
-            (i, pool.apply_async(run_many, ([specs[i]],))) for i in todo
-        ]
-        deadline = time.monotonic() + budget
-        for i, handle in handles:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise multiprocessing.TimeoutError
-            results[i] = handle.get(remaining)[0]
-            if store and not getattr(results[i], "is_failure", False):
-                store.store(specs[i], results[i])
-    except multiprocessing.TimeoutError:
-        pool.terminate()
-        raise CampaignTimeout(
-            f"batch of {len(todo)} runs missed its "
-            f"{budget:.0f}s budget ({timeout}s/run)"
-        ) from None
-    finally:
-        pool.close()
-        pool.join()
-    return results
-
-
 def make_run_fn(jobs=1, cache=True, cache_dir=None, timeout=None, retries=2,
                 batch_lanes=None):
-    """Build the batch-execution callable used by :func:`run_campaign`.
+    """Build the ``specs -> results`` callable that :func:`run_draws` drives.
 
-    The returned function maps ``specs -> results`` with bounded retry:
-    exceptions from workers (and timeout breaches) are retried up to
-    ``retries`` times; completed runs persist in the result cache across
-    attempts, so retries only re-execute the failures.
+    Each call is one :func:`~repro.harness.parallel.run_many` batch with
+    bounded retry: an exception (worker crash, ``timeout`` breach) is
+    retried up to ``retries`` times, then raised as
+    :class:`CampaignError`. Completed runs persist in the result cache
+    across attempts, so retries only re-execute the failures.
 
-    ``batch_lanes >= 2`` routes draws sharing a warmup snapshot through
-    the lockstep batch engine (bit-identical, several times faster per
-    draw). The timeout path keeps per-run granularity and therefore runs
-    scalar: its budget accounting and straggler-kill semantics are per
-    simulation, which a many-lane engine call would coarsen.
+    ``timeout`` is ``run_many``'s per-run budget. ``batch_lanes >= 2``
+    routes draws sharing a warmup snapshot through the lockstep batch
+    engine (bit-identical, several times faster per draw), with or
+    without a ``timeout``.
     """
     if isinstance(cache, ResultCache):
         store = cache
@@ -123,10 +71,8 @@ def make_run_fn(jobs=1, cache=True, cache_dir=None, timeout=None, retries=2,
         last_error = None
         for _attempt in range(retries + 1):
             try:
-                if timeout is None:
-                    return run_many(specs, jobs=jobs, cache=store or False,
-                                    batch_lanes=batch_lanes)
-                return _pool_run(specs, jobs, store, timeout)
+                return run_many(specs, jobs=jobs, cache=store or False,
+                                batch_lanes=batch_lanes, timeout=timeout)
             except Exception as exc:  # noqa: BLE001 — worker crash/timeout
                 last_error = exc
         raise CampaignError(
@@ -142,8 +88,8 @@ def draw_metadata(run_spec, result):
     ``telemetry_summary`` is the scheme run's interval-metrics summary
     dict (``None`` unless the campaign set a telemetry interval);
     ``snapshot_key`` is the warmup snapshot key the run forked from
-    (``None`` when the draw ran cold). Shared by the single-pool journal
-    hook and fleet workers so both journal identical ``run`` events.
+    (``None`` when the draw ran cold). :func:`run_draws` calls it for
+    every draw it journals.
     """
     telem = getattr(result, "telemetry", None)
     summary = telem.summary() if telem is not None else None
@@ -156,14 +102,64 @@ def draw_metadata(run_spec, result):
     return summary, snapshot_key
 
 
+def run_draws(spec, point, indices, run_fn, step=None):
+    """Execute draws ``indices`` of ``point``; yield each outcome in order.
+
+    Builds every draw's (scheme, fault-free baseline) pair with
+    :meth:`~repro.campaign.plan.CampaignSpec.pair_specs` and calls
+    ``run_fn(specs) -> results`` once per ``step`` draws (default: all
+    of them in one call). Each distinct baseline spec is sent only with
+    the first chunk that needs it; later draws reuse that result.
+
+    Yields ``(index, run_event, None)`` per completed draw, where
+    ``run_event`` is the journal ``run`` event. For the first draw whose
+    scheme run or baseline came back as a
+    :class:`~repro.verify.bundle.RunFailure` it yields ``(index, None,
+    failure)`` and stops.
+    """
+    indices = list(indices)
+    step = step or max(1, len(indices))
+    baselines = {}  # baseline spec key -> result, reused across chunks
+    for at in range(0, len(indices), step):
+        chunk = indices[at:at + step]
+        pairs = [spec.pair_specs(point, i) for i in chunk]
+        base_keys = [base_spec.key() for _run, base_spec in pairs]
+        fresh = {
+            key: base_spec for (_run, base_spec), key in zip(pairs, base_keys)
+            if key not in baselines
+        }
+        results = run_fn(
+            [run_spec for run_spec, _base in pairs] + list(fresh.values())
+        )
+        baselines.update(zip(fresh, results[len(pairs):]))
+        for index, (run_spec, _base), key, result in zip(
+            chunk, pairs, base_keys, results
+        ):
+            baseline = baselines[key]
+            failed = next(
+                (c for c in (result, baseline)
+                 if getattr(c, "is_failure", False)),
+                None,
+            )
+            if failed is not None:
+                yield index, None, failed
+                return
+            values, counts = extract_metrics(result, baseline)
+            telemetry, snapshot_key = draw_metadata(run_spec, result)
+            yield index, run_event(
+                point.id, index, spec.seed_for(point, index), values,
+                counts, telemetry, snapshot_key,
+            ), None
+
+
 def measure_point(spec, point, run_fn, acc=None, on_run=None):
     """Measure one grid point until its stopping rule fires.
 
     ``acc`` may carry replayed draws (resume); sampling continues from
-    index ``acc.n``. ``on_run(point, index, seed, values, counts,
-    telemetry, snapshot_key=...)`` is called once per completed draw, in
-    index order — the journal hook (see :func:`draw_metadata` for the
-    last two arguments).
+    index ``acc.n``. Each scheduler batch runs through one
+    :func:`run_draws` call, and ``on_run(event)`` is called with every
+    completed draw's journal ``run`` event, in index order — the journal
+    hook.
 
     The batching and stopping decisions live in
     :class:`~repro.campaign.scheduler.PointScheduler` — the same object
@@ -181,25 +177,13 @@ def measure_point(spec, point, run_fn, acc=None, on_run=None):
         indices = scheduler.next_batch()
         if indices is None:
             return scheduler.acc, scheduler.stopped, scheduler.failure
-        pairs = [spec.pair_specs(point, i) for i in indices]
-        flat = [run_spec for pair in pairs for run_spec in pair]
-        results = run_fn(flat)
-        for offset, index in enumerate(indices):
-            result, baseline = results[2 * offset], results[2 * offset + 1]
-            failed = next(
-                (c for c in (result, baseline)
-                 if getattr(c, "is_failure", False)),
-                None,
-            )
-            if failed is not None:
-                scheduler.fail(failed)
-                return scheduler.acc, "failed", failed
-            values, counts = extract_metrics(result, baseline)
-            scheduler.record(index, values, counts)
+        for index, event, failure in run_draws(spec, point, indices, run_fn):
+            if failure is not None:
+                scheduler.fail(failure)
+                return scheduler.acc, "failed", failure
+            scheduler.record(index, event["metrics"], event["counts"])
             if on_run is not None:
-                summary, snapshot_key = draw_metadata(pairs[offset][0], result)
-                on_run(point, index, spec.seed_for(point, index),
-                       values, counts, summary, snapshot_key=snapshot_key)
+                on_run(event)
 
 
 def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
@@ -272,12 +256,6 @@ def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
             or default_root
         )
 
-    def on_run(point, index, seed, values, counts, telemetry=None,
-               snapshot_key=None):
-        journal.append(run_event(
-            point.id, index, seed, values, counts, telemetry, snapshot_key
-        ))
-
     with journal:
         for point in spec.points():
             if point.id in state.completed:
@@ -286,7 +264,7 @@ def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
             for record in state.runs.get(point.id, []):
                 acc.push(record["metrics"], record["counts"])
             acc, reason, failure = measure_point(
-                spec, point, run_fn, acc, on_run
+                spec, point, run_fn, acc, journal.append
             )
             # a failed point is journaled as completed-but-failed
             # (resume skips it; the campaign continues past it) with

@@ -4,11 +4,14 @@ A worker is deliberately stateless about the campaign: it connects,
 identifies itself (name + model version — the coordinator rejects a
 version skew that would silently mix incompatible simulations), receives
 the full :class:`~repro.campaign.plan.CampaignSpec` in the ``config``
-reply, and then loops *request → lease → execute → stream*. Each leased
-draw runs through the stock batch engine (:func:`repro.harness.parallel.
-run_many`): the first draw of a leased point warms its pipeline snapshot
-once, every later draw forks from it. Completed draws are streamed back
-as verbatim journal ``run`` events — the coordinator appends them to
+reply, and then loops *request → lease → execute → stream*. A lease's
+draws run through :func:`repro.campaign.executor.run_draws` — the
+generator the single-pool executor drives — with a ``run_fn`` from
+:func:`~repro.campaign.executor.make_run_fn`, one lane group at a time:
+the first draw of a leased point warms its pipeline snapshot once,
+every later draw forks from it, and the point's fault-free baseline
+runs once per lease. Completed draws are streamed back as the journal
+``run`` events ``run_draws`` built — the coordinator appends them to
 this worker's shard journal — and a :class:`~repro.verify.bundle.
 RunFailure` draw turns into a ``failure`` message carrying the failure
 record (its repro bundle stays on the worker's filesystem at the path
@@ -32,12 +35,12 @@ while a permanently dead coordinator is given up on promptly.
 
 import asyncio
 import hashlib
+import itertools
 import os
 import socket
 
-from repro.campaign.executor import draw_metadata
-from repro.campaign.journal import run_event
-from repro.campaign.plan import CampaignSpec, GridPoint, extract_metrics
+from repro.campaign.executor import make_run_fn, run_draws
+from repro.campaign.plan import CampaignSpec, GridPoint
 from repro.campaign.scheduler import failure_record
 from repro.fleet.protocol import ProtocolError, read_message, send_message
 from repro.fleet.security import (
@@ -98,8 +101,7 @@ class FleetWorker:
         #: $REPRO_BATCH_LANES, else per-draw scalar execution)
         self.batch_lanes = resolve_batch_lanes(batch_lanes)
         self.spec = None
-        self._store = None
-        self._baseline_memo = (None, None)  # (spec key, result) w/o cache
+        self._run_fn = None
         self.draws_done = 0
 
     # ------------------------------------------------------------------
@@ -274,20 +276,17 @@ class FleetWorker:
 
     # ------------------------------------------------------------------
     def _configure(self, config):
-        from repro.harness.parallel import ResultCache
-
         self.spec = CampaignSpec.from_dict(config["spec"])
         self.spec.repro_dir = config.get("repro_dir")
         if self.snapshots:
             snapshot_dir = self.snapshot_dir or config.get("snapshot_dir")
             if snapshot_dir:
                 self.spec.snapshot_dir = str(snapshot_dir)
-        if self.cache and config.get("cache", True):
-            self._store = ResultCache(
-                self.cache_dir or config.get("cache_dir")
-            )
-        else:
-            self._store = None
+        self._run_fn = make_run_fn(
+            jobs=1, cache=self.cache and config.get("cache", True),
+            cache_dir=self.cache_dir or config.get("cache_dir"),
+            batch_lanes=self.batch_lanes,
+        )
 
     async def _execute_lease(self, lease, writer, lock):
         point = GridPoint(
@@ -297,93 +296,39 @@ class FleetWorker:
         )
         lease_id = lease["lease"]
         indices = list(lease["indices"])
-        # lease batching: chunk the leased indices so draws sharing this
-        # point's warmup snapshot advance together through the lockstep
-        # engine; throttled workers stay per-draw (the dial is a
+        # lease batching: one run_fn call per lane group, so draws sharing
+        # this point's warmup snapshot advance together through the
+        # lockstep engine; throttled workers stay per-draw (the dial is a
         # straggler simulation, coarser chunks would distort it)
-        lanes = self.batch_lanes if self.throttle <= 0 else 1
-        step = max(1, lanes)
-        for at in range(0, len(indices), step):
-            chunk = indices[at:at + step]
+        step = 1 if self.throttle > 0 else max(1, self.batch_lanes)
+        draws = run_draws(self.spec, point, indices, self._run_fn, step)
+        for _ in range(0, len(indices), step):
             if self.throttle > 0:
                 await asyncio.sleep(self.throttle)
+            # one thread hop per lane group, not per draw: each executor
+            # thread gets its own glibc malloc arena, so spreading the
+            # kernel's allocations over several threads costs memory
+            # (per-draw hops: 74 -> 97 MiB peak RSS on the e2e
+            # fleet_kernel workload, 2-CPU Linux host)
             outcomes = await asyncio.to_thread(
-                self._run_draws, point, chunk
+                list, itertools.islice(draws, step)
             )
-            for index, (kind, payload) in zip(chunk, outcomes):
-                if kind == "entry":
+            for index, event, failure in outcomes:
+                if failure is None:
                     self.draws_done += 1
                     await send_message(writer, {
-                        "type": "entry", "lease": lease_id, "entry": payload,
+                        "type": "entry", "lease": lease_id, "entry": event,
                     }, lock)
                 else:
                     await send_message(writer, {
                         "type": "failure", "lease": lease_id,
                         "point": point.id, "index": index,
-                        "failure": payload,
+                        "failure": failure_record(failure),
                     }, lock)
                     return
         await send_message(
             writer, {"type": "lease_done", "lease": lease_id}, lock
         )
-
-    def _run_draws(self, point, indices):
-        """Execute paired draws synchronously (worker thread).
-
-        Returns one ``("entry", run-event-dict)`` or ``("failure",
-        failure-record-dict)`` per index, in order; processing past a
-        failure is the caller's concern (it abandons the lease). The run
-        events are constructed with the exact helper the single-pool
-        journal hook uses, so the bytes the coordinator appends are the
-        bytes ``campaign run`` would have written — with ``batch_lanes``
-        the scheme runs advance in engine lockstep, bit-identically.
-        """
-        from repro.harness.parallel import run_many
-
-        pairs = [self.spec.pair_specs(point, i) for i in indices]
-        store = self._store if self._store is not None else False
-        results = run_many(
-            [run_spec for run_spec, _base in pairs], jobs=1, cache=store,
-            batch_lanes=self.batch_lanes if len(indices) > 1 else 0,
-        )
-        outcomes = []
-        for index, (run_spec, base_spec), result in zip(
-            indices, pairs, results
-        ):
-            baseline = self._run_baseline(base_spec, store)
-            failed = next(
-                (c for c in (result, baseline)
-                 if getattr(c, "is_failure", False)),
-                None,
-            )
-            if failed is not None:
-                outcomes.append(("failure", failure_record(failed)))
-                continue
-            values, counts = extract_metrics(result, baseline)
-            telemetry, snapshot_key = draw_metadata(run_spec, result)
-            outcomes.append(("entry", run_event(
-                point.id, index, self.spec.seed_for(point, index),
-                values, counts, telemetry, snapshot_key,
-            )))
-        return outcomes
-
-    def _run_baseline(self, base_spec, store):
-        """The paired fault-free run, memoized per point without a cache.
-
-        In fault draw mode every draw of a point shares one baseline
-        spec; with the result cache on, :func:`run_many` already makes
-        repeats free, and without it a one-slot memo avoids re-running a
-        deterministic simulation once per draw.
-        """
-        from repro.harness.parallel import run_many
-
-        key = base_spec.key()
-        if self._store is None and self._baseline_memo[0] == key:
-            return self._baseline_memo[1]
-        baseline = run_many([base_spec], jobs=1, cache=store)[0]
-        if self._store is None and not getattr(baseline, "is_failure", False):
-            self._baseline_memo = (key, baseline)
-        return baseline
 
 
 def run_worker(host, port, **kwargs):

@@ -22,9 +22,11 @@ fully determines its result (see ``RunSpec.canonical``).
 """
 
 import hashlib
+import math
 import os
 import pickle
 import sys
+import time
 
 from repro.harness.diskcache import BlobStore
 from repro.harness.runner import run_one
@@ -211,34 +213,63 @@ def _plan_tasks(todo, batch_lanes):
     return tasks, index_lists
 
 
-def _run_todo(todo, n_jobs, batch_lanes):
-    """Run the cache-missing specs; results aligned with ``todo``."""
+def _pool(n_jobs):
+    """A ``multiprocessing`` pool of ``n_jobs`` workers.
+
+    Fork (when available) shares the warm program caches with the
+    workers; spawn still works because every task function is importable.
+    """
+    import multiprocessing
+
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:
+        ctx = multiprocessing.get_context()
+    return ctx.Pool(n_jobs)
+
+
+def _run_todo(todo, n_jobs, batch_lanes, timeout=None):
+    """Run the cache-missing specs; yield ``(i, result)`` per ``todo[i]``.
+
+    Results come back task by task, as each finishes. With ``timeout``
+    the tasks always run on a pool, even at ``n_jobs == 1``, because an
+    in-process run cannot be killed. The pool then gets ``timeout`` per
+    run over its depth, ``ceil(len(todo) / n_jobs)`` waves with every
+    kernel lane counted as a run. A breach terminates the pool, killing
+    hung workers, and raises :class:`TimeoutError`.
+    """
     if batch_lanes > 1:
         tasks, index_lists = _plan_tasks(todo, batch_lanes)
     else:
         tasks = [("one", spec) for spec in todo]
         index_lists = [[i] for i in range(len(todo))]
-    if n_jobs > 1 and len(tasks) > 1:
-        import multiprocessing
+    if timeout is None and min(n_jobs, len(tasks)) == 1:
+        for item, indices in zip(tasks, index_lists):
+            out = _task(item)
+            yield from zip(indices, out if item[0] == "batch" else [out])
+        return
+    import multiprocessing
 
-        # fork (when available) shares the warm program caches with
-        # the workers; spawn still works because _task is importable
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            ctx = multiprocessing.get_context()
-        with ctx.Pool(min(n_jobs, len(tasks))) as pool:
-            outs = pool.map(_task, tasks)
-    else:
-        outs = [_task(item) for item in tasks]
-    results = [None] * len(todo)
-    for (kind, _payload), indices, out in zip(tasks, index_lists, outs):
-        if kind == "batch":
-            for i, result in zip(indices, out):
-                results[i] = result
-        else:
-            results[indices[0]] = out
-    return results
+    with _pool(min(n_jobs, len(tasks))) as pool:
+        # chunk size 1: each task's result arrives on its own, and only
+        # this iterator has .next(timeout)
+        outs = pool.imap(_task, tasks)
+        if timeout is not None:
+            budget = timeout * math.ceil(len(todo) / n_jobs)
+            deadline = time.monotonic() + budget
+        for item, indices in zip(tasks, index_lists):
+            try:
+                out = outs.next(
+                    None if timeout is None
+                    else max(0.0, deadline - time.monotonic())
+                )
+            except multiprocessing.TimeoutError:
+                pool.terminate()
+                raise TimeoutError(
+                    f"{len(todo)} runs missed their {budget:.0f}s "
+                    f"budget ({timeout}s/run)"
+                ) from None
+            yield from zip(indices, out if item[0] == "batch" else [out])
 
 
 def _ensure_snapshot_worker(spec):
@@ -257,9 +288,9 @@ def prewarm_snapshots(specs, n_jobs=1):
     warmed once (in parallel when the batch itself is parallel) so the
     fan-out that follows forks every draw from a warmed snapshot.
 
-    Public because every execution tier reuses it: ``run_many`` batches,
-    the campaign executor's timeout pool, and fleet workers warming a
-    leased point once before streaming its draws.
+    :func:`run_many` calls it before every fan-out, outside any
+    ``timeout`` budget; campaign pools, timed campaigns and fleet workers
+    all reach it through there.
     """
     from repro.snapshot import SnapshotCache, ensure_snapshot, snapshot_eligible
 
@@ -277,13 +308,7 @@ def prewarm_snapshots(specs, n_jobs=1):
         return
     n_jobs = max(1, int(n_jobs))
     if min(n_jobs, len(todo)) > 1:
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            ctx = multiprocessing.get_context()
-        with ctx.Pool(min(n_jobs, len(todo))) as pool:
+        with _pool(min(n_jobs, len(todo))) as pool:
             pool.map(_ensure_snapshot_worker, todo)
     else:
         for spec in todo:
@@ -291,7 +316,7 @@ def prewarm_snapshots(specs, n_jobs=1):
 
 
 def run_many(specs, jobs=1, cache=False, cache_dir=None, snapshot_dir=None,
-             batch_lanes=None):
+             batch_lanes=None, timeout=None):
     """Run a batch of specs; results in the same order as ``specs``.
 
     ``jobs``: worker processes for the cache misses. ``1`` (the default)
@@ -313,7 +338,15 @@ def run_many(specs, jobs=1, cache=False, cache_dir=None, snapshot_dir=None,
     lanes per engine call. Results are bit-identical to the scalar path;
     ineligible specs and singleton groups run scalar as before.
 
+    ``timeout``: seconds per run (default: none). The cache misses then
+    always run on a pool, with a budget of ``timeout`` × ``ceil(misses /
+    jobs)`` seconds that covers kernel lanes too and starts after the
+    snapshot prewarm. A breach terminates the pool, killing hung workers,
+    and raises :class:`TimeoutError`.
+
     Identical specs in one batch are simulated once and share the result.
+    Each fresh result is cached as it arrives, so a retry after a failure
+    or a breach re-runs only the stragglers.
     """
     from repro.snapshot.batch import resolve_batch_lanes
 
@@ -345,17 +378,17 @@ def run_many(specs, jobs=1, cache=False, cache_dir=None, snapshot_dir=None,
             pending[key] = i
 
     if pending:
+        todo_keys = list(pending)
         todo = [specs[i] for i in pending.values()]
         n_jobs = _resolve_jobs(jobs, len(todo))
         prewarm_snapshots(todo, n_jobs)
-        fresh = _run_todo(todo, n_jobs, batch_lanes)
-        for (key, i), result in zip(pending.items(), fresh):
+        for t, result in _run_todo(todo, n_jobs, batch_lanes, timeout):
             # failures are never cached: a transient capture must not
             # poison future batches with a pre-failed result
             if store is not None and not getattr(result, "is_failure", False):
-                store.store(specs[i], result)
+                store.store(todo[t], result)
             for j in range(len(specs)):
-                if keys[j] == key:
+                if keys[j] == todo_keys[t]:
                     results[j] = result
     return results
 

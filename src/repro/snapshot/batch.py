@@ -95,9 +95,9 @@ def batch_groups(specs, max_lanes):
 
     Returns ``(groups, rest)`` where each group is a list of 2..max_lanes
     specs sharing one warmup key (one snapshot, one plan) and ``rest``
-    collects everything else — ineligible specs and singleton groups,
-    which gain nothing from the batch path. Input order is preserved
-    within each list.
+    collects everything else: ineligible specs, and any spec left alone
+    in its group, which runs scalar. Input order is preserved within
+    each list.
     """
     groups = {}
     rest = []

@@ -343,7 +343,7 @@ class TestBoundedRetry:
     def test_make_run_fn_bounds_retries(self, monkeypatch):
         attempts = []
 
-        def boom(specs, jobs=1, cache=False, batch_lanes=None):
+        def boom(specs, jobs=1, cache=False, batch_lanes=None, timeout=None):
             attempts.append(1)
             raise OSError("worker crashed")
 

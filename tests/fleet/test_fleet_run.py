@@ -142,3 +142,51 @@ class TestFleetRun:
         # one completion per point + the done marker
         assert len(coordinator_lines) == 3
         assert json.loads(coordinator_lines[-1]) == {"event": "done"}
+
+
+class TestWorkerBaseline:
+    def test_scalar_lease_runs_its_baseline_once(self, tmp_path,
+                                                 monkeypatch):
+        """A lease's one-draw chunks share one fault-free baseline run.
+
+        Without the reuse, a no-cache scalar worker would simulate the
+        point's baseline once per draw: about twice the work.
+        """
+        import asyncio
+
+        from repro.fleet import FleetWorker
+        from repro.fleet.coordinator import FleetCoordinator
+        from repro.harness import parallel
+
+        point = dict(schemes=["EP"], min_seeds=4, max_seeds=4, batch_size=4)
+        _single_pool(tmp_path / "pool", **point)
+        run_one, runs = parallel.run_one, []
+
+        def spy(spec):
+            runs.append(spec.scheme.name)
+            return run_one(spec)
+
+        monkeypatch.setattr(parallel, "run_one", spy)
+
+        async def go():
+            coordinator = FleetCoordinator(
+                tmp_path / "fleet", spec=_spec(**point), wait_delay=0.1,
+                linger=0.1, cache=False, snapshots=False,
+            )
+            serve = asyncio.create_task(coordinator.serve())
+            await coordinator.ready.wait()
+            worker = FleetWorker(
+                coordinator.host, coordinator.port, name="scalar",
+                cache=False, snapshots=False, batch_lanes=0,
+            )
+            worker_task = asyncio.create_task(worker.run())
+            report = await serve
+            assert await worker_task == 0
+            return report
+
+        assert asyncio.run(go())["complete"]
+        assert sorted(runs) == ["EP"] * 4 + ["FAULT_FREE"]
+        for name in ("journal.jsonl", "report.json"):
+            assert (tmp_path / "fleet" / name).read_bytes() == (
+                tmp_path / "pool" / name
+            ).read_bytes(), name

@@ -1,7 +1,9 @@
 """Batch engine: determinism, parallel/serial equivalence, result cache."""
 
+import multiprocessing
 import os
 import pickle
+import time
 
 import pytest
 
@@ -107,6 +109,56 @@ def test_run_many_dedupes_identical_specs():
     spec = _specs()[0]
     twice = run_many([spec, _specs()[0]], jobs=1)
     assert _fingerprint(twice[0]) == _fingerprint(twice[1])
+
+
+# ----------------------------------------------------------------------
+# per-run timeout
+# ----------------------------------------------------------------------
+@pytest.fixture
+def fast_and_hung(monkeypatch):
+    """Two specs; the second sleeps a minute in any (forked) pool worker."""
+    from repro.harness import parallel
+
+    worker = parallel._worker
+
+    def hang_seed_2(spec):
+        if spec.seed == 2:
+            time.sleep(60)
+        return worker(spec)
+
+    monkeypatch.setattr(parallel, "_worker", hang_seed_2)
+    return [RunSpec("astar", SchemeKind.ABS, VDD_LOW_FAULT, seed=seed, **_FAST)
+            for seed in (1, 2)]
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the hang is patched in before the pool forks",
+)
+
+
+@needs_fork
+def test_timeout_kills_a_hung_run_and_keeps_finished_ones(tmp_path,
+                                                          fast_and_hung):
+    fast, hung = fast_and_hung
+    store = ResultCache(tmp_path)
+    start = time.monotonic()
+    # jobs=1 still runs on a pool: only a pool worker can be killed
+    with pytest.raises(TimeoutError):
+        run_many([fast, hung], jobs=1, cache=store, timeout=2)
+    assert time.monotonic() - start < 10
+    assert multiprocessing.active_children() == []
+    assert store.load(fast) is not None
+
+
+@needs_fork
+def test_make_run_fn_retries_a_timeout_then_gives_up(tmp_path,
+                                                     fast_and_hung):
+    from repro.campaign.executor import CampaignError, make_run_fn
+
+    run_fn = make_run_fn(jobs=1, cache_dir=tmp_path, timeout=2, retries=1)
+    with pytest.raises(CampaignError, match="2 attempts"):
+        run_fn(fast_and_hung)
 
 
 # ----------------------------------------------------------------------

@@ -181,17 +181,54 @@ def test_campaign_journal_bytes_identical(tmp_path, snap_dir):
     from repro.campaign.executor import run_campaign
 
     outputs = {}
-    for label, lanes in (("scalar", 0), ("batch", 4)):
+    for label, lanes, timeout in (
+        ("scalar", 0, None), ("batch", 4, None), ("timed", 4, 600),
+    ):
         directory = tmp_path / label
         run_campaign(
             str(directory), spec=_tiny_campaign_spec(), cache=False,
-            snapshot_dir=str(snap_dir), batch_lanes=lanes,
+            snapshot_dir=str(snap_dir), batch_lanes=lanes, timeout=timeout,
         )
         outputs[label] = {
             name: (directory / name).read_bytes()
             for name in ("journal.jsonl", "report.json")
         }
     assert outputs["batch"] == outputs["scalar"]
+    assert outputs["timed"] == outputs["scalar"]
+
+
+def test_timed_campaign_runs_kernel_lanes_once_per_spec(tmp_path, snap_dir,
+                                                        monkeypatch):
+    """A ``timeout`` campaign plans lane groups and dedupes its baseline.
+
+    Both are decided in the parent, before the pool: a batch task must be
+    planned, and the draws' shared fault-free spec must be simulated (and
+    stored) once for the scheduler batch, not once per draw.
+    """
+    from repro.campaign.executor import run_campaign
+    from repro.harness import parallel
+
+    plan_tasks, store = parallel._plan_tasks, parallel.ResultCache.store
+    planned, stored = [], []
+
+    def spy_plan(todo, batch_lanes):
+        tasks, index_lists = plan_tasks(todo, batch_lanes)
+        planned.extend(kind for kind, _payload in tasks)
+        return tasks, index_lists
+
+    def spy_store(self, spec, result):
+        stored.append(spec.scheme)
+        return store(self, spec, result)
+
+    monkeypatch.setattr(parallel, "_plan_tasks", spy_plan)
+    monkeypatch.setattr(parallel.ResultCache, "store", spy_store)
+    run_campaign(
+        str(tmp_path / "timed"), spec=_tiny_campaign_spec(),
+        cache_dir=str(tmp_path / "cache"), snapshot_dir=str(snap_dir),
+        batch_lanes=4, timeout=600,
+    )
+    assert "batch" in planned
+    assert stored.count(SchemeKind.FAULT_FREE) == 1
 
 
 try:
