@@ -199,29 +199,24 @@ def _run_single(args):
     """Run one simulation point and print its summary (+optional trace)."""
     from repro.harness.export import write_json
     from repro.harness.runner import (
-        RunSpec, SimResult, build_core, prime_caches,
+        RunSpec, build_core, measure, prime_caches,
     )
-    from repro.power.energy_model import EnergyModel
     from repro.uarch.pipetrace import PipeTracer
-    from repro.uarch.stats import SimStats
 
     benchmark = (args.benchmarks or ["bzip2"])[0]
     spec = RunSpec(
         benchmark, args.scheme, args.vdd, args.instructions, args.warmup,
         args.seed, predictor=args.predictor, overclock=args.overclock,
     )
+    # warm by hand so the tracer records the warmup too; the measured
+    # window is the shared one, so the result equals run_one(spec)
     core = build_core(spec)
     tracer = PipeTracer(core) if args.trace else None
     prime_caches(core.program, core.hierarchy)
     if spec.warmup:
         core.run(spec.warmup)
-        core.stats = SimStats()
-        core.hierarchy.reset_stats()
-    stats = core.run(spec.n_instructions)
-    energy = EnergyModel().evaluate(
-        stats, core.hierarchy.stats(), spec.vdd, core.scheme.uses_tep
-    )
-    result = SimResult(spec, stats, energy, core.hierarchy.stats())
+    result = measure(core, spec)
+    stats, energy = result.stats, result.energy
     print(f"{spec!r}")
     for key, value in stats.as_dict().items():
         print(f"  {key:20s} {value}")

@@ -391,8 +391,8 @@ def warm_core(spec):
 def begin_measurement(core, spec):
     """Transition a warmed core to the measured window; return collector.
 
-    Shared by the cold path, the snapshot-fork path, and the verified
-    driver, so the boundary semantics cannot drift between them:
+    Called only by :func:`measure`, so the boundary semantics cannot
+    drift between the paths that warm a core:
 
     * measurement counters reset (stats, cache stats, LSQ counters);
     * with ``spec.measurement_seed`` set, the injector's per-instance
@@ -432,18 +432,34 @@ def begin_measurement(core, spec):
     return collector
 
 
+def measured_result(spec, stats, cache_stats, telemetry=None):
+    """Package one measured window's counters as a :class:`SimResult`.
+
+    The only code that evaluates energy and builds a result: scalar runs
+    reach it through :func:`measure`, and batch-kernel lanes hand it the
+    :class:`~repro.uarch.stats.SimStats` the engine filled, so every tier
+    turns equal counters into equal results.
+    """
+    energy = EnergyModel().evaluate(
+        stats, cache_stats, spec.vdd, make_scheme(spec.scheme).uses_tep
+    )
+    return SimResult(spec, stats, energy, cache_stats, telemetry=telemetry)
+
+
 def measure(core, spec):
-    """Measure a warmed core and package the :class:`SimResult`."""
+    """Measure a warmed core and package the :class:`SimResult`.
+
+    Every scalar measured window runs here, whoever warmed the core: the
+    cold and snapshot-fork paths of :func:`run_one`, the verified driver
+    and ``repro-timing run``. It crosses the warmup boundary
+    (:func:`begin_measurement`), runs ``spec.n_instructions`` and hands
+    the counters to :func:`measured_result`.
+    """
     collector = begin_measurement(core, spec)
     stats = core.run(spec.n_instructions)
     stats.storm_faults = getattr(core.injector, "storm_faults", 0)
-    energy = EnergyModel().evaluate(
-        stats, core.hierarchy.stats(), spec.vdd, core.scheme.uses_tep
-    )
     telemetry = collector.finalize(core) if collector is not None else None
-    return SimResult(
-        spec, stats, energy, core.hierarchy.stats(), telemetry=telemetry
-    )
+    return measured_result(spec, stats, core.hierarchy.stats(), telemetry)
 
 
 def run_one(spec):

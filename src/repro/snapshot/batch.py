@@ -24,14 +24,10 @@ CI ``batch-smoke`` gate use it to detect a silently all-scalar batch.
 
 import os
 
-from repro.core.schemes import make_scheme
-from repro.harness.runner import SimResult, measure, run_one
-from repro.isa.opcodes import OpClass, PipeStage
-from repro.power.energy_model import EnergyModel
+from repro.harness.runner import measured_result, run_one
 from repro.snapshot.fork import ensure_snapshot, snapshot_eligible, warmed_core
 from repro.uarch import batchkernel
 from repro.uarch.batchstream import BatchFallback, build_tapes, have_numpy
-from repro.uarch.stats import SimStats
 
 
 class BatchReport:
@@ -126,33 +122,6 @@ def batch_groups(specs, max_lanes):
     return out, rest
 
 
-def _scalar_lane(spec, snapshot_dir):
-    """One lane the scalar way — the engine's bit-identity reference."""
-    if snapshot_dir is not None and snapshot_eligible(spec):
-        return measure(warmed_core(spec, snapshot_dir), spec)
-    return run_one(spec)
-
-
-def _lane_result(spec, raw):
-    """Package one engine lane export exactly as ``measure`` would."""
-    stats = SimStats()
-    for key, val in raw.items():
-        if key in ("hier", "stage_faults", "fu_ops"):
-            continue
-        setattr(stats, key, val)
-    stats.stage_faults = {
-        PipeStage(s): c for s, c in sorted(raw["stage_faults"].items())
-    }
-    stats.fu_ops = {
-        OpClass(o): c for o, c in sorted(raw["fu_ops"].items())
-    }
-    hier = dict(raw["hier"])
-    energy = EnergyModel().evaluate(
-        stats, hier, spec.vdd, make_scheme(spec.scheme).uses_tep
-    )
-    return SimResult(spec, stats, energy, dict(raw["hier"]))
-
-
 def run_batch(specs, snapshot_dir, report=None, force_evict=None):
     """Run ``specs`` (lanes of one batch) and return their SimResults.
 
@@ -161,7 +130,9 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
     modeling limit). A missing compiled kernel, other engine-level limits
     (:class:`BatchFallback`) and per-lane evictions all degrade to the
     scalar path transparently; with no kernel, nothing is forked or
-    planned for the batch.
+    planned for the batch. Scalar lanes are plain :func:`run_one` calls,
+    and kernel lanes go through the same
+    :func:`~repro.harness.runner.measured_result` as every scalar window.
 
     ``force_evict`` (lane index → virtual cycle) is a test hook forcing
     divergence-path coverage at arbitrary points.
@@ -179,7 +150,6 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
     if any(s.warmup_key() != key for s in specs[1:]):
         raise ValueError("mixed warmup keys in one batch")
 
-    raw = None
     try:
         from repro.uarch.batchcore import BatchEngine, build_plan
 
@@ -193,19 +163,19 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
             [s.measurement_seed for s in specs], ref.vdd,
         )
         engine = BatchEngine(plan, tapes)
-        raw = engine.run(force_evict=force_evict)
+        lanes = engine.run(force_evict=force_evict)
     except BatchFallback as exc:
         report.fallback_reason = str(exc)
         report.scalar_lanes = len(specs)
-        return [_scalar_lane(spec, snapshot_dir) for spec in specs]
+        return [run_one(spec) for spec in specs]
 
     results = []
-    for lane, (spec, lane_raw) in enumerate(zip(specs, raw)):
-        if lane_raw is None:
+    for lane, (spec, counters) in enumerate(zip(specs, lanes)):
+        if counters is None:
             report.evictions[lane] = engine.evicted_reason[lane]
             report.scalar_lanes += 1
-            results.append(_scalar_lane(spec, snapshot_dir))
+            results.append(run_one(spec))
         else:
             report.vector_lanes += 1
-            results.append(_lane_result(spec, lane_raw))
+            results.append(measured_result(spec, *counters))
     return results

@@ -30,7 +30,7 @@ tracks them in a per-lane ``burned`` counter; real cycles are
 
 Bit-identity with the scalar path is asserted by
 ``tests/snapshot/test_batch_equivalence.py`` over a scheme x vdd x lanes
-grid.
+grid and a generated sweep of benchmarks, schemes and core geometries.
 """
 
 try:  # pragma: no cover - exercised on numpy-free installs
@@ -39,12 +39,15 @@ except Exception:  # pragma: no cover
     np = None
 
 from repro.core.vte import FreezeKind, vte_effects
-from repro.isa.opcodes import OP_FU_KIND, OP_LATENCY, OpClass, PipeStage
+from repro.isa.opcodes import (
+    OP_FU_KIND, OP_LATENCY, UNPIPELINED_OPS, OpClass, PipeStage,
+)
 from repro.uarch import batchkernel
 from repro.uarch.batchkernel import ARRAYS, PARAMS, RING, call_kernel
 from repro.uarch.batchstream import BatchFallback, build_stream
 from repro.uarch.issue_queue import TIMESTAMP_MASK
 from repro.uarch.regfile import INFINITE as _SCOREBOARD_INF
+from repro.uarch.stats import SimStats
 
 INF = 1 << 60
 #: fault-stage bits of the in-order stages, which the kernel does not model
@@ -213,6 +216,9 @@ def build_plan(core, target, margin=256):
                          dtype=np.int64)
     fu_by_op = np.array([int(OP_FU_KIND[OpClass(i)]) for i in range(8)],
                         dtype=np.int64)
+    plan.op_unpipelined = np.array(
+        [OpClass(i) in UNPIPELINED_OPS for i in range(8)], dtype=bool
+    )
     pc = np.zeros(NS, dtype=np.int64)
     op = np.zeros(NS, dtype=np.int64)
     mem_addr = np.zeros(NS, dtype=np.int64)
@@ -584,6 +590,30 @@ _ZEROED = (
     "l1d_hits", "l1d_misses", "l2_hits", "l2_misses", "mem_accesses",
 )
 
+#: (SimStats field, engine counter row) pairs copied per finished lane
+_STATS_ROWS = (
+    ("committed", "committed"), ("fetched", "fetched"),
+    ("dispatched", "dispatched"), ("issued", "issued"),
+    ("replays", "replays"), ("branches", "branches"),
+    ("branch_mispredicts", "branch_mispredicts"),
+    ("wrong_path_fetched", "wrong_path"),
+    ("faults_total", "faults_total"),
+    ("faults_predicted", "faults_predicted"),
+    ("faults_unpredicted", "faults_unpredicted"),
+    ("false_predictions", "false_predictions"),
+    ("ep_stalls", "ep_stalls"), ("slot_freezes", "slot_freezes"),
+    ("padded_instructions", "padded"),
+    ("regreads", "regreads"), ("regwrites", "regwrites"),
+    ("broadcasts", "broadcasts"),
+    ("broadcast_occupancy", "broadcast_occ"),
+    ("iq_occupancy_accum", "iq_occ"),
+    ("lsq_searches", "cam_searches"), ("store_forwards", "forwards"),
+)
+
+#: d-side cache counter rows, named as in ``MemoryHierarchy.stats()``
+_CACHE_ROWS = ("l1d_hits", "l1d_misses", "l2_hits", "l2_misses",
+               "mem_accesses")
+
 
 class BatchEngine:
     """N fault-tape lanes over one plan, advanced by the compiled kernel.
@@ -651,6 +681,7 @@ class BatchEngine:
             setattr(self, name, full(0))
         self.stage_faults = np.zeros((N, 10), dtype=np.int64)
         self.fu_op_counts = np.zeros((N, 8), dtype=np.int64)
+        self.fu_first = np.zeros((N, 8), dtype=np.int64)
         self.evicted_reason = [None] * N
 
     # ------------------------------------------------------------------
@@ -684,12 +715,14 @@ class BatchEngine:
 
     # ------------------------------------------------------------------
     def run(self, force_evict=None):
-        """Advance all lanes to completion; returns per-lane raw results.
+        """Advance all lanes to completion; returns per-lane counters.
 
-        ``force_evict`` maps lane -> virtual cycle; the lane is evicted
-        at the top of that cycle (test hook for the divergence path).
-        Raises :class:`~repro.uarch.batchstream.BatchFallback` when the
-        compiled kernel is unavailable.
+        Each entry is :meth:`_export`'s ``(SimStats, cache counters)``
+        pair, or ``None`` for an evicted lane. ``force_evict`` maps lane
+        -> virtual cycle; the lane is evicted at the top of that cycle
+        (test hook for the divergence path). Raises
+        :class:`~repro.uarch.batchstream.BatchFallback` when the compiled
+        kernel is unavailable.
         """
         fn = batchkernel.load_kernel()
         if fn is None:
@@ -704,66 +737,45 @@ class BatchEngine:
 
     # ------------------------------------------------------------------
     def _export(self):
-        """Raw per-lane results: a counter dict per lane, None if evicted."""
+        """Per lane, ``(SimStats, cache counters)`` or None if evicted.
+
+        The counters are the ones a scalar run of the same window ends
+        with: :data:`_STATS_ROWS` copies the engine's counter rows,
+        ``fu_ops`` is keyed in first-issue order (the order the scalar
+        core inserts, which the energy sum follows), and every field the
+        kernel does not model keeps its ``SimStats`` zero.
+        """
         p = self.plan
         out = []
         for lane in range(self.N):
             if self.evicted_reason[lane] is not None:
                 out.append(None)
                 continue
+            stats = SimStats()
+            for field, row in _STATS_ROWS:
+                setattr(stats, field, int(getattr(self, row)[lane]))
             ve = int(self.v_end[lane])
+            stats.cycles = ve + int(self.burned[lane])
             cec = self.cec[lane]
+            stats.wb_writes = int(((cec >= 0) & (cec < ve)).sum())
+            stats.stage_faults = {
+                PipeStage(st): n
+                for st, n in enumerate(self.stage_faults[lane].tolist())
+                if n
+            }
+            first = self.fu_first[lane].tolist()
+            counts = self.fu_op_counts[lane].tolist()
+            stats.fu_ops = {
+                OpClass(o): counts[o]
+                for o in sorted(range(8), key=first.__getitem__)
+                if first[o]
+            }
             g = int(self.g_ptr[lane])
-            stage_faults = {}
-            for st in range(10):
-                cnt = int(self.stage_faults[lane, st])
-                if cnt:
-                    stage_faults[st] = cnt
-            fu_ops = {}
-            for o in range(8):
-                cnt = int(self.fu_op_counts[lane, o])
-                if cnt:
-                    fu_ops[o] = cnt
-            out.append({
-                "cycles": ve + int(self.burned[lane]),
-                "committed": int(self.committed[lane]),
-                "fetched": int(self.fetched[lane]),
-                "dispatched": int(self.dispatched[lane]),
-                "issued": int(self.issued[lane]),
-                "squashed": 0,
-                "replays": int(self.replays[lane]),
-                "safety_net_replays": 0,
-                "storm_faults": 0,
-                "branches": int(self.branches[lane]),
-                "branch_mispredicts": int(self.branch_mispredicts[lane]),
-                "wrong_path_fetched": int(self.wrong_path[lane]),
-                "faults_total": int(self.faults_total[lane]),
-                "faults_predicted": int(self.faults_predicted[lane]),
-                "faults_unpredicted": int(self.faults_unpredicted[lane]),
-                "false_predictions": int(self.false_predictions[lane]),
-                "stage_faults": stage_faults,
-                "ep_stalls": int(self.ep_stalls[lane]),
-                "slot_freezes": int(self.slot_freezes[lane]),
-                "padded_instructions": int(self.padded[lane]),
-                "inorder_stalls": 0,
-                "memdep_violations": 0,
-                "fu_ops": fu_ops,
-                "regreads": int(self.regreads[lane]),
-                "regwrites": int(self.regwrites[lane]),
-                "broadcasts": int(self.broadcasts[lane]),
-                "broadcast_occupancy": int(self.broadcast_occ[lane]),
-                "iq_occupancy_accum": int(self.iq_occ[lane]),
-                "wb_writes": int(((cec >= 0) & (cec < ve)).sum()),
-                "lsq_searches": int(self.cam_searches[lane]),
-                "store_forwards": int(self.forwards[lane]),
-                "hier": {
-                    "l1i_hits": int(p.cum_l1i_hits[g]),
-                    "l1i_misses": int(p.cum_l1i_misses[g]),
-                    "l1d_hits": int(self.l1d_hits[lane]),
-                    "l1d_misses": int(self.l1d_misses[lane]),
-                    "l2_hits": int(self.l2_hits[lane]),
-                    "l2_misses": int(self.l2_misses[lane]),
-                    "mem_accesses": int(self.mem_accesses[lane]),
-                },
-            })
+            cache = {
+                "l1i_hits": int(p.cum_l1i_hits[g]),
+                "l1i_misses": int(p.cum_l1i_misses[g]),
+            }
+            for row in _CACHE_ROWS:
+                cache[row] = int(getattr(self, row)[lane])
+            out.append((stats, cache))
         return out

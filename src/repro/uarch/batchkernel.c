@@ -5,9 +5,13 @@
  * predictor, no telemetry, static TEP gate).  It operates IN PLACE on
  * repro.uarch.batchcore.BatchEngine's structure-of-arrays numpy state:
  * python builds the plan, tapes and (N,)-shaped state arrays, hands
- * their pointers here, and BatchEngine._export reads the results back
- * from the same arrays.  Bit-identity against the scalar core is
- * asserted by tests/snapshot/test_batch_equivalence.py.
+ * their pointers here, and BatchEngine._export fills each finished
+ * lane's SimStats from the same arrays, which
+ * repro.harness.runner.measured_result packages like any scalar run.
+ * Facts about op classes (latency, unit kind, unpipelined units) come
+ * from the plan, so this file holds no op-class number.  Bit-identity
+ * against the scalar core is asserted by
+ * tests/snapshot/test_batch_equivalence.py.
  *
  * Lanes are advanced independently (the virtual-time/burn excision
  * makes each lane's trajectory self-contained); an evicted lane stops
@@ -40,7 +44,6 @@
 #define FRZ_BUSY 3
 #define FRZ_WB 4
 
-#define OP_IDIV 3
 #define SEL_AGE 0
 #define SEL_FFS 1
 #define SEL_EXACT 2
@@ -59,6 +62,7 @@ typedef struct {
     const int64_t *tepi, *tept;
     const int64_t *T_RR, *T_EX, *T_MEM, *T_WB, *T_HAS;
     const int8_t *T_FRZ;
+    const uint8_t *op_unpipelined;
     /* ---- per-lane rows (set up per lane before lane_run) ---- */
     const int16_t *tape;
     int8_t *pred;
@@ -80,7 +84,7 @@ typedef struct {
     int64_t slot_freezes, padded, wrong_path, regreads, regwrites;
     int64_t broadcasts, broadcast_occ, iq_occ, cam_searches, forwards;
     int64_t faults_total, faults_predicted, faults_unpredicted;
-    int64_t *stage_faults, *fu_op_counts;
+    int64_t *stage_faults, *fu_op_counts, *fu_first;
     int64_t l1d_hits, l1d_misses, l2_hits, l2_misses, mem_accesses;
     /* outputs */
     int64_t v_end;
@@ -218,7 +222,9 @@ static int issue_one(Ctx *c, int64_t v, int64_t slot, int64_t jj,
     int64_t o = c->op[slot];
     c->issued++;
     c->regreads += c->nsrcs[slot];
-    c->fu_op_counts[o]++;
+    /* first-issue rank: the scalar core keys fu_ops in this order */
+    if (!c->fu_op_counts[o]++)
+        c->fu_first[o] = c->issued;
     int64_t pr = c->pred[slot];
     int64_t rr_e = 0, ex_e = 0, mem_e = 0, wb_e = 0;
     int frz = FRZ_NONE;
@@ -311,7 +317,7 @@ static int issue_one(Ctx *c, int64_t v, int64_t slot, int64_t jj,
         c->broadcast_occ += iq_len0 - (jj + 1);
     }
     /* functional-unit reservation + VTE freezing */
-    int64_t ni = v + (o == OP_IDIV ? exec_lat : 1);
+    int64_t ni = v + (c->op_unpipelined[o] ? exec_lat : 1);
     if (c->uses_vte) {
         if (frz != FRZ_NONE)
             c->slot_freezes++;
@@ -661,6 +667,7 @@ void repro_batch_run(void **A, const int64_t *p) {
     base.T_WB = ARR(A, T_WB);
     base.T_FRZ = ARR(A, T_FRZ);
     base.T_HAS = ARR(A, T_HAS);
+    base.op_unpipelined = ARR(A, op_unpipelined);
     base.N = PRM(p, N);
     base.NS = PRM(p, NS);
     base.NW = PRM(p, NW);
@@ -739,6 +746,7 @@ void repro_batch_run(void **A, const int64_t *p) {
         c.committed = ARR(A, committed)[lane];
         c.stage_faults = ARR(A, stage_faults) + lane * 10;
         c.fu_op_counts = ARR(A, fu_op_counts) + lane * 8;
+        c.fu_first = ARR(A, fu_first) + lane * 8;
         c.evict_code = 0;
 
         lane_run(&c);

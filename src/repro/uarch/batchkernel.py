@@ -17,7 +17,8 @@ compiled against, so the two sides cannot drift apart by position.
 
 The shared object is cached on disk, keyed by the C source, the
 generated header, the compiler path, the flags and the platform. Set
-``REPRO_KERNEL_CACHE`` to move the cache out of the default temp dir.
+``REPRO_KERNEL_CACHE`` to move the cache out of the default temp dir;
+the directory is created on the first build.
 """
 
 import ctypes
@@ -95,6 +96,8 @@ ARRAYS = (
     ("T_WB", "int64", (11, 8)),
     ("T_FRZ", "int8", (11, 8)),
     ("T_HAS", "int64", (11, 8)),
+    # ---- plan: per-op facts --------------------------------------------
+    ("op_unpipelined", "bool", (8,)),
     # ---- engine: per-lane machine state --------------------------------
     ("tape", "int16", ("N", "NS")),
     ("pred", "int8", ("N", "NS")),
@@ -158,6 +161,7 @@ ARRAYS = (
     ("faults_unpredicted", "int64", ("N",)),
     ("stage_faults", "int64", ("N", 10)),
     ("fu_op_counts", "int64", ("N", 8)),
+    ("fu_first", "int64", ("N", 8)),
     ("l1d_hits", "int64", ("N",)),
     ("l1d_misses", "int64", ("N",)),
     ("l2_hits", "int64", ("N",)),
@@ -242,6 +246,7 @@ def build_kernel():
         return so
     tmp = f"{so}.{os.getpid()}.tmp"
     try:
+        os.makedirs(os.path.dirname(so), exist_ok=True)
         with tempfile.TemporaryDirectory() as inc:
             with open(os.path.join(inc, "batchkernel_abi.h"), "w") as f:
                 f.write(abi_header())

@@ -79,8 +79,7 @@ class StreamPlan:
 
     __slots__ = (
         "n", "pc", "op", "mem_addr", "dest", "src0", "src1", "nsrcs",
-        "is_cond_branch", "mispredicted", "critical", "tep_index",
-        "tep_tag",
+        "mispredicted", "critical",
         "g_start", "g_len", "g_mispred", "g_branches", "g_l1i_hits",
         "g_l1i_misses", "g_miss_off", "miss_pcs",
     )
@@ -105,14 +104,11 @@ def build_stream(core, n_insts, width):
     if not core.hierarchy.l1i._pow2_sets:  # pragma: no cover - 512-set L1I
         raise BatchFallback("non-power-of-two L1I set count")
     tep = core.tep
-    probe_tep = core._tep_gate == 0
-    if probe_tep:
+    if core._tep_gate == 0:
         if type(tep).__name__ != "TimingErrorPredictor":
             raise BatchFallback("non-standard timing predictor")
         if tep.config.history_bits:
             raise BatchFallback("history-indexed TEP keys vary per lane")
-        tep_index_mask = tep._index_mask
-        tep_tag_mask = tep._tag_mask
     critical_pcs = (
         core.injector._pc_timing if core.injector is not None else {}
     )
@@ -125,11 +121,8 @@ def build_stream(core, n_insts, width):
     src0 = _np.full(n, -1, dtype=_np.int16)
     src1 = _np.full(n, -1, dtype=_np.int16)
     nsrcs = _np.zeros(n, dtype=_np.int8)
-    is_cond = _np.zeros(n, dtype=_np.bool_)
     mispred = _np.zeros(n, dtype=_np.bool_)
     critical = _np.zeros(n, dtype=_np.bool_)
-    tep_index = _np.zeros(n, dtype=_np.int32)
-    tep_tag = _np.zeros(n, dtype=_np.int32)
 
     g_start, g_len, g_mispred, g_branches = [], [], [], []
     g_l1i_hits, g_l1i_misses, g_miss_off = [], [], []
@@ -184,15 +177,10 @@ def build_stream(core, n_insts, width):
                     ways.append(tag)
                     miss_pcs.append(ipc)
             if static.is_branch and 0.0 < static.taken_prob < 1.0:
-                is_cond[i] = True
                 branches += 1
                 if bp.predict_and_update(ipc, inst.taken):
                     mispred[i] = True
                     wrong = True
-            if probe_tep:
-                word = ipc >> 2
-                tep_index[i] = word & tep_index_mask
-                tep_tag[i] = (word >> 10) & tep_tag_mask
             critical[i] = ipc in critical_pcs
             i += 1
             if wrong:
@@ -214,11 +202,8 @@ def build_stream(core, n_insts, width):
     plan.src0 = src0
     plan.src1 = src1
     plan.nsrcs = nsrcs
-    plan.is_cond_branch = is_cond
     plan.mispredicted = mispred
     plan.critical = critical
-    plan.tep_index = tep_index
-    plan.tep_tag = tep_tag
     plan.g_start = _np.asarray(g_start, dtype=_np.int64)
     plan.g_len = _np.asarray(g_len, dtype=_np.int64)
     plan.g_mispred = _np.asarray(g_mispred, dtype=_np.bool_)

@@ -1,7 +1,8 @@
 """Drivers wiring lockstep verification into single runs and batch workers.
 
 :func:`run_verified` is :func:`~repro.harness.runner.run_one` with the
-golden-model lockstep checker attached: it raises
+golden-model lockstep checker attached over the warmup and the shared
+measured window (:func:`~repro.harness.runner.measure`): it raises
 :class:`~repro.verify.lockstep.DivergenceError` the moment the pipeline's
 retired stream departs from the in-order reference, and audits the final
 register/memory images at end of run. :func:`run_checked` is the
@@ -11,13 +12,7 @@ returns a :class:`~repro.verify.bundle.RunFailure` result object that the
 campaign executor journals and skips past.
 """
 
-from repro.harness.runner import (
-    SimResult,
-    begin_measurement,
-    build_core,
-    prime_caches,
-)
-from repro.power.energy_model import EnergyModel
+from repro.harness.runner import build_core, measure, prime_caches
 from repro.verify.chaos import CorruptionHook
 from repro.verify.golden import GoldenModel
 from repro.verify.lockstep import LockstepChecker
@@ -28,11 +23,11 @@ def run_verified(spec):
 
     The golden model spans warmup *and* measurement (it checks every
     commit, not just the measured window — which is why verified runs are
-    never snapshot-forked); the warmup→measurement transition itself is
-    the shared :func:`~repro.harness.runner.begin_measurement`, so stat
-    resets, storm wrapping, fault-stream reseeding, and telemetry attach
-    behave identically to the unverified driver. The returned result
-    carries the checker's end-of-run report as ``.verification``. Raises
+    never snapshot-forked); the measured window is the shared
+    :func:`~repro.harness.runner.measure`, so stat resets, storm wrapping,
+    fault-stream reseeding, telemetry attach and result packaging behave
+    identically to the unverified driver. The returned result carries the
+    checker's end-of-run report as ``.verification``. Raises
     :class:`~repro.verify.lockstep.DivergenceError` on divergence and
     :class:`~repro.uarch.pipeline.SimulationHangError` on a wedged
     machine.
@@ -48,18 +43,8 @@ def run_verified(spec):
     prime_caches(core.program, core.hierarchy)
     if spec.warmup:
         core.run(spec.warmup)
-    collector = begin_measurement(core, spec)
-    stats = core.run(spec.n_instructions)
-    report = checker.finalize()
-    stats.storm_faults = getattr(core.injector, "storm_faults", 0)
-    energy = EnergyModel().evaluate(
-        stats, core.hierarchy.stats(), spec.vdd, core.scheme.uses_tep
-    )
-    telemetry = collector.finalize(core) if collector is not None else None
-    result = SimResult(
-        spec, stats, energy, core.hierarchy.stats(), telemetry=telemetry
-    )
-    result.verification = report
+    result = measure(core, spec)
+    result.verification = checker.finalize()
     return result
 
 

@@ -59,7 +59,16 @@ def test_run_subcommand_json(tmp_path, capsys):
     assert code == 0
     import json
 
-    assert json.loads(open(out).read())["spec"]["benchmark"] == "astar"
+    from repro.harness.export import sim_result_to_dict
+    from repro.harness.runner import RunSpec, run_one
+
+    written = json.loads(open(out).read())
+    assert written["spec"]["benchmark"] == "astar"
+    # the CLI's defaults are ABS at 0.97 V, seed 1
+    expected = sim_result_to_dict(
+        run_one(RunSpec("astar", "ABS", 0.97, 600, 300, 1))
+    )
+    assert written == json.loads(json.dumps(expected))
 
 
 def test_help_lists_experiments(capsys):

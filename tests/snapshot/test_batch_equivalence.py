@@ -10,7 +10,10 @@ lane counts N∈{1,4,16}, on both execution paths: the compiled kernel,
 and no kernel at all, where every batch must fall back to the scalar
 path lane by lane and say so in its report. A hypothesis test pins that
 forcing lane evictions at arbitrary points (the mid-window divergence
-path) cannot change any result, on both paths too.
+path) cannot change any result, on both paths too. A generated test
+draws benchmark, scheme, supply, seeds, lane count, core and TEP
+geometry and window lengths, and compares every kernel lane with a cold
+scalar run of its spec.
 """
 
 import contextlib
@@ -23,6 +26,7 @@ from repro.faults.storm import StormConfig
 from repro.harness.parallel import run_many
 from repro.harness.runner import RunSpec
 from repro.uarch.batchstream import have_numpy
+from repro.workloads.profiles import profile_names
 
 pytestmark = pytest.mark.skipif(
     not have_numpy(), reason="batch engine requires numpy"
@@ -165,11 +169,11 @@ def test_storm_specs_route_scalar_identically(scheme, vdd, snap_dir):
             == [_digest(r) for r in scalar])
 
 
-def _tiny_campaign_spec():
+def _tiny_campaign_spec(benchmark="gcc"):
     from repro.campaign.plan import CampaignSpec
 
     return CampaignSpec(
-        name="batch-equivalence", benchmarks=["gcc"],
+        name="batch-equivalence", benchmarks=[benchmark],
         schemes=["ABS"], vdds=[0.97],
         n_instructions=POINT["n_instructions"], warmup=POINT["warmup"],
         min_seeds=4, max_seeds=4, batch_size=4,
@@ -177,24 +181,30 @@ def _tiny_campaign_spec():
 
 
 def test_campaign_journal_bytes_identical(tmp_path, snap_dir):
-    """A batched campaign's journal and report are byte-equal to scalar."""
+    """A batched campaign's journal and report are byte-equal to scalar.
+
+    tonto issues FPU ops, which a pipelined complex unit takes one per
+    cycle; gcc issues none.
+    """
     from repro.campaign.executor import run_campaign
 
-    outputs = {}
-    for label, lanes, timeout in (
-        ("scalar", 0, None), ("batch", 4, None), ("timed", 4, 600),
-    ):
-        directory = tmp_path / label
-        run_campaign(
-            str(directory), spec=_tiny_campaign_spec(), cache=False,
-            snapshot_dir=str(snap_dir), batch_lanes=lanes, timeout=timeout,
-        )
-        outputs[label] = {
-            name: (directory / name).read_bytes()
-            for name in ("journal.jsonl", "report.json")
-        }
-    assert outputs["batch"] == outputs["scalar"]
-    assert outputs["timed"] == outputs["scalar"]
+    for benchmark in ("gcc", "tonto"):
+        outputs = {}
+        for label, lanes, timeout in (
+            ("scalar", 0, None), ("batch", 4, None), ("timed", 4, 600),
+        ):
+            directory = tmp_path / benchmark / label
+            run_campaign(
+                str(directory), spec=_tiny_campaign_spec(benchmark),
+                cache=False, snapshot_dir=str(snap_dir), batch_lanes=lanes,
+                timeout=timeout,
+            )
+            outputs[label] = {
+                name: (directory / name).read_bytes()
+                for name in ("journal.jsonl", "report.json")
+            }
+        assert outputs["batch"] == outputs["scalar"], benchmark
+        assert outputs["timed"] == outputs["scalar"], benchmark
 
 
 def test_timed_campaign_runs_kernel_lanes_once_per_spec(tmp_path, snap_dir,
@@ -232,7 +242,7 @@ def test_timed_campaign_runs_kernel_lanes_once_per_spec(tmp_path, snap_dir,
 
 
 try:
-    from hypothesis import HealthCheck, given, settings
+    from hypothesis import HealthCheck, example, given, settings
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -271,3 +281,93 @@ if HAVE_HYPOTHESIS:
             _check_report(report, path, 4)
             assert ([_digest(r) for r in results]
                     == scalar_ref(SchemeKind.ABS, 0.97, 4))
+
+    GENERATED_SCHEMES = (
+        SchemeKind.FAULT_FREE, SchemeKind.RAZOR, SchemeKind.EP,
+        SchemeKind.ABS, SchemeKind.FFS,
+    )
+
+    @pytest.fixture(scope="module")
+    def kernel():
+        from repro.uarch.batchkernel import load_kernel
+
+        if load_kernel() is None:
+            pytest.skip("no compiled batch kernel")
+
+    @st.composite
+    def _geometries(draw):
+        """A core and TEP geometry inside the kernel's model."""
+        from repro.core.tep import TEPConfig
+        from repro.uarch.config import CoreConfig
+
+        iq_size = draw(st.integers(min_value=8, max_value=64))
+        config = CoreConfig(
+            width=draw(st.integers(min_value=2, max_value=8)),
+            iq_size=iq_size,
+            rob_size=draw(st.integers(min_value=iq_size, max_value=160)),
+            lsq_size=draw(st.integers(min_value=8, max_value=48)),
+        )
+        tep_config = TEPConfig(
+            n_entries=draw(st.sampled_from((16, 64, 256, 1024, 4096))),
+            tag_bits=draw(st.integers(min_value=2, max_value=16)),
+            counter_bits=draw(st.integers(min_value=1, max_value=3)),
+        )
+        return config, tep_config
+
+    @settings(
+        derandomize=True, max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        benchmark=st.sampled_from(profile_names()),
+        scheme=st.sampled_from(GENERATED_SCHEMES),
+        vdd=st.sampled_from((0.97, 1.0, 1.04)),
+        seed=st.integers(min_value=1, max_value=1000),
+        mseeds=st.lists(
+            st.integers(min_value=1, max_value=10 ** 6),
+            min_size=1, max_size=6, unique=True,
+        ),
+        geometry=_geometries(),
+        warmup=st.integers(min_value=100, max_value=1500),
+        window=st.integers(min_value=200, max_value=2000),
+    )
+    # sjeng keys fu_ops in a non-sorted first-issue order; povray issues
+    # FPU ops, which must not hold the complex unit for their latency
+    @example(benchmark="sjeng", scheme=SchemeKind.EP, vdd=1.04, seed=1,
+             mseeds=[1, 2, 3, 4], geometry=(None, None), warmup=3000,
+             window=6000)
+    @example(benchmark="povray", scheme=SchemeKind.FAULT_FREE, vdd=0.97,
+             seed=1, mseeds=[1, 2], geometry=(None, None), warmup=300,
+             window=600)
+    def test_generated_kernel_lanes_match_cold_scalar_runs(
+        benchmark, scheme, vdd, seed, mseeds, geometry, warmup, window,
+        kernel, snap_dir,
+    ):
+        """Every kernel lane equals a cold scalar run of its spec.
+
+        ``list(stats.fu_ops)`` is compared on its own because
+        ``as_dict()`` sorts ``fu_ops``, while the energy sum follows
+        the dict's order.
+        """
+        from repro.harness.runner import run_one
+        from repro.snapshot.batch import BatchReport, run_batch
+
+        config, tep_config = geometry
+
+        def spec(mseed):
+            return RunSpec(
+                benchmark, scheme, vdd, window, warmup, seed,
+                config=config, tep_config=tep_config,
+                measurement_seed=mseed,
+            )
+
+        lanes = [spec(m) for m in mseeds]
+        for lane in lanes:
+            lane.snapshot_dir = str(snap_dir)
+        report = BatchReport()
+        batched = run_batch(lanes, str(snap_dir), report)
+        assert report.fallback_reason is None
+        for lane, (mseed, result) in enumerate(zip(mseeds, batched)):
+            cold = run_one(spec(mseed))
+            assert _digest(result) == _digest(cold), (lane, report)
+            assert list(result.stats.fu_ops) == list(cold.stats.fu_ops)

@@ -180,3 +180,16 @@ def test_kernel_compiles_when_a_compiler_is_present(monkeypatch):
         assert batchkernel.load_kernel() is not None
     finally:
         batchkernel.reset_kernel_cache()
+
+
+@pytest.mark.skipif(not _HAVE_CC, reason="no C compiler on PATH")
+def test_kernel_cache_directory_is_created(tmp_path, monkeypatch):
+    cache = tmp_path / "new" / "dir"
+    monkeypatch.delenv("CC", raising=False)
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(cache))
+    batchkernel.reset_kernel_cache()
+    try:
+        assert batchkernel.load_kernel() is not None
+    finally:
+        batchkernel.reset_kernel_cache()
+    assert list(cache.glob("*.so"))
