@@ -24,7 +24,8 @@ Layers
     from by the fleet coordinator (:mod:`repro.fleet`).
 :mod:`repro.campaign.executor`
     The sequential executor with confidence-driven stopping, per-run
-    timeout, and bounded retry.
+    timeout, and bounded retry, and the campaign opener it shares with
+    the fleet coordinator.
 :mod:`repro.campaign.report`
     JSON + Markdown report builder.
 :mod:`repro.campaign.status`

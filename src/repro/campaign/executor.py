@@ -9,11 +9,12 @@ Points with low seed-to-seed variance therefore cost a fraction of a
 fixed-N design at the same statistical quality (pinned by
 ``tests/campaign/test_executor.py``).
 
-Progress is journaled draw-by-draw (:mod:`repro.campaign.journal`), so
-an interrupted campaign resumes exactly: completed points are skipped
-outright, partial points replay their recorded draws into the
-accumulator and continue from the next index, and the shared result
-cache makes any re-executed in-flight run nearly free.
+Progress is journaled draw-by-draw (:mod:`repro.campaign.journal`).
+The single-pool executor and the fleet coordinator open a directory
+with :func:`open_campaign` and close it with :func:`finish_campaign`,
+so either resumes what the other left: completed points are skipped,
+and partial points continue with exactly the draws an uninterrupted
+run would have run next.
 
 Every draw runs through one generator, :func:`run_draws`: the
 single-pool executor drives it once per scheduler batch, and fleet
@@ -29,15 +30,17 @@ draw that finished, so an abort is always resumable.
 import os
 
 from repro.campaign.journal import (
+    JOURNAL_NAME,
     Journal,
-    point_event,
+    fold_directory,
+    list_shards,
+    merge_journals,
     read_manifest,
     run_event,
     write_manifest,
 )
 from repro.campaign.plan import CampaignSpec, extract_metrics
-from repro.campaign.scheduler import PointScheduler, failure_record
-from repro.campaign.stats import PointAccumulator
+from repro.campaign.scheduler import PointScheduler
 from repro.harness.parallel import ResultCache, run_many
 
 
@@ -152,38 +155,96 @@ def run_draws(spec, point, indices, run_fn, step=None):
             ), None
 
 
-def measure_point(spec, point, run_fn, acc=None, on_run=None):
-    """Measure one grid point until its stopping rule fires.
+def open_campaign(directory, spec=None, resume=False, cache=True,
+                  cache_dir=None, snapshots=True, snapshot_dir=None):
+    """Open the campaign at ``directory`` for :func:`run_campaign` or a fleet.
 
-    ``acc`` may carry replayed draws (resume); sampling continues from
-    index ``acc.n``. Each scheduler batch runs through one
-    :func:`run_draws` call, and ``on_run(event)`` is called with every
-    completed draw's journal ``run`` event, in index order — the journal
-    hook.
+    With ``spec`` given the manifest is written (or checked to describe
+    the same spec). ``resume`` repairs the torn tail of ``journal.jsonl``
+    and of every shard journal; without it, journaled progress raises
+    :class:`CampaignError`, so a verb typo cannot double-count a study.
+    ``snapshots`` forks eligible runs from the warmup snapshot cache at
+    ``snapshot_dir``, else ``$REPRO_SNAPSHOT_DIR``, else the result
+    cache's root so one prune covers both (``<directory>/snapshots``
+    when ``cache`` is off).
 
-    The batching and stopping decisions live in
-    :class:`~repro.campaign.scheduler.PointScheduler` — the same object
-    the fleet coordinator leases draws from, so a distributed campaign
-    stops every point after exactly the draws a single-pool one runs.
-
-    Returns ``(acc, reason, failure)``: ``reason`` is ``"ci"`` (targets
-    met), ``"max_seeds"``, or ``"failed"`` when a verified run came back
-    as a :class:`~repro.verify.bundle.RunFailure` — the failure object
-    (with its repro-bundle path) rides along and draws already pushed
-    stay in ``acc``; ``failure`` is ``None`` otherwise.
+    Returns ``(spec, state, schedulers)``: the manifest's spec with
+    ``repro_dir`` and ``snapshot_dir`` set, the folded directory, and a
+    :class:`~repro.campaign.scheduler.PointScheduler` per open point, in
+    grid order, with its journaled draws replayed.
     """
-    scheduler = PointScheduler(spec, point, acc)
-    while True:
-        indices = scheduler.next_batch()
-        if indices is None:
-            return scheduler.acc, scheduler.stopped, scheduler.failure
-        for index, event, failure in run_draws(spec, point, indices, run_fn):
+    directory = str(directory)
+    if spec is not None:
+        spec.validate()
+        write_manifest(directory, spec)
+    spec = CampaignSpec.from_dict(read_manifest(directory)["spec"])
+    if resume:
+        # a kill mid-append leaves a torn trailing record; truncate it
+        # before appending or the next event would concatenate onto it
+        journal = os.path.join(directory, JOURNAL_NAME)
+        for path in [journal] + list_shards(directory):
+            Journal(*os.path.split(path)).repair()
+    state = fold_directory(directory)
+    if state.n_events and not resume:
+        raise CampaignError(
+            f"{directory} already has journaled progress; pass resume "
+            "(`campaign resume`, `fleet run --resume`) to continue it"
+        )
+    # verified/storm runs drop their repro bundles inside the campaign
+    spec.repro_dir = os.path.join(directory, "bundles")
+    if snapshots:
+        from repro.harness.parallel import default_cache_root
+
+        default_root = (
+            (cache_dir or default_cache_root()) if cache
+            else os.path.join(directory, "snapshots")
+        )
+        spec.snapshot_dir = str(
+            snapshot_dir or os.environ.get("REPRO_SNAPSHOT_DIR")
+            or default_root
+        )
+    schedulers = [
+        PointScheduler(spec, point).replay(state.runs.get(point.id, []))
+        for point in spec.points() if point.id not in state.completed
+    ]
+    return spec, state, schedulers
+
+
+def measure_point(scheduler, run_fn, on_run=None):
+    """Run ``scheduler``'s point until its stopping rule fires.
+
+    Each batch's :meth:`~repro.campaign.scheduler.PointScheduler.pending`
+    draws go through one :func:`run_draws` call, so a batch partly
+    replayed on resume runs only its missing draws. ``on_run(event)``
+    gets every completed draw's journal ``run`` event, in index order.
+
+    Returns ``scheduler``: ``stopped`` is ``"ci"`` (targets met),
+    ``"max_seeds"``, or ``"failed"`` when a verified run came back as a
+    :class:`~repro.verify.bundle.RunFailure`, kept in ``failure``.
+    """
+    while scheduler.next_batch() is not None:
+        for index, event, failure in run_draws(
+            scheduler.spec, scheduler.point, scheduler.pending(), run_fn
+        ):
             if failure is not None:
                 scheduler.fail(failure)
-                return scheduler.acc, "failed", failure
+                return scheduler
             scheduler.record(index, event["metrics"], event["counts"])
             if on_run is not None:
                 on_run(event)
+    return scheduler
+
+
+def finish_campaign(directory):
+    """Merge ``directory``'s journals and write its reports; the report.
+
+    Both drivers end here, so a pool that adopted shard draws also ends
+    with one canonical ``journal.jsonl``.
+    """
+    from repro.campaign.report import write_reports
+
+    merge_journals(directory)
+    return write_reports(directory)
 
 
 def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
@@ -191,21 +252,15 @@ def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
                  snapshots=True, snapshot_dir=None, batch_lanes=None):
     """Execute (or resume) the campaign rooted at ``directory``.
 
-    With ``spec`` given and no manifest present, the campaign is planned
-    implicitly (manifest written). A directory whose journal already has
-    events requires ``resume=True`` — refusing by default keeps a verb
-    typo from silently double-counting a finished study.
+    :func:`open_campaign` plans it from ``spec`` if no manifest exists,
+    refuses journaled progress without ``resume=True``, and picks the
+    snapshot store. Results are bit-identical with snapshots on, off,
+    or pointed elsewhere. A resume also adopts fleet shard draws, so it
+    can finish a killed fleet campaign.
 
     ``run_fn`` overrides batch execution entirely (tests inject
     counters/fakes); by default :func:`make_run_fn` wires the batch
     engine with ``jobs``/``cache``/``timeout``/``retries``.
-
-    ``snapshots`` (default on) forks eligible runs from the warmup
-    snapshot cache at ``snapshot_dir`` — defaulting to the result cache's
-    root (``cache_dir``, ``REPRO_CACHE_DIR``, or ``./.sim_cache``) so one
-    prune covers both. The cache location is an execution detail: results
-    are bit-identical with snapshots on, off, or pointed elsewhere, and a
-    campaign resumes correctly across a snapshot-cache wipe.
 
     ``batch_lanes`` (default: ``REPRO_BATCH_LANES``, else off) enables
     the lockstep batch engine for draws sharing a warmup snapshot — see
@@ -215,64 +270,19 @@ def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
     Returns the final report dict (also written to ``report.json`` /
     ``report.md``).
     """
-    from repro.campaign.report import write_reports
-
-    directory = str(directory)
-    if spec is not None:
-        spec.validate()
-        write_manifest(directory, spec)
-    manifest = read_manifest(directory)
-    spec = CampaignSpec.from_dict(manifest["spec"])
-    journal = Journal(directory)
-    if resume:
-        # a kill mid-append leaves a torn trailing record; truncate it
-        # before appending or the next event would concatenate onto it
-        journal.repair()
-    state = journal.replay()
-    if state.done:
-        return write_reports(directory)
-    if state.n_events and not resume:
-        raise CampaignError(
-            f"{directory} already has journaled progress; "
-            "pass resume=True (CLI: `campaign resume`) to continue it"
-        )
-    if run_fn is None:
-        run_fn = make_run_fn(jobs, cache, cache_dir, timeout, retries,
-                             batch_lanes)
-    # verified/storm runs drop their repro bundles inside the campaign
-    spec.repro_dir = os.path.join(directory, "bundles")
-    if snapshots:
-        from repro.harness.parallel import default_cache_root
-
-        # share the result cache's root when caching (one prune covers
-        # both stores); an uncached campaign keeps its snapshots inside
-        # its own directory so nothing leaks outside it
-        default_root = (
-            (cache_dir or default_cache_root()) if cache
-            else os.path.join(directory, "snapshots")
-        )
-        spec.snapshot_dir = str(
-            snapshot_dir or os.environ.get("REPRO_SNAPSHOT_DIR")
-            or default_root
-        )
-
-    with journal:
-        for point in spec.points():
-            if point.id in state.completed:
-                continue
-            acc = PointAccumulator(z=spec.z)
-            for record in state.runs.get(point.id, []):
-                acc.push(record["metrics"], record["counts"])
-            acc, reason, failure = measure_point(
-                spec, point, run_fn, acc, journal.append
-            )
-            # a failed point is journaled as completed-but-failed
-            # (resume skips it; the campaign continues past it) with
-            # enough to find and replay the repro bundle
-            journal.append(point_event(
-                point.id, acc.n, reason,
-                acc.summary() if acc.n else None,
-                failure_record(failure) if failure is not None else None,
-            ))
-        journal.append({"event": "done"})
-    return write_reports(directory)
+    _, state, schedulers = open_campaign(
+        directory, spec, resume, cache, cache_dir, snapshots, snapshot_dir
+    )
+    if not state.done:
+        if run_fn is None:
+            run_fn = make_run_fn(jobs, cache, cache_dir, timeout, retries,
+                                 batch_lanes)
+        with Journal(directory) as journal:
+            for scheduler in schedulers:
+                # a failed point is journaled as completed-but-failed
+                # (resume skips it; the campaign continues past it) with
+                # enough to find and replay the repro bundle
+                measure_point(scheduler, run_fn, journal.append)
+                journal.append(scheduler.completion_event())
+            journal.append({"event": "done"})
+    return finish_campaign(directory)

@@ -21,11 +21,13 @@ runs stay in index order, a point's first ``point`` event wins, ``done``
 is a latch, and an undecodable line (a torn tail) is counted and
 otherwise ignored. Re-executed draws are bit-identical, so the folded
 state does not depend on how records are split across files, ordered,
-or repeated. Every reader goes through it: :meth:`Journal.replay` folds
-the one file a single-pool resume appends to; :func:`fold_directory`
-folds ``journal.jsonl`` and then every shard journal (status, report,
-fleet merge and fleet resume); the dashboard folds records as it tails
-them. :func:`decode_lines` is the one line decoder they all share.
+or repeated. Every reader goes through it: :func:`fold_directory`
+folds ``journal.jsonl`` and then every shard journal (resume, status,
+report and merge, for a pool and a fleet alike); :meth:`Journal.replay`
+folds one file; the dashboard folds records as it tails them.
+:func:`decode_lines` is the one line decoder they all share, and
+:func:`merge_journals` writes a folded directory back as the canonical
+``journal.jsonl`` every finished campaign ends with.
 """
 
 import bisect
@@ -233,6 +235,38 @@ def fold_directory(directory):
         [os.path.join(str(directory), JOURNAL_NAME)]
         + list_shards(directory)
     )
+
+
+def merge_journals(directory, state=None):
+    """Write the canonical ``journal.jsonl`` of a campaign directory.
+
+    ``state`` defaults to :func:`fold_directory` of ``directory``; it is
+    returned. Each point's ``run`` events in index order, then its
+    ``point`` event, points in grid order, ``done`` last: what an
+    uninterrupted single-pool run appends, so re-merging is idempotent.
+    The write is atomic (temp + rename).
+    """
+    from repro.campaign.plan import CampaignSpec
+
+    directory = str(directory)
+    spec = CampaignSpec.from_dict(read_manifest(directory)["spec"])
+    if state is None:
+        state = fold_directory(directory)
+    path = os.path.join(directory, JOURNAL_NAME)
+    tmp = path + ".tmp.%d" % os.getpid()
+    with open(tmp, "w") as fh:
+        for point in spec.points():
+            for record in state.runs.get(point.id, []):
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            completion = state.completed.get(point.id)
+            if completion is not None:
+                fh.write(json.dumps(completion, sort_keys=True) + "\n")
+        if state.done:
+            fh.write(json.dumps({"event": "done"}, sort_keys=True) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    return state
 
 
 class Journal:

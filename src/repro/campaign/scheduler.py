@@ -6,7 +6,9 @@ indices and *absorbs* their results — without caring who runs them. The
 single-pool executor (:func:`repro.campaign.executor.measure_point`)
 drives one scheduler synchronously; the fleet coordinator
 (:mod:`repro.fleet.coordinator`) leases each scheduler's batches to
-remote workers and feeds entries back as they stream in.
+remote workers and feeds entries back as they stream in. Both get their
+schedulers from :func:`repro.campaign.executor.open_campaign`, which
+feeds a resumed point's journaled draws to :meth:`PointScheduler.replay`.
 
 Because both paths share this one object, they make *identical* stopping
 decisions: convergence is only ever evaluated at batch boundaries, draws
@@ -36,10 +38,10 @@ class PointScheduler:
     still-:meth:`pending` indices after a worker death.
     """
 
-    def __init__(self, spec, point, acc=None):
+    def __init__(self, spec, point):
         self.spec = spec
         self.point = point
-        self.acc = acc if acc is not None else PointAccumulator(z=spec.z)
+        self.acc = PointAccumulator(z=spec.z)
         #: stopping reason once decided ("ci", "max_seeds", "failed")
         self.stopped = None
         #: the failure that stopped the point (dict or RunFailure-like)
@@ -102,6 +104,23 @@ class PointScheduler:
                 self.acc.push(v, c)
             self._batch = None
         return True
+
+    def replay(self, records):
+        """Feed a point's journaled ``run`` records back in; returns self.
+
+        Full batches close and test the stopping rule where the live run
+        did. A partly journaled batch stays in flight with only its
+        missing indices :meth:`pending`.
+        """
+        draws = {r["index"]: (r["metrics"], r["counts"]) for r in records}
+        while self.next_batch() is not None:
+            pending = self.pending()
+            for i in pending:
+                if i in draws:
+                    self.record(i, *draws[i])
+            if not draws.keys() >= set(pending):
+                break
+        return self
 
     def fail(self, failure):
         """Stop the point on a run failure.

@@ -21,7 +21,8 @@ Layers
 :mod:`repro.fleet.ledger`
     Append-only lease ledger (dispatch audit + lease numbering).
 :mod:`repro.fleet.merge`
-    Canonical byte-identical merge of the folded shard journals.
+    Shard journal helpers and the canonical merge, which lives in
+    :mod:`repro.campaign.journal` because a single pool ends with it too.
 :mod:`repro.fleet.coordinator`
     The asyncio TCP coordinator: leases, heartbeats, stopping, status.
 :mod:`repro.fleet.worker`

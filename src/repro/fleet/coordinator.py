@@ -1,16 +1,19 @@
 """Fleet coordinator: lease campaign draws to workers, own the stopping.
 
 The coordinator is the only process that decides anything statistical.
-It expands the :class:`~repro.campaign.plan.CampaignSpec` grid into
-:class:`~repro.campaign.scheduler.PointScheduler` objects — the same
-batch iterator the single-pool executor drives — and leases each
-scheduler's pending draw indices to whichever worker asks. Workers only
-execute: they stream back one journal ``run`` event per completed draw,
-and the coordinator appends it to that worker's shard journal, feeds the
-scheduler, and fires the stopping rule at exactly the batch boundaries a
-single-pool run would. A completed fleet campaign therefore merges
-(:mod:`repro.fleet.merge`) into a journal — and report — byte-identical
-to ``campaign run`` of the same spec.
+It opens its directory with :func:`~repro.campaign.executor.
+open_campaign`, the opener the single-pool executor uses, which yields
+one :class:`~repro.campaign.scheduler.PointScheduler` per open point,
+and leases each scheduler's pending draw indices to whichever worker
+asks. Workers only execute: they stream back one journal ``run`` event
+per completed draw, and the coordinator appends it to that worker's
+shard journal, feeds the scheduler, and fires the stopping rule at
+exactly the batch boundaries a single-pool run would. The coordinator
+decides for its workers whether draws fork warmup snapshots: the
+``config`` frame's ``snapshot_dir``. A completed fleet campaign ends
+with :func:`~repro.campaign.executor.finish_campaign`, as a single pool
+does, so its journal and report are byte-identical to ``campaign run``
+of the same spec.
 
 Robustness invariants:
 
@@ -21,10 +24,10 @@ Robustness invariants:
   revokes the worker's leases; the unrecorded indices are re-leased.
   Entries already journaled from the dead worker are kept.
 * **Coordinator death** — every accepted entry was already fsynced to a
-  shard journal; a restarted coordinator folds ``journal.jsonl`` and
-  the shards (+ the lease ledger for lease numbering) and continues,
-  identical to single-pool ``campaign resume``. The same fold adopts a
-  single-pool campaign's journal, so a fleet can finish one.
+  shard journal; a restarted coordinator reopens the directory exactly
+  as single-pool ``campaign resume`` does (+ the lease ledger for lease
+  numbering) and continues. Either driver adopts the other's journals,
+  so a fleet can finish a single-pool campaign and the reverse.
 * **Work-stealing** — when no unleased work remains, an idle worker is
   granted the unfinished tail of the largest outstanding lease (the
   straggler's). The victim keeps executing its shortened lease; any
@@ -45,21 +48,19 @@ import os
 import sys
 import time
 
+from repro.campaign.executor import (
+    CampaignError,
+    finish_campaign,
+    open_campaign,
+)
 from repro.campaign.journal import (
     COORDINATOR_SHARD,
-    JOURNAL_NAME,
     Journal,
-    fold_directory,
-    list_shards,
     read_manifest,
     shard_dir,
-    write_manifest,
 )
-from repro.campaign.plan import CampaignSpec
-from repro.campaign.scheduler import PointScheduler
 from repro.campaign.status import build_status
 from repro.fleet.ledger import LeaseLedger
-from repro.fleet.merge import merge_journals
 from repro.fleet.protocol import ProtocolError, read_message, send_message
 from repro.fleet.security import (
     coordinator_proof,
@@ -148,7 +149,6 @@ class FleetCoordinator:
         self._schedulers = {}  # point id -> PointScheduler (open points)
         self._points = {}  # point id -> GridPoint
         self._completed = {}  # point id -> replayed/created point event
-        self._order = []  # point ids in grid order
         self._leases = {}  # lease id -> {point, indices(set), worker}
         self._point_leases = {}  # point id -> set of active lease ids
         self._next_lease = 1
@@ -165,73 +165,22 @@ class FleetCoordinator:
     # state (re)construction
     # ------------------------------------------------------------------
     def _prepare(self):
-        spec = self._given_spec
-        if spec is not None:
-            spec.validate()
-            write_manifest(self.directory, spec)
-        manifest = read_manifest(self.directory)
-        self.spec = CampaignSpec.from_dict(manifest["spec"])
-        self.model_version = manifest["model_version"]
-        self.repro_dir = os.path.join(self.directory, "bundles")
-        if self.snapshots:
-            from repro.harness.parallel import default_cache_root
-
-            default_root = (
-                (self.cache_dir or default_cache_root()) if self.cache
-                else os.path.join(self.directory, "snapshots")
+        try:
+            self.spec, state, schedulers = open_campaign(
+                self.directory, self._given_spec, self.resume, self.cache,
+                self.cache_dir, self.snapshots, self.snapshot_dir,
             )
-            self.worker_snapshot_dir = str(
-                self.snapshot_dir or os.environ.get("REPRO_SNAPSHOT_DIR")
-                or default_root
-            )
-        else:
-            self.worker_snapshot_dir = None
-
-        if self.resume:
-            journal = os.path.join(self.directory, JOURNAL_NAME)
-            for path in [journal] + list_shards(self.directory):
-                Journal(*os.path.split(path)).repair()
-        state = fold_directory(self.directory)
-        if state.n_events and not self.resume:
-            raise FleetError(
-                f"{self.directory} already has journaled progress; "
-                "pass resume (CLI: --resume) to continue it"
-            )
+        except CampaignError as exc:
+            raise FleetError(str(exc)) from None
+        self.model_version = read_manifest(self.directory)["model_version"]
         self._ledger = LeaseLedger(self.directory)
         self._next_lease = self._ledger.replay()["max_lease"] + 1
 
         self._completed = dict(state.completed)
-        for point in self.spec.points():
-            self._order.append(point.id)
-            self._points[point.id] = point
-            if point.id in self._completed:
-                continue
-            scheduler = PointScheduler(self.spec, point)
-            self._replay_point(scheduler, state.runs.get(point.id, []))
-            self._schedulers[point.id] = scheduler
+        self._points = {point.id: point for point in self.spec.points()}
+        self._schedulers = {s.point.id: s for s in schedulers}
         self._coord_journal = self._shard_journal(COORDINATOR_SHARD)
-        if state.done:
-            self._finished = True
-        return state
-
-    @staticmethod
-    def _replay_point(scheduler, records):
-        """Feed journaled draws back into a fresh scheduler.
-
-        Full batches replay and close; a partially-journaled batch stays
-        in flight with its missing indices pending (they re-lease).
-        """
-        by_index = {r["index"]: r for r in records}
-        while not scheduler.done:
-            if scheduler.next_batch() is None:
-                break
-            missing = [i for i in scheduler.pending() if i not in by_index]
-            for i in list(scheduler.pending()):
-                record = by_index.get(i)
-                if record is not None:
-                    scheduler.record(i, record["metrics"], record["counts"])
-            if missing:
-                break
+        self._finished = state.done
 
     def _shard_journal(self, name):
         journal = self._shards.get(name)
@@ -261,7 +210,7 @@ class FleetCoordinator:
             raise
         if self._finished:
             # resuming an already-complete campaign: just (re)merge
-            self._finalize_outputs()
+            self._report = finish_campaign(self.directory)
             self.ready.set()
             return self._report
         try:
@@ -283,7 +232,7 @@ class FleetCoordinator:
             # campaign killed between last entry and its point event)
             self._sweep_finished()
             await self._done.wait()
-            self._finalize_outputs()
+            self._report = finish_campaign(self.directory)
             await asyncio.sleep(self.linger)
         finally:
             reaper.cancel()
@@ -305,12 +254,6 @@ class FleetCoordinator:
             )
             fh.write("\n")
         os.replace(tmp, path)
-
-    def _finalize_outputs(self):
-        from repro.campaign.report import write_reports
-
-        merge_journals(self.directory)
-        self._report = write_reports(self.directory)
 
     async def _reap_expired(self):
         interval = max(0.05, self.heartbeat_timeout / 4.0)
@@ -511,8 +454,8 @@ class FleetCoordinator:
             "type": "config",
             "spec": self.spec.to_dict(),
             "directory": self.directory,
-            "repro_dir": self.repro_dir,
-            "snapshot_dir": self.worker_snapshot_dir,
+            "repro_dir": self.spec.repro_dir,
+            "snapshot_dir": self.spec.snapshot_dir,
             "cache": self.cache,
             "cache_dir": self.cache_dir,
             "heartbeat": max(0.1, self.heartbeat_timeout / 3.0),
@@ -600,7 +543,7 @@ class FleetCoordinator:
             self._waiting.pop(worker, None)
             return {"type": "shutdown"}
         preferred = self._worker_point.get(worker)
-        order = self._order
+        order = list(self._schedulers)  # open points, in grid order
         if preferred in self._schedulers:
             order = [preferred] + [p for p in order if p != preferred]
         for point_id in order:

@@ -87,9 +87,9 @@ def offline_status(directory):
 
 
 def worker_command(host, port, name, cache=True, cache_dir=None,
-                   snapshots=True, snapshot_dir=None, tls_ca=None,
-                   reconnect_attempts=None, reconnect_delay=None,
-                   reconnect_max_delay=None, throttle=None):
+                   snapshot_dir=None, tls_ca=None, reconnect_attempts=None,
+                   reconnect_delay=None, reconnect_max_delay=None,
+                   throttle=None):
     """argv for one worker subprocess joining ``host:port`` as ``name``.
 
     The shared secret never rides argv (it would leak through ``ps``);
@@ -103,9 +103,7 @@ def worker_command(host, port, name, cache=True, cache_dir=None,
         cmd.append("--no-cache")
     elif cache_dir:
         cmd += ["--cache-dir", str(cache_dir)]
-    if not snapshots:
-        cmd.append("--no-snapshot")
-    elif snapshot_dir:
+    if snapshot_dir:
         cmd += ["--snapshot-dir", str(snapshot_dir)]
     if tls_ca:
         cmd += ["--tls-ca", str(tls_ca)]
@@ -323,8 +321,8 @@ def fleet_run(directory, spec=None, workers=2, host="127.0.0.1", port=0,
         workers = min(max(workers, low), high)
     worker_tls_ca = tls_ca or tls_cert
     spawn_kwargs = dict(
-        cache=cache, cache_dir=cache_dir, snapshots=snapshots,
-        snapshot_dir=snapshot_dir, tls_ca=worker_tls_ca,
+        cache=cache, cache_dir=cache_dir, snapshot_dir=snapshot_dir,
+        tls_ca=worker_tls_ca,
         reconnect_attempts=reconnect_attempts,
         reconnect_delay=reconnect_delay,
         reconnect_max_delay=reconnect_max_delay,

@@ -8,14 +8,14 @@ reply, and then loops *request → lease → execute → stream*. A lease's
 draws run through :func:`repro.campaign.executor.run_draws` — the
 generator the single-pool executor drives — with a ``run_fn`` from
 :func:`~repro.campaign.executor.make_run_fn`, one lane group at a time:
-the first draw of a leased point warms its pipeline snapshot once,
-every later draw forks from it, and the point's fault-free baseline
-runs once per lease. Completed draws are streamed back as the journal
-``run`` events ``run_draws`` built — the coordinator appends them to
-this worker's shard journal — and a :class:`~repro.verify.bundle.
-RunFailure` draw turns into a ``failure`` message carrying the failure
-record (its repro bundle stays on the worker's filesystem at the path
-the record names).
+when the coordinator's config names a snapshot store, the first draw
+of a leased point warms its pipeline snapshot once and every later draw
+forks from it, and the point's fault-free baseline runs once per lease.
+Completed draws are streamed back as the journal ``run`` events
+``run_draws`` built — the coordinator appends them to this worker's
+shard journal — and a :class:`~repro.verify.bundle.RunFailure` draw
+turns into a ``failure`` message carrying the failure record (its repro
+bundle stays on the worker's filesystem at the path the record names).
 
 A heartbeat task keeps the lease alive during long draws; if the worker
 dies instead, the coordinator re-leases its unfinished indices and the
@@ -71,7 +71,7 @@ class FleetWorker:
     """One worker process's connection/execution loop."""
 
     def __init__(self, host, port, name=None, cache=True, cache_dir=None,
-                 snapshots=True, snapshot_dir=None,
+                 snapshot_dir=None,
                  reconnect_attempts=DEFAULT_RECONNECT_ATTEMPTS,
                  reconnect_delay=DEFAULT_RECONNECT_DELAY,
                  reconnect_max_delay=DEFAULT_RECONNECT_MAX_DELAY,
@@ -82,7 +82,8 @@ class FleetWorker:
         self.name = name or default_worker_name()
         self.cache = bool(cache)
         self.cache_dir = cache_dir
-        self.snapshots = bool(snapshots)
+        #: relocates the warmup snapshot store; whether draws fork at
+        #: all is the coordinator's decision (its config's snapshot_dir)
         self.snapshot_dir = snapshot_dir
         self.reconnect_attempts = int(reconnect_attempts)
         self.reconnect_delay = float(reconnect_delay)
@@ -278,10 +279,10 @@ class FleetWorker:
     def _configure(self, config):
         self.spec = CampaignSpec.from_dict(config["spec"])
         self.spec.repro_dir = config.get("repro_dir")
-        if self.snapshots:
-            snapshot_dir = self.snapshot_dir or config.get("snapshot_dir")
-            if snapshot_dir:
-                self.spec.snapshot_dir = str(snapshot_dir)
+        if config.get("snapshot_dir"):
+            self.spec.snapshot_dir = str(
+                self.snapshot_dir or config["snapshot_dir"]
+            )
         self._run_fn = make_run_fn(
             jobs=1, cache=self.cache and config.get("cache", True),
             cache_dir=self.cache_dir or config.get("cache_dir"),

@@ -846,13 +846,14 @@ def _dashboard_main(argv):
 # ----------------------------------------------------------------------
 # fleet subcommand
 # ----------------------------------------------------------------------
-def _add_fleet_cache_options(parser):
+def _add_fleet_cache_options(parser, server):
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="result cache location")
-    parser.add_argument("--no-snapshot", action="store_true",
-                        help="disable warmup snapshot forking")
+    if server:  # the coordinator decides whether workers fork snapshots
+        parser.add_argument("--no-snapshot", action="store_true",
+                            help="disable warmup snapshot forking")
     parser.add_argument("--snapshot-dir", default=None, metavar="DIR",
                         help="warmup snapshot cache location")
 
@@ -926,7 +927,7 @@ def _fleet_parser():
                        metavar="S",
                        help="seconds of worker silence before its leases "
                             "are revoked and re-leased (default 15)")
-    _add_fleet_cache_options(serve)
+    _add_fleet_cache_options(serve, server=True)
     _add_fleet_security_options(serve, server=True)
     worker = verbs.add_parser(
         "worker", help="join a coordinator and execute leased draws"
@@ -939,7 +940,7 @@ def _fleet_parser():
     worker.add_argument("--name", default=None,
                         help="worker name (shard journal name; default "
                              "<hostname>-<pid>)")
-    _add_fleet_cache_options(worker)
+    _add_fleet_cache_options(worker, server=False)
     _add_fleet_security_options(worker, server=False)
     worker.add_argument("--reconnect-attempts", type=int, default=None,
                         metavar="N",
@@ -983,7 +984,7 @@ def _fleet_parser():
                      help="continue a campaign with journaled progress")
     run.add_argument("--heartbeat-timeout", type=float, default=15.0,
                      metavar="S", help="worker-silence revocation timeout")
-    _add_fleet_cache_options(run)
+    _add_fleet_cache_options(run, server=True)
     _add_fleet_security_options(run, server=True)
     status = verbs.add_parser(
         "status", help="per-point progress of a fleet campaign"
@@ -1164,9 +1165,8 @@ def _fleet_main(argv):
             kwargs["reconnect_max_delay"] = args.reconnect_max_delay
         return run_worker(
             host, port, name=args.name, cache=not args.no_cache,
-            cache_dir=args.cache_dir, snapshots=not args.no_snapshot,
-            snapshot_dir=args.snapshot_dir, secret=secret,
-            tls_ca=args.tls_ca, tls_cert=args.tls_cert,
+            cache_dir=args.cache_dir, snapshot_dir=args.snapshot_dir,
+            secret=secret, tls_ca=args.tls_ca, tls_cert=args.tls_cert,
             tls_key=args.tls_key, throttle=args.throttle,
             batch_lanes=args.batch_lanes, **kwargs,
         )

@@ -80,6 +80,7 @@ def run_seeds(benchmark, scheme, vdd, seeds=(1, 2, 3), n_instructions=6000,
     """
     from repro.campaign.executor import make_run_fn, measure_point
     from repro.campaign.plan import CampaignSpec
+    from repro.campaign.scheduler import PointScheduler
 
     seed_list = None if isinstance(seeds, int) else list(seeds)
     n_seeds = seeds if isinstance(seeds, int) else len(seed_list)
@@ -99,7 +100,8 @@ def run_seeds(benchmark, scheme, vdd, seeds=(1, 2, 3), n_instructions=6000,
     )
     point = spec.points()[0]
     run_fn = make_run_fn(jobs=jobs, cache=cache, cache_dir=cache_dir)
-    acc, _reason, failure = measure_point(spec, point, run_fn)
+    scheduler = measure_point(PointScheduler(spec, point), run_fn)
+    acc, failure = scheduler.acc, scheduler.failure
     if failure is not None:
         # no journal to park a failed point in here: stay loud
         raise RuntimeError(

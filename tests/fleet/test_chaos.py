@@ -36,7 +36,7 @@ def _chaos_fleet(fleet, config, workers=2):
         procs = [
             spawn_worker(
                 proxy.host, proxy.port, f"worker{i}",
-                cache=False, snapshots=False,
+                cache=False,
                 # a generous budget: every injected cut or partition
                 # costs reconnects, and chaos must never exhaust them
                 reconnect_attempts=40, reconnect_delay=0.05,

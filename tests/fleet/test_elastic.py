@@ -121,7 +121,7 @@ class TestDrainThenExit:
             await coordinator.ready.wait()
             retiree = FleetWorker(
                 coordinator.host, coordinator.port, name="retiree",
-                cache=False, snapshots=False, throttle=0.2,
+                cache=False, throttle=0.2,
             )
             retiree_task = asyncio.create_task(retiree.run())
             while not coordinator._leases:
@@ -130,7 +130,7 @@ class TestDrainThenExit:
             coordinator.drain_worker("retiree")
             finisher = FleetWorker(
                 coordinator.host, coordinator.port, name="finisher",
-                cache=False, snapshots=False,
+                cache=False,
             )
             finisher_task = asyncio.create_task(finisher.run())
             report = await serve

@@ -80,7 +80,7 @@ class TestWorkerDeath:
             await coordinator.ready.wait()
             victim = spawn_worker(
                 coordinator.host, coordinator.port, "victim",
-                cache=False, snapshots=False,
+                cache=False,
             )
             # kill the worker the moment its first draw is journaled —
             # with a 4-draw lease it is guaranteed to die mid-lease
@@ -89,7 +89,7 @@ class TestWorkerDeath:
             victim.wait()
             rescuer = spawn_worker(
                 coordinator.host, coordinator.port, "rescuer",
-                cache=False, snapshots=False,
+                cache=False,
             )
             report = await serve
             reap_workers([rescuer])
@@ -149,7 +149,7 @@ class TestHeartbeatExpiry:
             assert lease["type"] == "lease"
             diligent = FleetWorker(
                 coordinator.host, coordinator.port, name="diligent",
-                cache=False, snapshots=False,
+                cache=False,
             )
             worker_task = asyncio.create_task(diligent.run())
             report = await serve
@@ -190,7 +190,7 @@ class TestCoordinatorRestart:
             await coordinator.ready.wait()
             worker = spawn_worker(
                 coordinator.host, coordinator.port, "w0",
-                cache=False, snapshots=False,
+                cache=False,
             )
             # let the first batch (2 of 4 draws) land, then "crash":
             # cancel the serve task without any graceful finalization

@@ -1,14 +1,15 @@
 """End to end: a local fleet reproduces the single-pool campaign bytes."""
 
 import json
+import os
 import shutil
 
 import pytest
 
-from repro.campaign.executor import run_campaign
+from repro.campaign.executor import CampaignError, run_campaign
 from repro.campaign.plan import CampaignSpec
 from repro.fleet import FleetError, fleet_run
-from repro.fleet.merge import shard_dir
+from repro.fleet.merge import shard_dir, shard_path
 
 
 def _spec(**overrides):
@@ -81,22 +82,33 @@ class TestFleetRun:
         assert (tmp_path / "journal.jsonl").read_bytes() == journal
         assert (tmp_path / "report.json").read_bytes() == before
 
-    def test_resume_adopts_cut_single_pool_journal(self, tmp_path):
-        """A fleet finishes a single-pool journal cut after two draws.
+    @pytest.mark.parametrize("resumer", ["fleet", "pool"])
+    @pytest.mark.parametrize("kept", [2, 3], ids=["boundary", "in-batch"])
+    def test_resume_adopts_cut_single_pool_journal(self, tmp_path, resumer,
+                                                   kept):
+        """A fleet or a pool finishes a single-pool journal cut short.
 
-        The adopted draws stay in the merge, so the result is the
-        uninterrupted single-pool run, byte for byte.
+        Each point runs two batches of two draws; the cut keeps the
+        first batch, or one draw more. The adopted draws stay in the
+        merge and a partly journaled batch runs only its missing draw,
+        so the result is the uninterrupted single-pool run, byte for
+        byte.
         """
-        _single_pool(tmp_path / "pool")
+        knobs = dict(min_seeds=3, max_seeds=6, targets={})
+        _single_pool(tmp_path / "pool", **knobs)
         cut = tmp_path / "cut"
         shutil.copytree(tmp_path / "pool", cut)
         lines = (cut / "journal.jsonl").read_text().splitlines(True)
         runs = [line for line in lines if json.loads(line)["event"] == "run"]
-        (cut / "journal.jsonl").write_text("".join(runs[:2]))
-        fleet_run(
-            cut, workers=1, resume=True, cache=False, snapshots=False,
-            linger=0.2,
-        )
+        (cut / "journal.jsonl").write_text("".join(runs[:kept]))
+        if resumer == "fleet":
+            fleet_run(
+                cut, workers=1, resume=True, cache=False, snapshots=False,
+                linger=0.2,
+            )
+        else:
+            run_campaign(str(cut), resume=True, cache=False,
+                         snapshots=False)
         for name in ("journal.jsonl", "report.json"):
             assert (cut / name).read_bytes() == (
                 tmp_path / "pool" / name
@@ -110,6 +122,19 @@ class TestFleetRun:
         with pytest.raises(FleetError, match="resume"):
             fleet_run(tmp_path, workers=1, cache=False, snapshots=False,
                       linger=0.2)
+
+    def test_run_refuses_shard_progress_without_resume(self, tmp_path):
+        """A pool sees a killed fleet's shard draws and refuses to rerun."""
+        _single_pool(tmp_path / "pool")
+        killed = tmp_path / "killed"
+        killed.mkdir()
+        shutil.copy(tmp_path / "pool" / "manifest.json", killed)
+        journal = (tmp_path / "pool" / "journal.jsonl").read_text()
+        os.makedirs(shard_dir(killed))
+        with open(shard_path(killed, "w0"), "w") as fh:
+            fh.write(journal.splitlines(True)[0])  # the first draw
+        with pytest.raises(CampaignError, match="resume"):
+            run_campaign(str(killed), cache=False, snapshots=False)
 
     def test_report_marks_campaign_complete(self, tmp_path):
         report = fleet_run(
@@ -177,7 +202,7 @@ class TestWorkerBaseline:
             await coordinator.ready.wait()
             worker = FleetWorker(
                 coordinator.host, coordinator.port, name="scalar",
-                cache=False, snapshots=False, batch_lanes=0,
+                cache=False, batch_lanes=0,
             )
             worker_task = asyncio.create_task(worker.run())
             report = await serve
@@ -190,3 +215,46 @@ class TestWorkerBaseline:
             assert (tmp_path / "fleet" / name).read_bytes() == (
                 tmp_path / "pool" / name
             ).read_bytes(), name
+
+
+class TestFleetSnapshots:
+    def test_snapshot_fleet_equals_pool(self, tmp_path):
+        """Workers fork snapshots exactly when the coordinator does.
+
+        The coordinator names store A, the worker relocates its own to
+        B and the pool uses C. Each draw journals its snapshot key, not
+        a path, so the journals still match byte for byte.
+        """
+        import asyncio
+
+        from repro.fleet import FleetWorker
+        from repro.fleet.coordinator import FleetCoordinator
+
+        run_campaign(str(tmp_path / "pool"), spec=_spec(), cache=False,
+                     snapshot_dir=str(tmp_path / "C"))
+
+        async def go():
+            coordinator = FleetCoordinator(
+                tmp_path / "fleet", spec=_spec(), wait_delay=0.1,
+                linger=0.1, cache=False, snapshot_dir=str(tmp_path / "A"),
+            )
+            serve = asyncio.create_task(coordinator.serve())
+            await coordinator.ready.wait()
+            worker = FleetWorker(
+                coordinator.host, coordinator.port, name="w0", cache=False,
+                snapshot_dir=str(tmp_path / "B"),
+            )
+            worker_task = asyncio.create_task(worker.run())
+            report = await serve
+            assert await worker_task == 0
+            return report
+
+        assert asyncio.run(go())["complete"]
+        journal = (tmp_path / "pool" / "journal.jsonl").read_text()
+        assert '"snapshot": ' in journal
+        for name in ("journal.jsonl", "report.json"):
+            assert (tmp_path / "fleet" / name).read_bytes() == (
+                tmp_path / "pool" / name
+            ).read_bytes(), name
+        assert os.listdir(tmp_path / "B")
+        assert not (tmp_path / "A").exists()

@@ -74,7 +74,6 @@ async def _cancel(task):
 
 def _worker(coordinator, **kwargs):
     kwargs.setdefault("cache", False)
-    kwargs.setdefault("snapshots", False)
     kwargs.setdefault("reconnect_attempts", 1)
     kwargs.setdefault("reconnect_delay", 0.05)
     return FleetWorker(
@@ -108,7 +107,7 @@ class TestSecretMatrix:
             # the right secret still completes the whole campaign
             proc = spawn_worker(
                 coordinator.host, coordinator.port, "honest",
-                secret="right", cache=False, snapshots=False,
+                secret="right", cache=False,
             )
             report = await task
             reap_workers([proc])

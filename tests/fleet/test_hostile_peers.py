@@ -89,7 +89,7 @@ class TestMaliciousClient:
             # *after* the attacks completes the whole campaign
             proc = spawn_worker(
                 coordinator.host, coordinator.port, "honest",
-                cache=False, snapshots=False,
+                cache=False,
             )
             report = await task
             reap_workers([proc])

@@ -136,14 +136,14 @@ class TestStealEndToEnd:
             # a 10x-slower straggler takes the whole 4-draw lease...
             slow = spawn_worker(
                 coordinator.host, coordinator.port, "slow",
-                cache=False, snapshots=False, throttle=0.4,
+                cache=False, throttle=0.4,
             )
             while not coordinator._leases:
                 await asyncio.sleep(0.01)
             # ...then a fast worker joins with nothing left to lease
             fast = spawn_worker(
                 coordinator.host, coordinator.port, "fast",
-                cache=False, snapshots=False,
+                cache=False,
             )
             report = await serve
             reap_workers([slow, fast])
