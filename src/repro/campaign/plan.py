@@ -15,7 +15,7 @@ seeds are statistically independent.
 
 import hashlib
 
-from repro.core.schemes import SchemeKind, make_scheme
+from repro.core.schemes import SchemeKind, scheme_kind
 from repro.harness.runner import RunSpec
 from repro.workloads.profiles import get_profile
 
@@ -37,9 +37,7 @@ class GridPoint:
 
     def __init__(self, benchmark, scheme, vdd):
         self.benchmark = benchmark
-        self.scheme = scheme if isinstance(scheme, SchemeKind) else (
-            make_scheme(scheme).kind
-        )
+        self.scheme = scheme_kind(scheme)
         self.vdd = float(vdd)
 
     @property
@@ -167,10 +165,7 @@ class CampaignSpec:
                  draw_mode="fault"):
         self.name = name
         self.benchmarks = list(benchmarks)
-        self.schemes = [
-            s if isinstance(s, SchemeKind) else make_scheme(s).kind
-            for s in schemes
-        ]
+        self.schemes = [scheme_kind(s) for s in schemes]
         self.vdds = [float(v) for v in vdds]
         self.n_instructions = int(n_instructions)
         self.warmup = int(warmup)
@@ -209,7 +204,7 @@ class CampaignSpec:
     def validate(self):
         """Raise ``ValueError`` naming any unknown benchmark or metric.
 
-        (Schemes are validated on construction by :func:`make_scheme`.)
+        (Scheme names are validated on construction by :func:`scheme_kind`.)
         """
         for benchmark in self.benchmarks:
             try:

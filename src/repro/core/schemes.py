@@ -57,13 +57,19 @@ class Scheme:
         return f"Scheme({self.kind.name}, policy={self.policy.name})"
 
 
-def make_scheme(kind):
-    """Construct a :class:`Scheme` for ``kind`` (enum or its value/name)."""
+def scheme_kind(kind):
+    """The :class:`SchemeKind` of ``kind`` (enum or its value/name)."""
     if isinstance(kind, str):
         try:
-            kind = SchemeKind[kind.upper()]
+            return SchemeKind[kind.upper()]
         except KeyError:
-            kind = SchemeKind(kind.lower())
+            return SchemeKind(kind.lower())
+    return kind
+
+
+def make_scheme(kind):
+    """Construct a :class:`Scheme` for ``kind`` (enum or its value/name)."""
+    kind = scheme_kind(kind)
     if kind is SchemeKind.FAULT_FREE:
         return Scheme(kind, AgeBasedSelection(), False, False, False)
     if kind is SchemeKind.RAZOR:

@@ -15,9 +15,13 @@ conditions favourable to timing errors — the pipeline gates lookups on
 :meth:`repro.faults.sensors.VoltageSensor.favorable`.
 """
 
+from repro.record import Record
 
-class TEPConfig:
+
+class TEPConfig(Record):
     """Geometry of the predictor table."""
+
+    FIELDS = ("n_entries", "tag_bits", "counter_bits", "history_bits")
 
     def __init__(self, n_entries=1024, tag_bits=16, counter_bits=2, history_bits=0):
         if n_entries <= 0 or n_entries & (n_entries - 1):

@@ -211,17 +211,16 @@ class CampaignView:
 
         Re-emits the point's :class:`RunSpec` knobs as a ``campaign
         plan`` manifest spec (grid collapsed to the one point, every
-        statistical knob inherited), plus the draw-0 run spec and the
-        CLI line that plans it — the replay/what-if loop: tweak a knob,
-        plan, run.
+        statistical knob inherited), plus draw 0's full run spec
+        (``RunSpec.to_dict()``) and the CLI line that plans it, stopping
+        targets included — the replay/what-if loop: tweak a knob, plan,
+        run.
         """
         point = next(
             (p for p in self.spec.points() if p.id == point_id), None
         )
         if point is None:
             return None
-        from repro.verify.bundle import spec_to_dict
-
         campaign = self.spec.to_dict()
         campaign["name"] = f"{self.spec.name}-fork"
         campaign["benchmarks"] = [point.benchmark]
@@ -241,12 +240,15 @@ class CampaignView:
             f" --seeds-max {self.spec.max_seeds}"
             f" --batch {self.spec.batch_size}"
             f" --predictor {self.spec.predictor}"
+            " --half-width"
         )
+        for metric, half_width in sorted(self.spec.targets.items()):
+            cli += f" {metric}={half_width!r}"
         if self.spec.telemetry_interval:
             cli += f" --telemetry-interval {self.spec.telemetry_interval}"
         return {
             "campaign_spec": campaign,
-            "run_spec": spec_to_dict(run_spec),
+            "run_spec": run_spec.to_dict(),
             "cli": cli,
         }
 

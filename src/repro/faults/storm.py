@@ -30,9 +30,10 @@ import random
 from repro.core.tep import TEPPrediction
 from repro.faults.injector import DEFAULT_STAGE_WEIGHTS, MEM_STAGE_WEIGHTS
 from repro.isa.opcodes import OOO_STAGES
+from repro.record import Record
 
 
-class StormConfig:
+class StormConfig(Record):
     """Knobs of the fault storm; all-zero knobs mean "no storm effect".
 
     Parameters
@@ -79,19 +80,6 @@ class StormConfig:
         return tuple(
             (name, repr(getattr(self, name))) for name in self.FIELDS
         )
-
-    def to_dict(self):
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**{k: data[k] for k in cls.FIELDS if k in data})
-
-    def __repr__(self):
-        knobs = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.FIELDS
-        )
-        return f"StormConfig({knobs})"
 
 
 def default_storm():

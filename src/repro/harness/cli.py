@@ -530,8 +530,8 @@ def _verify_main(argv):
     results = run_many(specs, jobs=args.jobs)
     failures = 0
     for spec, result in zip(specs, results):
-        scheme = getattr(spec.scheme, "name", spec.scheme)
-        tag = f"{spec.benchmark}/{scheme}/vdd={spec.vdd!r}/seed={spec.seed}"
+        tag = (f"{spec.benchmark}/{spec.scheme.name}/vdd={spec.vdd!r}"
+               f"/seed={spec.seed}")
         if getattr(result, "is_failure", False):
             failures += 1
             print(f"FAIL {tag}: {result.kind} -> {result.bundle_path}")

@@ -43,18 +43,8 @@ def _key(key):
 
 def sim_result_to_dict(result):
     """Flatten one :class:`~repro.harness.runner.SimResult`."""
-    spec = result.spec
     return {
-        "spec": {
-            "benchmark": spec.benchmark,
-            "scheme": getattr(spec.scheme, "name", str(spec.scheme)),
-            "vdd": spec.vdd,
-            "n_instructions": spec.n_instructions,
-            "warmup": spec.warmup,
-            "seed": spec.seed,
-            "predictor": spec.predictor,
-            "overclock": spec.overclock,
-        },
+        "spec": result.spec.to_dict(),
         "metrics": {
             "ipc": result.ipc,
             "cycles": result.cycles,

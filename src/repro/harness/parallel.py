@@ -315,8 +315,8 @@ def prewarm_snapshots(specs, n_jobs=1):
             ensure_snapshot(spec, spec.snapshot_dir)
 
 
-def run_many(specs, jobs=1, cache=False, cache_dir=None, snapshot_dir=None,
-             batch_lanes=None, timeout=None):
+def run_many(specs, jobs=1, cache=False, cache_dir=None, batch_lanes=None,
+             timeout=None):
     """Run a batch of specs; results in the same order as ``specs``.
 
     ``jobs``: worker processes for the cache misses. ``1`` (the default)
@@ -325,12 +325,6 @@ def run_many(specs, jobs=1, cache=False, cache_dir=None, snapshot_dir=None,
     (rooted at ``cache_dir``, the ``REPRO_CACHE_DIR`` environment
     variable, or ``./.sim_cache``). An existing :class:`ResultCache` may
     be passed directly as ``cache``.
-
-    ``snapshot_dir``: when set, stamp it onto every spec as the warmup
-    snapshot cache location (specs already carrying a ``snapshot_dir``
-    keep theirs). Each unique warmup prefix of the batch is then warmed
-    exactly once and every eligible run forks from its snapshot — see
-    :mod:`repro.snapshot`.
 
     ``batch_lanes``: when ≥ 2 (default: ``REPRO_BATCH_LANES``, else off),
     cache-missing specs that share one warmup snapshot run through the
@@ -358,10 +352,6 @@ def run_many(specs, jobs=1, cache=False, cache_dir=None, snapshot_dir=None,
         store = ResultCache(cache_dir)
     else:
         store = None
-    if snapshot_dir is not None:
-        for spec in specs:
-            if getattr(spec, "snapshot_dir", None) is None:
-                spec.snapshot_dir = str(snapshot_dir)
 
     keys = [spec.key() for spec in specs]
     results = [None] * len(specs)

@@ -9,11 +9,14 @@ Runs are deterministic given the :class:`RunSpec`. A short warmup phase
 SimPoint phases from steady-state execution.
 """
 
+from operator import attrgetter
+
 from repro.core.predictors import make_predictor
-from repro.core.schemes import SchemeKind, make_scheme
-from repro.core.tep import TimingErrorPredictor
+from repro.core.schemes import SchemeKind, make_scheme, scheme_kind
+from repro.core.tep import TEPConfig, TimingErrorPredictor
 from repro.faults.injector import FaultInjector
 from repro.faults.sensors import VoltageSensor
+from repro.faults.storm import StormConfig
 from repro.faults.timing import (
     StageTimingModel,
     VDD_NOMINAL,
@@ -22,6 +25,8 @@ from repro.faults.timing import (
 from repro.faults.variation import ProcessVariationModel
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.power.energy_model import EnergyModel
+from repro.record import Record
+from repro.telemetry.config import TelemetryConfig
 from repro.uarch.config import CoreConfig
 from repro.uarch.pipeline import OoOCore
 from repro.uarch.stats import SimStats
@@ -30,8 +35,67 @@ from repro.workloads.profiles import get_profile
 from repro.workloads.trace import TraceGenerator
 
 
-class RunSpec:
-    """Everything needed to reproduce one simulation run."""
+def _same(value):
+    return value
+
+
+def _nested(value):
+    """Canonical form of an optional :class:`~repro.record.Record`."""
+    return None if value is None else value.canonical()
+
+
+def _sorted_items(value):
+    return tuple(sorted(value.items())) if value else None
+
+
+def _load(cls, value):
+    """``value``, rebuilt by ``cls.from_dict`` when given in dict form."""
+    return cls.from_dict(value) if isinstance(value, dict) else value
+
+
+class RunSpec(Record):
+    """Everything needed to reproduce one simulation run.
+
+    Each constructor field is declared once, with its canonical encoder,
+    in :attr:`WARMUP_FIELDS` or :attr:`MEASUREMENT_FIELDS`. The cache keys
+    (:meth:`key`, :meth:`warmup_key`), :meth:`to_dict` and
+    :meth:`from_dict` all derive from those two tables, so a repro
+    bundle, a JSON export and a dashboard fork carry exactly the fields
+    that key a cached result. ``scheme`` is held as its
+    :class:`SchemeKind` whatever spelling it was given in, and dict forms
+    of the nested configs are rebuilt into their classes.
+    """
+
+    #: ``(field, canonical encoder)`` of everything the simulation state
+    #: depends on up to the warmup boundary: program identity and dynamic
+    #: window (``n_instructions`` shapes the injector's PC-frequency
+    #: estimate, so it belongs here), machine configuration, predictor
+    #: design, and the warmup-phase RNG roots. Floats are carried as
+    #: ``repr`` strings.
+    WARMUP_FIELDS = (
+        ("benchmark", _same),
+        ("scheme", attrgetter("value")),
+        ("vdd", repr),
+        ("n_instructions", _same),
+        ("warmup", _same),
+        ("seed", _same),
+        ("config", _nested),
+        ("tep_config", _nested),
+        ("predictor", _same),
+        ("overclock", repr),
+    )
+    #: ``(field, canonical encoder)`` of everything that first takes
+    #: effect at the warmup→measurement boundary: storm wrapping and
+    #: fault-stream reseeding happen there, telemetry attaches there, and
+    #: verification changes no machine state.
+    MEASUREMENT_FIELDS = (
+        ("measurement_seed", _same),
+        ("storm", _nested),
+        ("verify", bool),
+        ("corruption", _sorted_items),
+        ("telemetry", _nested),
+    )
+    FIELDS = tuple(name for name, _ in WARMUP_FIELDS + MEASUREMENT_FIELDS)
 
     def __init__(self, benchmark, scheme=SchemeKind.FAULT_FREE,
                  vdd=VDD_NOMINAL, n_instructions=20000, warmup=4000, seed=1,
@@ -39,13 +103,13 @@ class RunSpec:
                  overclock=1.0, storm=None, verify=False, corruption=None,
                  telemetry=None, measurement_seed=None):
         self.benchmark = benchmark
-        self.scheme = scheme
+        self.scheme = scheme_kind(scheme)
         self.vdd = vdd
         self.n_instructions = n_instructions
         self.warmup = warmup
         self.seed = seed
-        self.config = config
-        self.tep_config = tep_config
+        self.config = _load(CoreConfig, config)
+        self.tep_config = _load(TEPConfig, tep_config)
         #: which timing-violation predictor design drives the scheme:
         #: "tep" (the paper's), "mre" (Xin/Joseph) or "tvp" (Roy et al.)
         self.predictor = predictor
@@ -54,20 +118,16 @@ class RunSpec:
         self.overclock = overclock
         #: optional :class:`~repro.faults.storm.StormConfig` — fault-storm
         #: stress mode (wild faults, sensor dropouts, TEP chaos)
-        self.storm = storm
+        self.storm = _load(StormConfig, storm)
         #: run under the lockstep golden-model checker (repro.verify)
         self.verify = verify
         #: optional dict form of a test-only
         #: :class:`~repro.verify.chaos.CorruptionHook` (implies verify)
         self.corruption = corruption
-        #: optional :class:`~repro.telemetry.config.TelemetryConfig` (or
-        #: its dict form) — interval metrics, event tracing, and
-        #: self-profiling recorded over the measured window
-        if telemetry is not None and not hasattr(telemetry, "canonical"):
-            from repro.telemetry.config import TelemetryConfig
-
-            telemetry = TelemetryConfig.from_dict(telemetry)
-        self.telemetry = telemetry
+        #: optional :class:`~repro.telemetry.config.TelemetryConfig` —
+        #: interval metrics, event tracing, and self-profiling recorded
+        #: over the measured window
+        self.telemetry = _load(TelemetryConfig, telemetry)
         #: when set, the measurement window draws its fault-side RNG
         #: streams (injector, storm wrappers) from this seed instead of
         #: continuing the warmup streams. The warmup then depends only on
@@ -77,7 +137,7 @@ class RunSpec:
         #: behavior bit-for-bit.
         self.measurement_seed = measurement_seed
         #: directory for repro bundles on failure — an execution detail,
-        #: deliberately NOT part of :meth:`canonical`
+        #: deliberately NOT part of :meth:`canonical` or :meth:`to_dict`
         self.repro_dir = None
         #: warmup snapshot cache directory (see :mod:`repro.snapshot`) —
         #: an execution detail like ``repro_dir``: forking from a cached
@@ -85,77 +145,24 @@ class RunSpec:
         #: must never influence :meth:`canonical`
         self.snapshot_dir = None
 
+    def _encode(self, fields):
+        return tuple([encode(getattr(self, name)) for name, encode in fields])
+
     def warmup_canonical(self):
         """The prefix of :meth:`canonical` that determines the warmup.
 
-        Everything the simulation state depends on *up to the warmup
-        boundary*: program identity and dynamic window (``n_instructions``
-        shapes the injector's PC-frequency estimate, so it belongs here),
-        machine configuration, predictor design, and the warmup-phase RNG
-        roots. Two specs with equal warmup prefixes reach bit-identical
+        Two specs with equal warmup prefixes reach bit-identical
         post-warmup machine state — this is the snapshot-cache key
         (:meth:`warmup_key`).
         """
-        config = self.config
-        if config is not None:
-            fu_counts = tuple(
-                (kind.name, n) for kind, n in sorted(
-                    config.fu_counts.items(), key=lambda kv: kv[0].name
-                )
-            )
-            config = (
-                config.width, config.iq_size, config.rob_size,
-                config.lsq_size, config.n_arch_regs, config.n_phys_regs,
-                fu_counts, config.frontend_depth, config.redirect_penalty,
-                config.replay_recovery, config.recovery_bubbles,
-                config.replay_mode, config.bp_history_bits,
-                config.bp_table_bits, config.criticality_threshold,
-                config.mem_dependence, config.model_wrong_path,
-                config.model_inorder_faults,
-            )
-        tep_config = self.tep_config
-        if tep_config is not None:
-            tep_config = (
-                tep_config.n_entries, tep_config.tag_bits,
-                tep_config.counter_bits, tep_config.history_bits,
-            )
-        return (
-            self.benchmark,
-            getattr(self.scheme, "value", self.scheme),
-            repr(self.vdd),
-            self.n_instructions,
-            self.warmup,
-            self.seed,
-            config,
-            tep_config,
-            self.predictor,
-            repr(self.overclock),
-        )
+        return self._encode(self.WARMUP_FIELDS)
 
     def measurement_canonical(self):
         """The suffix of :meth:`canonical`: measurement-window-only fields.
 
-        Everything here first takes effect at the warmup→measurement
-        boundary (storm wrapping and fault-stream reseeding happen there,
-        telemetry attaches there, verification changes no machine state),
-        so specs differing only in this suffix share one warmup snapshot.
+        Specs differing only in this suffix share one warmup snapshot.
         """
-        storm = self.storm.canonical() if self.storm is not None else None
-        corruption = (
-            tuple(sorted(self.corruption.items()))
-            if self.corruption else None
-        )
-        telemetry = (
-            self.telemetry.canonical() if self.telemetry is not None
-            else None
-        )
-        return (
-            self.measurement_seed,
-            storm,
-            bool(self.verify),
-            corruption,
-            telemetry,
-        )
+        return self._encode(self.MEASUREMENT_FIELDS)
 
     def canonical(self):
         """A nested tuple of primitives that fully determines this run.
@@ -163,10 +170,10 @@ class RunSpec:
         Two specs with equal canonical forms produce bit-identical
         simulations; the form feeds :meth:`key` and is stable across
         processes (no ``id()``, no hash randomization, no float repr
-        ambiguity — floats are carried as ``repr`` strings). It is the
-        exact concatenation of :meth:`warmup_canonical` and
-        :meth:`measurement_canonical`; a partition test pins that every
-        spec field lands in exactly one half.
+        ambiguity). It is the exact concatenation of
+        :meth:`warmup_canonical` and :meth:`measurement_canonical`; a
+        partition test pins that every spec field lands in exactly one
+        half.
         """
         return self.warmup_canonical() + self.measurement_canonical()
 
@@ -194,9 +201,8 @@ class RunSpec:
         ).hexdigest()
 
     def __repr__(self):
-        scheme = getattr(self.scheme, "name", self.scheme)
         return (
-            f"RunSpec({self.benchmark}, {scheme}, vdd={self.vdd}, "
+            f"RunSpec({self.benchmark}, {self.scheme.name}, vdd={self.vdd}, "
             f"n={self.n_instructions})"
         )
 
@@ -247,8 +253,7 @@ class SimResult:
 
     def __repr__(self):
         return (
-            f"SimResult({self.spec.benchmark}, "
-            f"{getattr(self.spec.scheme, 'name', self.spec.scheme)}, "
+            f"SimResult({self.spec.benchmark}, {self.spec.scheme.name}, "
             f"ipc={self.ipc:.3f}, fr={self.fault_rate:.4f})"
         )
 

@@ -25,7 +25,7 @@ CI ``batch-smoke`` gate use it to detect a silently all-scalar batch.
 import os
 
 from repro.harness.runner import measured_result, run_one
-from repro.snapshot.fork import ensure_snapshot, snapshot_eligible, warmed_core
+from repro.snapshot.fork import snapshot_eligible, warmed_core
 from repro.uarch import batchkernel
 from repro.uarch.batchstream import BatchFallback, build_tapes, have_numpy
 
@@ -155,7 +155,6 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
 
         if batchkernel.load_kernel() is None:
             raise BatchFallback("compiled batch kernel unavailable")
-        ensure_snapshot(ref, snapshot_dir)
         donor = warmed_core(ref, snapshot_dir)
         plan = build_plan(donor, ref.n_instructions)
         tapes = build_tapes(

@@ -1,11 +1,13 @@
 """Content-addressed on-disk store of warmed-core snapshots.
 
 Shares the result cache's :class:`~repro.harness.diskcache.BlobStore`
-mechanics — and, by default, the same root and the same
-``model_version`` directory — so one ``prune_stale`` sweep retires both
-entry kinds together and a source change can never pair a stale snapshot
-with fresh results. Entries are ``<warmup_key>.snap`` next to the result
-cache's ``<spec_key>.pkl``.
+mechanics — and, when the campaign opener points it there, the same root
+and the same ``model_version`` directory — so one ``prune_stale`` sweep
+retires both entry kinds together and a source change can never pair a
+stale snapshot with fresh results. Entries are ``<warmup_key>.snap`` next
+to the result cache's ``<spec_key>.pkl``. Where the store lives is decided
+by :func:`repro.campaign.executor.open_campaign` alone; every caller here
+names its root.
 
 A small in-process memory layer fronts the disk: a batch forking many
 draws from one prefix pays the file read once per process, not once per
@@ -27,13 +29,9 @@ class SnapshotCache(BlobStore):
 
     suffix = ".snap"
 
-    def __init__(self, root=None, version=None):
-        from repro.harness.parallel import default_cache_root, model_version
+    def __init__(self, root, version=None):
+        from repro.harness.parallel import model_version
 
-        if root is None:
-            import os
-
-            root = os.environ.get("REPRO_SNAPSHOT_DIR") or default_cache_root()
         super().__init__(root, version or model_version())
 
     def _mem_key(self, key):

@@ -46,7 +46,7 @@ def _resolve_cache(directory):
     return SnapshotCache(directory)
 
 
-def ensure_snapshot(spec, directory=None):
+def ensure_snapshot(spec, directory):
     """Make sure ``spec``'s warmup snapshot exists; return its key.
 
     A no-op when the snapshot is already cached. Used by
@@ -60,7 +60,7 @@ def ensure_snapshot(spec, directory=None):
     return key
 
 
-def warmed_core(spec, directory=None):
+def warmed_core(spec, directory):
     """A core at ``spec``'s warmup boundary: forked if cached, else cold.
 
     Any defect in a cached blob — truncation, corruption, a stale pickle

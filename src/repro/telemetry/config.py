@@ -11,8 +11,10 @@ is why it participates in the cache key. Profiled runs are never cached
 at all: their wall-clock seconds belong to the run that measured them.
 """
 
+from repro.record import Record
 
-class TelemetryConfig:
+
+class TelemetryConfig(Record):
     """Knobs of the telemetry subsystem; all-off means "no telemetry".
 
     Parameters
@@ -55,20 +57,3 @@ class TelemetryConfig:
     def enabled(self):
         """True when any telemetry layer is on."""
         return self.metrics or self.events or self.profile
-
-    def canonical(self):
-        """Primitive form feeding ``RunSpec.canonical()``."""
-        return tuple((name, getattr(self, name)) for name in self.FIELDS)
-
-    def to_dict(self):
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**{k: data[k] for k in cls.FIELDS if k in data})
-
-    def __repr__(self):
-        knobs = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.FIELDS
-        )
-        return f"TelemetryConfig({knobs})"

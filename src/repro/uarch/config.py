@@ -6,10 +6,18 @@ Core-1 is a 4-wide out-of-order pipeline with a 32-entry issue queue,
 """
 
 from repro.isa.opcodes import FuKind
+from repro.record import Record
 
 
-class CoreConfig:
+class CoreConfig(Record):
     """All sizing/latency parameters of the simulated core."""
+
+    FIELDS = ("width", "iq_size", "rob_size", "lsq_size", "n_arch_regs",
+              "n_phys_regs", "n_simple_alu", "n_complex_alu", "n_mem_ports",
+              "frontend_depth", "redirect_penalty", "replay_recovery",
+              "recovery_bubbles", "replay_mode", "bp_history_bits",
+              "bp_table_bits", "criticality_threshold", "mem_dependence",
+              "model_wrong_path", "model_inorder_faults")
 
     def __init__(
         self,
@@ -44,11 +52,9 @@ class CoreConfig:
         self.lsq_size = lsq_size
         self.n_arch_regs = n_arch_regs
         self.n_phys_regs = n_phys_regs
-        self.fu_counts = {
-            FuKind.SIMPLE: n_simple_alu,
-            FuKind.COMPLEX: n_complex_alu,
-            FuKind.MEM: n_mem_ports,
-        }
+        self.n_simple_alu = n_simple_alu
+        self.n_complex_alu = n_complex_alu
+        self.n_mem_ports = n_mem_ports
         #: stages from fetch to dispatch; the mispredict loop is
         #: frontend_depth + issue-wait + regread + execute ~ 10 stages.
         self.frontend_depth = frontend_depth
@@ -83,6 +89,15 @@ class CoreConfig:
         self.model_wrong_path = model_wrong_path
         self.model_inorder_faults = model_inorder_faults
 
+    @property
+    def fu_counts(self):
+        """Functional units per :class:`~repro.isa.opcodes.FuKind`."""
+        return {
+            FuKind.SIMPLE: self.n_simple_alu,
+            FuKind.COMPLEX: self.n_complex_alu,
+            FuKind.MEM: self.n_mem_ports,
+        }
+
     @classmethod
     def core1(cls, **overrides):
         """The paper's Core-1 configuration, with optional overrides."""
@@ -101,10 +116,3 @@ class CoreConfig:
         )
         params.update(overrides)
         return cls(**params)
-
-    def __repr__(self):
-        return (
-            f"CoreConfig(width={self.width}, iq={self.iq_size}, "
-            f"rob={self.rob_size}, phys={self.n_phys_regs}, "
-            f"fus={dict(self.fu_counts)})"
-        )

@@ -13,7 +13,7 @@ failure on any machine with the same model version:
   "format": 1,
   "model_version": "<source digest>",
   "failure":   {"kind": "divergence"|"hang"|..., "detail": {...}},
-  "spec":      {...original RunSpec...},
+  "spec":      {...RunSpec.to_dict() of the failing run...},
   "minimized": {"spec": {...}, "failure": {...}},
   "trials":    [{"n_instructions": ..., "warmup": ..., "reproduced": ...}]
 }
@@ -23,10 +23,6 @@ failure on any machine with the same model version:
 and compares the observed failure against the recorded one field by
 field; because runs are deterministic in their spec, a healthy bundle
 replays **byte-identically**.
-
-Bundles record only the declarative spec fields; runs with a custom
-``CoreConfig``/``TEPConfig`` object are captured un-minimized with the
-default-config caveat noted in ``docs/robustness.md``.
 """
 
 import json
@@ -83,58 +79,9 @@ def failure_signature(exc):
     return type(exc).__name__, {"message": str(exc)}
 
 
-# ----------------------------------------------------------------------
-# spec (de)serialization — the declarative subset that bundles carry
-# ----------------------------------------------------------------------
-def spec_to_dict(spec):
-    """JSON form of a RunSpec's declarative fields."""
-    storm = getattr(spec, "storm", None)
-    return {
-        "benchmark": spec.benchmark,
-        "scheme": getattr(spec.scheme, "name", str(spec.scheme)),
-        "vdd": spec.vdd,
-        "n_instructions": spec.n_instructions,
-        "warmup": spec.warmup,
-        "seed": spec.seed,
-        "predictor": spec.predictor,
-        "overclock": spec.overclock,
-        "verify": bool(getattr(spec, "verify", False)),
-        "storm": storm.to_dict() if storm is not None else None,
-        "corruption": getattr(spec, "corruption", None),
-    }
-
-
-def spec_from_dict(data):
-    """Rebuild a runnable RunSpec from its bundle form."""
-    from repro.core.schemes import make_scheme
-    from repro.faults.storm import StormConfig
-
-    storm = data.get("storm")
-    return RunSpec(
-        data["benchmark"],
-        # back to the enum so the rebuilt spec's canonical form (and
-        # cache key) is identical to the captured one's
-        make_scheme(data["scheme"]).kind,
-        data["vdd"],
-        data["n_instructions"],
-        data["warmup"],
-        data["seed"],
-        predictor=data.get("predictor", "tep"),
-        overclock=data.get("overclock", 1.0),
-        storm=StormConfig.from_dict(storm) if storm else None,
-        verify=data.get("verify", False),
-        corruption=data.get("corruption"),
-    )
-
-
 def _clone(spec, **overrides):
-    """A runnable copy of ``spec`` with declarative fields overridden."""
-    data = spec_to_dict(spec)
-    data.update(overrides)
-    clone = spec_from_dict(data)
-    clone.config = spec.config
-    clone.tep_config = spec.tep_config
-    return clone
+    """A runnable copy of ``spec`` with fields overridden."""
+    return RunSpec.from_dict(dict(spec.to_dict(), **overrides))
 
 
 def _probe(spec):
@@ -177,7 +124,7 @@ def minimize_failure(spec, kind, detail=None, max_trials=MAX_TRIALS):
         trials.append({
             "n_instructions": candidate.n_instructions,
             "warmup": candidate.warmup,
-            "storm": spec_to_dict(candidate)["storm"],
+            "storm": candidate.to_dict()["storm"],
             "reproduced": ok,
         })
         if ok:
@@ -257,7 +204,7 @@ def capture_failure(spec, exc, repro_dir=None, minimize=True):
     kind, detail = failure_signature(exc)
     failure = RunFailure(spec, kind, detail)
     try:
-        if minimize and spec.config is None and spec.tep_config is None:
+        if minimize:
             min_spec, min_sig, trials = minimize_failure(spec, kind, detail)
         else:
             min_spec, min_sig, trials = spec, None, []
@@ -267,9 +214,9 @@ def capture_failure(spec, exc, repro_dir=None, minimize=True):
             "format": BUNDLE_FORMAT,
             "model_version": model_version(),
             "failure": {"kind": kind, "detail": detail},
-            "spec": spec_to_dict(spec),
+            "spec": spec.to_dict(),
             "minimized": {
-                "spec": spec_to_dict(min_spec),
+                "spec": min_spec.to_dict(),
                 "failure": {"kind": min_sig[0], "detail": min_sig[1]},
             },
             "trials": trials,
@@ -299,7 +246,7 @@ def replay_bundle(path, minimized=True):
         bundle["minimized"] if minimized and bundle.get("minimized")
         else {"spec": bundle["spec"], "failure": bundle["failure"]}
     )
-    spec = spec_from_dict(section["spec"])
+    spec = RunSpec.from_dict(section["spec"])
     sig = _probe(spec)
     recorded = section["failure"]
     reproduced = sig is not None and sig[0] == recorded["kind"]

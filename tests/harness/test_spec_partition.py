@@ -12,9 +12,16 @@ and ``canonical()`` must be exactly the concatenation of the two.
 a corruption hook mutates state *during* warmup — that is sound only
 because ``snapshot_eligible`` refuses both, which
 ``test_eligibility_covers_the_partition_caveats`` pins.
+
+The same holds one level down: every ``CoreConfig`` and ``TEPConfig``
+parameter shapes the machine from cycle 0, so each must move the warmup
+key.
 """
 
+import inspect
+
 from repro.core.schemes import SchemeKind
+from repro.core.tep import TEPConfig
 from repro.faults.storm import StormConfig
 from repro.harness.runner import RunSpec
 from repro.snapshot import snapshot_eligible
@@ -58,14 +65,35 @@ def _mutated(field, value):
     return spec
 
 
-def test_every_constructor_field_is_partitioned():
-    """Mutating any field changes exactly the half the table says."""
-    import inspect
+#: config class -> (RunSpec field, {constructor parameter: mutated value})
+CONFIG_MUTATIONS = {
+    CoreConfig: ("config", {
+        "width": 2, "iq_size": 16, "rob_size": 64, "lsq_size": 16,
+        "n_arch_regs": 24, "n_phys_regs": 80, "n_simple_alu": 1,
+        "n_complex_alu": 2, "n_mem_ports": 2, "frontend_depth": 5,
+        "redirect_penalty": 3, "replay_recovery": 4,
+        "recovery_bubbles": 2, "replay_mode": "flush",
+        "bp_history_bits": 8, "bp_table_bits": 10,
+        "criticality_threshold": 4, "mem_dependence": "store_sets",
+        "model_wrong_path": False, "model_inorder_faults": True,
+    }),
+    TEPConfig: ("tep_config", {
+        "n_entries": 512, "tag_bits": 12, "counter_bits": 3,
+        "history_bits": 4,
+    }),
+}
 
-    params = [
-        name for name in inspect.signature(RunSpec.__init__).parameters
+
+def _params(cls):
+    return [
+        name for name in inspect.signature(cls.__init__).parameters
         if name != "self"
     ]
+
+
+def test_every_constructor_field_is_partitioned():
+    """Mutating any field changes exactly the half the table says."""
+    params = _params(RunSpec)
     # the table covers the constructor exhaustively: a new RunSpec field
     # must be classified here before it can ship
     assert sorted(params) == sorted(MUTATIONS)
@@ -79,6 +107,22 @@ def test_every_constructor_field_is_partitioned():
         )
         assert warmup_moved == (half == "warmup"), field
         assert measurement_moved == (half == "measurement"), field
+
+
+def test_every_config_field_moves_the_warmup_key():
+    """Each CoreConfig/TEPConfig parameter is in the warmup key, and in
+    the measurement half not at all."""
+    for cls, (field, mutations) in CONFIG_MUTATIONS.items():
+        # a config parameter added later must be listed here before it
+        # can ship
+        assert sorted(_params(cls)) == sorted(mutations)
+        base = _base(**{field: cls()})
+        for name, value in mutations.items():
+            assert getattr(cls(), name) != value, name
+            spec = _base(**{field: cls(**{name: value})})
+            assert spec.warmup_key() != base.warmup_key(), name
+            assert (spec.measurement_canonical()
+                    == base.measurement_canonical()), name
 
 
 def test_canonical_is_exactly_the_concatenation():

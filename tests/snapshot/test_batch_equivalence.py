@@ -140,7 +140,7 @@ def test_no_kernel_batch_skips_fork_and_plan(snap_dir, scalar_ref):
 
     report = batch.BatchReport()
     with _engine("nokernel"), \
-            mock.patch.object(batch, "ensure_snapshot", forbidden), \
+            mock.patch.object(batch, "warmed_core", forbidden), \
             mock.patch.object(batchcore, "build_plan", forbidden):
         results = batch.run_batch(
             _specs(SchemeKind.EP, 0.97, 4, snap_dir), str(snap_dir), report

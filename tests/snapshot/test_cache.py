@@ -123,7 +123,9 @@ class TestPrewarm:
         monkeypatch.setattr(fork_mod, "warm_core", counting_warm)
 
         specs = [_spec(measurement_seed=m) for m in (1, 2, 3)]
-        results = run_many(specs, snapshot_dir=str(tmp_path))
+        for spec in specs:
+            spec.snapshot_dir = str(tmp_path)
+        results = run_many(specs)
         assert len(warm_calls) == 1
         assert len({r.stats.committed for r in results}) == 1
 

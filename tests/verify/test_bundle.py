@@ -14,8 +14,6 @@ from repro.verify.bundle import (
     capture_failure,
     minimize_failure,
     replay_bundle,
-    spec_from_dict,
-    spec_to_dict,
 )
 from repro.verify.driver import run_checked
 from repro.verify.lockstep import DivergenceError
@@ -32,6 +30,15 @@ def _failing_spec(tmp_path, seq=120, **kw):
     return spec
 
 
+def _draw_spec(tmp_path, **kw):
+    """astar/ABS/0.97 V, 600 + 200 instructions, corrupted at seq 420."""
+    spec = RunSpec("astar", SchemeKind.ABS, 0.97, n_instructions=600,
+                   warmup=200, seed=5, verify=True,
+                   corruption={"kind": "value_xor", "seq": 420}, **kw)
+    spec.repro_dir = str(tmp_path)
+    return spec
+
+
 class TestSpecSerialization:
     def test_round_trip_preserves_identity(self):
         from repro.faults.storm import default_storm
@@ -41,13 +48,13 @@ class TestSpecSerialization:
             warmup=100, seed=5, verify=True, storm=default_storm(),
             corruption={"kind": "drop", "seq": 50},
         )
-        clone = spec_from_dict(spec_to_dict(spec))
+        clone = RunSpec.from_dict(spec.to_dict())
         assert clone.key() == spec.key()
 
     def test_plain_spec_round_trips_too(self):
         spec = RunSpec("astar", SchemeKind.EP, 1.10, n_instructions=300,
                        warmup=0, seed=2)
-        assert spec_from_dict(spec_to_dict(spec)).key() == spec.key()
+        assert RunSpec.from_dict(spec.to_dict()).key() == spec.key()
 
 
 class TestCaptureAndReplay:
@@ -85,13 +92,54 @@ class TestCaptureAndReplay:
         bundle = json.loads(open(failure.bundle_path).read())
         assert bundle["minimized"]["spec"]["warmup"] == 0
 
-    def test_custom_config_skips_minimization(self, tmp_path):
-        spec = _failing_spec(tmp_path, config=CoreConfig.core2())
-        exc = DivergenceError("synthetic", field="value", commit_index=3)
-        failure = capture_failure(spec, exc, repro_dir=str(tmp_path))
+    def test_custom_config_is_minimized_and_replays(self, tmp_path):
+        """The bundle carries the core config, so minimization probes and
+        replays run on the machine that failed."""
+        spec = _draw_spec(tmp_path, config=CoreConfig.core2())
+        failure = run_checked(spec)
         bundle = json.loads(open(failure.bundle_path).read())
-        assert bundle["trials"] == []
-        assert bundle["minimized"]["spec"] == bundle["spec"]
+        assert bundle["trials"]
+        assert bundle["spec"]["config"] == CoreConfig.core2().to_dict()
+        assert bundle["minimized"]["spec"]["config"]["width"] == 2
+        for minimized in (True, False):
+            report = replay_bundle(failure.bundle_path, minimized=minimized)
+            assert report["identical"] is True
+        assert report["observed"]["detail"]["cycle"] == failure.detail["cycle"]
+
+    @pytest.mark.parametrize("measurement_seed", [11, 12, 13])
+    def test_campaign_draw_replays_identically(self, tmp_path,
+                                               measurement_seed):
+        """A storm draw's measurement seed rides in the bundle: the full
+        replay re-runs the draw's own fault realization."""
+        from repro.faults.storm import default_storm
+
+        spec = _draw_spec(tmp_path, storm=default_storm(),
+                          measurement_seed=measurement_seed)
+        failure = run_checked(spec)
+        bundle = json.loads(open(failure.bundle_path).read())
+        assert bundle["spec"] == spec.to_dict()
+        assert bundle["spec"]["measurement_seed"] == measurement_seed
+        for minimized in (True, False):
+            report = replay_bundle(failure.bundle_path, minimized=minimized)
+            assert report["reproduced"] is True
+            assert report["identical"] is True
+        assert report["observed"]["detail"]["cycle"] == failure.detail["cycle"]
+
+    def test_bundle_without_the_newer_spec_keys_replays(self, tmp_path):
+        """A bundle whose spec blocks predate measurement_seed, telemetry
+        and the core/TEP configs still loads (they default) and replays
+        identically, minimized and full."""
+        source = os.path.join(os.path.dirname(__file__), "legacy_bundle.json")
+        bundle = json.loads(open(source).read())
+        for section in (bundle["spec"], bundle["minimized"]["spec"]):
+            assert not {"measurement_seed", "telemetry", "config",
+                        "tep_config"} & set(section)
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(bundle))
+        for minimized in (True, False):
+            report = replay_bundle(str(path), minimized=minimized)
+            assert report["reproduced"] is True
+            assert report["identical"] is True
 
     def test_capture_never_masks_the_failure(self, tmp_path, monkeypatch,
                                              capsys):
