@@ -58,10 +58,10 @@ def make_run_fn(jobs=1, cache=True, cache_dir=None, timeout=None, retries=2,
     :class:`CampaignError`. Completed runs persist in the result cache
     across attempts, so retries only re-execute the failures.
 
-    ``timeout`` is ``run_many``'s per-run budget. ``batch_lanes >= 2``
-    routes draws sharing a warmup snapshot through the lockstep batch
-    engine (bit-identical, several times faster per draw), with or
-    without a ``timeout``.
+    ``timeout`` is ``run_many``'s per-run budget. ``batch_lanes >= 1``
+    runs every eligible draw and baseline as a lane of the lockstep
+    batch engine, at most that many per kernel call (bit-identical,
+    several times faster per draw), with or without a ``timeout``.
     """
     if isinstance(cache, ResultCache):
         store = cache
@@ -94,15 +94,11 @@ def draw_metadata(run_spec, result):
     (``None`` when the draw ran cold). :func:`run_draws` calls it for
     every draw it journals.
     """
+    from repro.snapshot.fork import fork_key
+
     telem = getattr(result, "telemetry", None)
     summary = telem.summary() if telem is not None else None
-    snapshot_key = None
-    if getattr(run_spec, "snapshot_dir", None) is not None:
-        from repro.snapshot import snapshot_eligible
-
-        if snapshot_eligible(run_spec):
-            snapshot_key = run_spec.warmup_key()
-    return summary, snapshot_key
+    return summary, fork_key(run_spec, run_spec.snapshot_dir)
 
 
 def run_draws(spec, point, indices, run_fn, step=None):
@@ -263,9 +259,8 @@ def run_campaign(directory, spec=None, jobs=1, cache=True, cache_dir=None,
     engine with ``jobs``/``cache``/``timeout``/``retries``.
 
     ``batch_lanes`` (default: ``REPRO_BATCH_LANES``, else off) enables
-    the lockstep batch engine for draws sharing a warmup snapshot — see
-    :func:`make_run_fn`; journals and reports are bit-identical with
-    batching on or off.
+    the lockstep batch engine — see :func:`make_run_fn`; journals and
+    reports are bit-identical with batching on or off.
 
     Returns the final report dict (also written to ``report.json`` /
     ``report.md``).

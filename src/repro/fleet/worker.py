@@ -97,9 +97,9 @@ class FleetWorker:
         self.throttle = float(throttle)
         from repro.snapshot.batch import resolve_batch_lanes
 
-        #: ≥ 2 vectorizes a lease's draws through the lockstep batch
-        #: engine, that many lanes per engine call (default:
-        #: $REPRO_BATCH_LANES, else per-draw scalar execution)
+        #: ≥ 1 runs a lease's draws and baselines as lanes of the
+        #: lockstep batch engine, at most that many per kernel call
+        #: (default: $REPRO_BATCH_LANES, else 0: scalar execution)
         self.batch_lanes = resolve_batch_lanes(batch_lanes)
         self.spec = None
         self._run_fn = None

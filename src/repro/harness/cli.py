@@ -198,9 +198,7 @@ def _build_parser():
 def _run_single(args):
     """Run one simulation point and print its summary (+optional trace)."""
     from repro.harness.export import write_json
-    from repro.harness.runner import (
-        RunSpec, build_core, measure, prime_caches,
-    )
+    from repro.harness.runner import RunSpec, build_core, measure, warm_core
     from repro.uarch.pipetrace import PipeTracer
 
     benchmark = (args.benchmarks or ["bzip2"])[0]
@@ -212,10 +210,7 @@ def _run_single(args):
     # window is the shared one, so the result equals run_one(spec)
     core = build_core(spec)
     tracer = PipeTracer(core) if args.trace else None
-    prime_caches(core.program, core.hierarchy)
-    if spec.warmup:
-        core.run(spec.warmup)
-    result = measure(core, spec)
+    result = measure(warm_core(spec, core), spec)
     stats, energy = result.stats, result.energy
     print(f"{spec!r}")
     for key, value in stats.as_dict().items():
@@ -605,10 +600,10 @@ def _add_exec_options(parser):
     parser.add_argument("--retries", type=int, default=2,
                         help="bounded retries for failed/hung batches")
     parser.add_argument("--batch-lanes", type=int, default=None, metavar="N",
-                        help="vectorize draws sharing a warmup snapshot, "
-                             "N lanes per batch-engine call (default: "
-                             "$REPRO_BATCH_LANES, else off; results are "
-                             "bit-identical either way)")
+                        help="run draws and baselines as batch-engine "
+                             "lanes, at most N per kernel call (default: "
+                             "$REPRO_BATCH_LANES, else 0 = off; results "
+                             "are bit-identical either way)")
     parser.add_argument("--no-snapshot", action="store_true",
                         help="disable warmup snapshot forking (always "
                              "re-simulate warmups)")
@@ -958,9 +953,9 @@ def _fleet_parser():
                         help="artificial per-draw delay — a straggler "
                              "dial for work-stealing experiments")
     worker.add_argument("--batch-lanes", type=int, default=None, metavar="N",
-                        help="vectorize a lease's draws through the batch "
-                             "engine, N lanes per call (default: "
-                             "$REPRO_BATCH_LANES, else per-draw)")
+                        help="run a lease's draws and baselines as batch-"
+                             "engine lanes, at most N per kernel call "
+                             "(default: $REPRO_BATCH_LANES, else 0 = off)")
     run = verbs.add_parser(
         "run", help="coordinator + N local workers, one command"
     )

@@ -43,6 +43,9 @@ def _key(key):
 
 def sim_result_to_dict(result):
     """Flatten one :class:`~repro.harness.runner.SimResult`."""
+    # stage_faults in as_dict's stage order, whichever order the run
+    # counted them in, so a kernel lane exports its scalar twin's bytes
+    stats = _coerce(result.stats.as_dict())
     return {
         "spec": result.spec.to_dict(),
         "metrics": {
@@ -52,8 +55,8 @@ def sim_result_to_dict(result):
             "energy_pj": result.energy.total,
             "edp": result.edp,
         },
-        "stats": _coerce(result.stats.as_dict()),
-        "stage_faults": _coerce(result.stats.stage_faults),
+        "stats": stats,
+        "stage_faults": stats["stage_faults"],
         "cache": _coerce(result.cache_stats),
     }
 

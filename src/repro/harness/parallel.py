@@ -171,45 +171,33 @@ def _resolve_jobs(jobs, n_pending):
 
 def _task(item):
     # module-level so it pickles under every multiprocessing start method;
-    # items are ("batch", [specs...]) or ("one", spec)
+    # items are ("batch", [specs...]) or ("one", spec); returns a list
     kind, payload = item
     if kind == "batch":
         from repro.snapshot.batch import run_batch
 
         return run_batch(payload, payload[0].snapshot_dir)
-    return _worker(payload)
+    return [_worker(payload)]
 
 
 def _plan_tasks(todo, batch_lanes):
     """Partition ``todo`` into pool tasks, vectorizing where possible.
 
-    Eligible specs sharing one warmup snapshot (and snapshot dir) become
-    ``("batch", group)`` tasks of up to ``batch_lanes`` lanes; everything
-    else stays a ``("one", spec)`` task. Returns ``(tasks, index_lists)``
-    where ``index_lists[t]`` maps task ``t``'s results back to positions
-    in ``todo``.
+    Each lane group of :func:`~repro.snapshot.batch.batch_groups` (up to
+    ``batch_lanes`` eligible specs sharing one warmup key) becomes a
+    ``("batch", group)`` task; each ineligible spec stays a ``("one",
+    spec)`` task. Returns ``(tasks, index_lists)`` where
+    ``index_lists[t]`` maps task ``t``'s results back to positions in
+    ``todo``.
     """
     from repro.snapshot.batch import batch_groups
 
-    by_dir = {}
-    for i, spec in enumerate(todo):
-        sd = getattr(spec, "snapshot_dir", None)
-        if sd is not None:
-            by_dir.setdefault(str(sd), []).append(i)
+    groups, rest = batch_groups(todo, batch_lanes)
     index_of = {id(spec): i for i, spec in enumerate(todo)}
-    grouped = set()
-    tasks = []
-    index_lists = []
-    for indices in by_dir.values():
-        groups, _rest = batch_groups([todo[i] for i in indices], batch_lanes)
-        for group in groups:
-            tasks.append(("batch", group))
-            index_lists.append([index_of[id(spec)] for spec in group])
-            grouped.update(index_lists[-1])
-    for i, spec in enumerate(todo):
-        if i not in grouped:
-            tasks.append(("one", spec))
-            index_lists.append([i])
+    tasks = [("batch", group) for group in groups]
+    tasks += [("one", spec) for spec in rest]
+    index_lists = [[index_of[id(spec)] for spec in group]
+                   for group in groups + [[spec] for spec in rest]]
     return tasks, index_lists
 
 
@@ -238,15 +226,14 @@ def _run_todo(todo, n_jobs, batch_lanes, timeout=None):
     kernel lane counted as a run. A breach terminates the pool, killing
     hung workers, and raises :class:`TimeoutError`.
     """
-    if batch_lanes > 1:
+    if batch_lanes:
         tasks, index_lists = _plan_tasks(todo, batch_lanes)
     else:
         tasks = [("one", spec) for spec in todo]
         index_lists = [[i] for i in range(len(todo))]
     if timeout is None and min(n_jobs, len(tasks)) == 1:
         for item, indices in zip(tasks, index_lists):
-            out = _task(item)
-            yield from zip(indices, out if item[0] == "batch" else [out])
+            yield from zip(indices, _task(item))
         return
     import multiprocessing
 
@@ -269,7 +256,7 @@ def _run_todo(todo, n_jobs, batch_lanes, timeout=None):
                     f"{len(todo)} runs missed their {budget:.0f}s "
                     f"budget ({timeout}s/run)"
                 ) from None
-            yield from zip(indices, out if item[0] == "batch" else [out])
+            yield from zip(indices, out)
 
 
 def _ensure_snapshot_worker(spec):
@@ -284,7 +271,8 @@ def prewarm_snapshots(specs, n_jobs=1):
 
     Without this pre-pass, parallel cache misses sharing one warmup
     prefix would each re-simulate the warmup from cycle 0 — the snapshot
-    store only dedupes after the first write lands. Missing prefixes are
+    store only dedupes after the first write lands. Missing prefixes of
+    the specs that fork (:func:`~repro.snapshot.fork.fork_key`) are
     warmed once (in parallel when the batch itself is parallel) so the
     fan-out that follows forks every draw from a warmed snapshot.
 
@@ -292,14 +280,14 @@ def prewarm_snapshots(specs, n_jobs=1):
     ``timeout`` budget; campaign pools, timed campaigns and fleet workers
     all reach it through there.
     """
-    from repro.snapshot import SnapshotCache, ensure_snapshot, snapshot_eligible
+    from repro.snapshot import SnapshotCache
+    from repro.snapshot.fork import fork_key
 
-    groups = {}  # (dir, warmup_key) -> first spec with that prefix
+    groups = {}  # (dir, warmup_key) -> first spec that forks from it
     for spec in specs:
-        directory = getattr(spec, "snapshot_dir", None)
-        if directory is None or not snapshot_eligible(spec):
-            continue
-        groups.setdefault((str(directory), spec.warmup_key()), spec)
+        key = fork_key(spec, spec.snapshot_dir)
+        if key is not None:
+            groups.setdefault((str(spec.snapshot_dir), key), spec)
     todo = [
         spec for (directory, key), spec in groups.items()
         if not SnapshotCache(directory).has(key)
@@ -312,7 +300,7 @@ def prewarm_snapshots(specs, n_jobs=1):
             pool.map(_ensure_snapshot_worker, todo)
     else:
         for spec in todo:
-            ensure_snapshot(spec, spec.snapshot_dir)
+            _ensure_snapshot_worker(spec)
 
 
 def run_many(specs, jobs=1, cache=False, cache_dir=None, batch_lanes=None,
@@ -326,11 +314,14 @@ def run_many(specs, jobs=1, cache=False, cache_dir=None, batch_lanes=None,
     variable, or ``./.sim_cache``). An existing :class:`ResultCache` may
     be passed directly as ``cache``.
 
-    ``batch_lanes``: when ≥ 2 (default: ``REPRO_BATCH_LANES``, else off),
-    cache-missing specs that share one warmup snapshot run through the
-    lockstep batch engine (:mod:`repro.snapshot.batch`), up to that many
-    lanes per engine call. Results are bit-identical to the scalar path;
-    ineligible specs and singleton groups run scalar as before.
+    ``batch_lanes``: at most that many lanes per kernel call (default:
+    ``REPRO_BATCH_LANES``; 0 or unset is off). Every cache-missing,
+    batch-eligible spec then runs as a lane of the lockstep batch engine
+    (:mod:`repro.snapshot.batch`), grouped with the specs sharing its
+    warmup key: campaign draws, their fault-free baselines and single
+    runs alike, with or without a snapshot dir. Results are
+    bit-identical to the scalar path; ineligible specs run scalar as
+    before.
 
     ``timeout``: seconds per run (default: none). The cache misses then
     always run on a pool, with a budget of ``timeout`` × ``ceil(misses /

@@ -377,16 +377,19 @@ def prime_caches(program, hierarchy, line_bytes=64):
     hierarchy.reset_stats()
 
 
-def warm_core(spec):
+def warm_core(spec, core=None):
     """Build and warm a core through ``spec``'s warmup prefix (cold path).
 
     The returned core sits exactly at the warmup boundary: caches primed,
     ``spec.warmup`` instructions retired, no measurement-window effects
     (storm, telemetry, fault-stream reseed) applied yet. Its state is a
     pure function of ``spec.warmup_canonical()`` — this is what the
-    snapshot cache captures.
+    snapshot cache captures. A given ``core`` is ``spec``'s fresh
+    :func:`build_core` with an observer attached (the verified driver,
+    ``repro-timing run``).
     """
-    core = build_core(spec)
+    if core is None:
+        core = build_core(spec)
     prime_caches(core.program, core.hierarchy)
     if spec.warmup:
         core.run(spec.warmup)
@@ -475,22 +478,17 @@ def run_one(spec):
     :class:`~repro.verify.lockstep.DivergenceError` on any architectural
     divergence — see :func:`repro.verify.driver.run_verified`.
 
-    With ``spec.snapshot_dir`` set (and the spec snapshot-eligible), the
-    warmup is forked from the content-addressed snapshot cache instead of
-    re-simulated — bit-identical to the cold path by construction, and
-    pinned so by the fork-vs-cold digest tests.
+    Otherwise :func:`~repro.snapshot.fork.warmed_core` forks the warmup
+    from ``spec.snapshot_dir`` or warms it cold — bit-identical either
+    way, and pinned so by the fork-vs-cold digest tests.
     """
     if getattr(spec, "verify", False) or getattr(spec, "corruption", None):
         from repro.verify.driver import run_verified
 
         return run_verified(spec)
-    snapshot_dir = getattr(spec, "snapshot_dir", None)
-    if snapshot_dir is not None:
-        from repro.snapshot import snapshot_eligible, warmed_core
+    from repro.snapshot import warmed_core
 
-        if snapshot_eligible(spec):
-            return measure(warmed_core(spec, snapshot_dir), spec)
-    return measure(warm_core(spec), spec)
+    return measure(warmed_core(spec, spec.snapshot_dir), spec)
 
 
 def run_pair(benchmark, scheme, vdd, n_instructions=20000, warmup=4000,

@@ -1,17 +1,20 @@
-"""Batched measurement: N campaign draws per snapshot fork.
+"""Batched measurement: N measured windows per warmed donor core.
 
-Campaign draws of one point fork the *same* warmup snapshot and fetch the
-*identical* instruction stream — they differ only in ``measurement_seed``,
-which reseeds the fault injector at the warmup→measurement boundary. The
-batch path exploits this: one fork supplies the lane-invariant plan
-(:func:`repro.uarch.batchcore.build_plan`), the per-lane fault tapes are
-drawn up front (:func:`repro.uarch.batchstream.build_tapes`), and the
-compiled kernel advances all N lanes in one call.
+Specs sharing one warmup key reach bit-identical post-warmup state and
+fetch the *identical* instruction stream — they differ only in
+measurement-window fields such as ``measurement_seed``, which reseeds
+the fault injector at the warmup→measurement boundary. The batch path
+exploits this: one donor core (:func:`~repro.snapshot.fork.warmed_core`,
+forked or cold) supplies the lane-invariant plan
+(:func:`repro.uarch.batchcore.build_plan`), the per-lane fault tapes
+are drawn up front (:func:`repro.uarch.batchstream.build_tapes`), and
+the compiled kernel advances all lanes in one call. A batch may have
+one lane.
 
 Correctness never depends on the batch path handling every corner:
 
-* a spec the engine cannot model (storm, telemetry, verify, no
-  measurement seed, exotic config) is simply not batch-eligible;
+* a spec the engine cannot model (storm, telemetry, verify, corruption)
+  is simply not batch-eligible;
 * a *batch* with no compiled kernel, or one the planner rejects
   (:class:`~repro.uarch.batchstream.BatchFallback`), falls back to
   per-lane scalar runs, bit-identically;
@@ -24,8 +27,8 @@ CI ``batch-smoke`` gate use it to detect a silently all-scalar batch.
 
 import os
 
-from repro.harness.runner import measured_result, run_one
-from repro.snapshot.fork import snapshot_eligible, warmed_core
+from repro.harness.runner import measure, measured_result, run_one
+from repro.snapshot.fork import warmed_core
 from repro.uarch import batchkernel
 from repro.uarch.batchstream import BatchFallback, build_tapes, have_numpy
 
@@ -55,10 +58,10 @@ class BatchReport:
 
 
 def resolve_batch_lanes(batch_lanes=None):
-    """Effective lane count: the explicit value, else ``REPRO_BATCH_LANES``.
+    """Most lanes per kernel call: the value, else ``REPRO_BATCH_LANES``.
 
-    Returns 0 (batching off) for unset, malformed, or negative values —
-    the callers treat anything below 2 as "scalar path only".
+    Returns 0 (batching off, every spec scalar) for unset, malformed,
+    zero or negative values.
     """
     if batch_lanes is None:
         try:
@@ -69,56 +72,42 @@ def resolve_batch_lanes(batch_lanes=None):
 
 
 def batch_eligible(spec):
-    """True when ``spec`` may run as one lane of a batched measurement.
+    """True when ``spec`` may run as a lane of a batched measurement.
 
-    Requires numpy, a snapshot-eligible warmup, and a measurement-window
-    suffix of exactly ``(measurement_seed, None, False, None, None)``:
-    storm wrapping mutates the injector per cycle, telemetry attaches
-    observers, and without a measurement seed the injector continues the
-    warmup RNG stream, whose state the tape builder does not replicate.
+    The one kernel-lane rule: numpy is importable, and the measured
+    window has no storm (it mutates the injector per cycle), telemetry
+    (observers), ``verify`` or ``corruption`` (the checker must see every
+    commit). Other limits are whole-batch fallbacks or lane evictions.
     """
     return (
         have_numpy()
-        and snapshot_eligible(spec)
-        and getattr(spec, "measurement_seed", None) is not None
         and getattr(spec, "storm", None) is None
         and getattr(spec, "telemetry", None) is None
+        and not getattr(spec, "verify", False)
+        and not getattr(spec, "corruption", None)
     )
 
 
 def batch_groups(specs, max_lanes):
-    """Partition ``specs`` into (batchable-group, scalar-rest).
+    """Partition ``specs`` into (lane groups, scalar rest).
 
-    Returns ``(groups, rest)`` where each group is a list of 2..max_lanes
-    specs sharing one warmup key (one snapshot, one plan) and ``rest``
-    collects everything else: ineligible specs, and any spec left alone
-    in its group, which runs scalar. Input order is preserved within
-    each list.
+    Every :func:`batch_eligible` spec joins a group of 1..``max_lanes``
+    specs sharing its warmup key (one donor, one plan); ``rest``
+    collects the ineligible specs. Input order is preserved within each
+    list.
     """
     groups = {}
     rest = []
-    order = []
     for spec in specs:
-        if not batch_eligible(spec):
+        if batch_eligible(spec):
+            groups.setdefault(spec.warmup_key(), []).append(spec)
+        else:
             rest.append(spec)
-            continue
-        key = spec.warmup_key()
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(spec)
-    out = []
-    for key in order:
-        members = groups[key]
-        if len(members) < 2:
-            rest.extend(members)
-            continue
-        for i in range(0, len(members), max_lanes):
-            chunk = members[i:i + max_lanes]
-            if len(chunk) < 2:
-                rest.extend(chunk)
-            else:
-                out.append(chunk)
+    out = [
+        members[i:i + max_lanes]
+        for members in groups.values()
+        for i in range(0, len(members), max_lanes)
+    ]
     return out, rest
 
 
@@ -127,12 +116,14 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
 
     All specs must share one warmup key and be :func:`batch_eligible`;
     violations raise ``ValueError`` (they indicate a grouping bug, not a
-    modeling limit). A missing compiled kernel, other engine-level limits
+    modeling limit). The donor is ``warmed_core(specs[0], snapshot_dir)``.
+    A missing compiled kernel, other engine-level limits
     (:class:`BatchFallback`) and per-lane evictions all degrade to the
-    scalar path transparently; with no kernel, nothing is forked or
-    planned for the batch. Scalar lanes are plain :func:`run_one` calls,
-    and kernel lanes go through the same
-    :func:`~repro.harness.runner.measured_result` as every scalar window.
+    scalar path transparently; with no kernel, nothing is warmed or
+    planned for the batch. The first scalar lane measures on the donor,
+    later ones are :func:`run_one` calls, and kernel lanes go through
+    the same :func:`~repro.harness.runner.measured_result` as every
+    scalar window.
 
     ``force_evict`` (lane index → virtual cycle) is a test hook forcing
     divergence-path coverage at arbitrary points.
@@ -150,6 +141,7 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
     if any(s.warmup_key() != key for s in specs[1:]):
         raise ValueError("mixed warmup keys in one batch")
 
+    donor = None
     try:
         from repro.uarch.batchcore import BatchEngine, build_plan
 
@@ -165,16 +157,20 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
         lanes = engine.run(force_evict=force_evict)
     except BatchFallback as exc:
         report.fallback_reason = str(exc)
-        report.scalar_lanes = len(specs)
-        return [run_one(spec) for spec in specs]
+        lanes = [None] * len(specs)
 
     results = []
     for lane, (spec, counters) in enumerate(zip(specs, lanes)):
-        if counters is None:
-            report.evictions[lane] = engine.evicted_reason[lane]
-            report.scalar_lanes += 1
-            results.append(run_one(spec))
-        else:
+        if counters is not None:
             report.vector_lanes += 1
             results.append(measured_result(spec, *counters))
+            continue
+        if report.fallback_reason is None:
+            report.evictions[lane] = engine.evicted_reason[lane]
+        report.scalar_lanes += 1
+        # build_plan and build_tapes leave the donor at the warmup
+        # boundary, so the first scalar lane measures on it
+        result = run_one(spec) if donor is None else measure(donor, spec)
+        results.append(result)
+        donor = None
     return results

@@ -40,6 +40,17 @@ def snapshot_eligible(spec):
     )
 
 
+def fork_key(spec, directory):
+    """The snapshot key a run of ``spec`` forks from, or ``None`` (cold).
+
+    The one fork-or-cold rule, followed by :func:`warmed_core`, the
+    prewarm pass and the snapshot key a campaign journals per draw.
+    """
+    if directory is None or not snapshot_eligible(spec):
+        return None
+    return spec.warmup_key()
+
+
 def _resolve_cache(directory):
     if isinstance(directory, SnapshotCache):
         return directory
@@ -61,15 +72,20 @@ def ensure_snapshot(spec, directory):
 
 
 def warmed_core(spec, directory):
-    """A core at ``spec``'s warmup boundary: forked if cached, else cold.
+    """A core at ``spec``'s warmup boundary: forked if it may be, else cold.
+
+    :func:`~repro.harness.runner.run_one` and every kernel batch's donor
+    warm here. Without a :func:`fork_key` nothing is read or stored.
 
     Any defect in a cached blob — truncation, corruption, a stale pickle
     that somehow survived version pruning — is logged, evicted, and
     recovered by a cold warmup whose snapshot replaces the bad entry. A
     bad snapshot must cost one recompute, never a failed run.
     """
+    key = fork_key(spec, directory)
+    if key is None:
+        return warm_core(spec)
     cache = _resolve_cache(directory)
-    key = spec.warmup_key()
     blob = cache.get_blob(key)
     if blob is not None:
         try:

@@ -10,7 +10,8 @@ flattens the result into plain arrays (:class:`StreamPlan`) that the
 vector engine (:mod:`repro.uarch.batchcore`) indexes per cycle.
 
 What *does* differ per lane is the fault realization: each campaign draw
-reseeds the injector's per-instance RNG from its ``measurement_seed``.
+reseeds the injector's per-instance RNG from its ``measurement_seed``,
+and a lane without one continues the warmup stream.
 :func:`build_tapes` replays that stream per lane — the real
 :meth:`~repro.faults.injector.FaultInjector.resolve` for critical PCs, a
 short-circuit for SAFE PCs (which consume exactly one background draw) —
@@ -21,6 +22,7 @@ Anything this module cannot prove lane-invariant raises
 correct.
 """
 
+import copy
 import random
 
 try:  # numpy is an optional extra: the batch path gates on it
@@ -220,8 +222,9 @@ def build_tapes(core, plan, measurement_seeds, vdd):
 
     Returns an ``(n_lanes, plan.n)`` int16 array of fault-stage bitmasks,
     exactly what the scalar run's ``injector.resolve`` would stamp on
-    each dynamic instance after ``injector.reseed(measurement_seed + 301)``
-    (the ``begin_measurement`` boundary semantics).
+    each dynamic instance after ``begin_measurement``: reseeded from
+    ``measurement_seed + 301``, or, for a ``None`` seed, on a copy of the
+    donor injector's live warmup stream.
 
     SAFE PCs take a short-circuit that consumes one RNG draw (the
     background-fault check) — bit-exact with ``resolve``, which skips the
@@ -252,7 +255,8 @@ def build_tapes(core, plan, measurement_seeds, vdd):
     pick_stage = injector._pick_stage
     try:
         for lane, mseed in enumerate(measurement_seeds):
-            rng = random.Random(mseed + 301)
+            rng = (copy.copy(saved_rng) if mseed is None
+                   else random.Random(mseed + 301))
             injector._rng = rng
             rnd = rng.random
             row = tapes[lane]

@@ -12,7 +12,7 @@ returns a :class:`~repro.verify.bundle.RunFailure` result object that the
 campaign executor journals and skips past.
 """
 
-from repro.harness.runner import build_core, measure, prime_caches
+from repro.harness.runner import build_core, measure, warm_core
 from repro.verify.chaos import CorruptionHook
 from repro.verify.golden import GoldenModel
 from repro.verify.lockstep import LockstepChecker
@@ -40,10 +40,7 @@ def run_verified(spec):
     else:
         corruption = None
     checker = LockstepChecker(core, golden, corruption=corruption)
-    prime_caches(core.program, core.hierarchy)
-    if spec.warmup:
-        core.run(spec.warmup)
-    result = measure(core, spec)
+    result = measure(warm_core(spec, core), spec)
     result.verification = checker.finalize()
     return result
 

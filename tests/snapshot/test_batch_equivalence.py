@@ -11,9 +11,10 @@ and no kernel at all, where every batch must fall back to the scalar
 path lane by lane and say so in its report. A hypothesis test pins that
 forcing lane evictions at arbitrary points (the mid-window divergence
 path) cannot change any result, on both paths too. A generated test
-draws benchmark, scheme, supply, seeds, lane count, core and TEP
-geometry and window lengths, and compares every kernel lane with a cold
-scalar run of its spec.
+draws benchmark, scheme, supply, seeds (or one seedless lane), lane
+count, core and TEP geometry, window lengths and a forked or cold
+donor, and compares every kernel lane with a cold scalar run of its
+spec.
 """
 
 import contextlib
@@ -122,7 +123,7 @@ def test_batch_matches_scalar(scheme, vdd, n, snap_dir, scalar_ref,
     from repro.snapshot.batch import BatchReport, run_batch
 
     specs = _specs(scheme, vdd, n, snap_dir)
-    batched = run_many(specs, batch_lanes=max(2, n))
+    batched = run_many(specs, batch_lanes=n)
     assert [_digest(r) for r in batched] == scalar_ref(scheme, vdd, n)
     report = BatchReport()
     direct = run_batch(specs, str(snap_dir), report)
@@ -148,6 +149,67 @@ def test_no_kernel_batch_skips_fork_and_plan(snap_dir, scalar_ref):
     _check_report(report, "nokernel", 4)
     assert ([_digest(r) for r in results]
             == scalar_ref(SchemeKind.EP, 0.97, 4))
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    from repro.uarch.batchkernel import load_kernel
+
+    if load_kernel() is None:
+        pytest.skip("no compiled batch kernel")
+
+
+def test_fallback_lane_measures_on_the_donor(monkeypatch):
+    """A whole-batch fallback after the donor is warmed warms once.
+
+    CDS is outside the kernel's model, so ``build_plan`` raises
+    ``BatchFallback`` on the donor. The lane then measures on that
+    donor: one warmup for the batch, and the result equals ``run_one``.
+    Without a kernel the lane is a plain ``run_one``, one warmup too.
+    """
+    from repro.harness.runner import run_one
+    from repro.snapshot import batch, fork
+
+    spec = RunSpec(scheme=SchemeKind.CDS, vdd=0.97, **POINT)
+    warm_core, warmups = fork.warm_core, []
+
+    def counting(spec, core=None):
+        warmups.append(spec)
+        return warm_core(spec, core)
+
+    report = batch.BatchReport()
+    with monkeypatch.context() as patch:
+        patch.setattr(fork, "warm_core", counting)
+        lanes = batch.run_batch([spec], None, report)
+    assert report.fallback_reason is not None
+    assert report.scalar_lanes == 1
+    assert len(warmups) == 1
+    assert _digest(lanes[0]) == _digest(run_one(spec))
+
+
+def test_lane_export_equals_scalar_export(kernel, snap_dir):
+    """A kernel lane's JSON export is byte-equal to its scalar twin's.
+
+    The scalar core keys ``stage_faults`` in first-fault order and a
+    lane in stage order; the export writes the ``as_dict`` form only.
+    """
+    import json
+
+    from repro.harness.export import sim_result_to_dict
+    from repro.harness.runner import run_one
+    from repro.snapshot.batch import BatchReport, run_batch
+
+    for benchmark in ("gcc", "astar", "mcf", "bzip2", "sjeng", "tonto"):
+        for scheme in SCHEMES:
+            spec = RunSpec(benchmark, scheme, 0.97, 1000, 3000, 3,
+                           measurement_seed=7)
+            spec.snapshot_dir = str(snap_dir)
+            report = BatchReport()
+            (lane,) = run_batch([spec], str(snap_dir), report)
+            assert report.vector_lanes == 1, report
+            assert (json.dumps(sim_result_to_dict(lane))
+                    == json.dumps(sim_result_to_dict(run_one(spec)))), (
+                benchmark, scheme)
 
 
 @pytest.mark.parametrize("vdd", VDDS)
@@ -205,6 +267,54 @@ def test_campaign_journal_bytes_identical(tmp_path, snap_dir):
             }
         assert outputs["batch"] == outputs["scalar"], benchmark
         assert outputs["timed"] == outputs["scalar"], benchmark
+
+
+@pytest.mark.parametrize("snapshots", (True, False), ids=("fork", "cold"))
+@pytest.mark.parametrize("draw_mode", ("fault", "program"))
+def test_campaign_runs_every_simulation_as_a_lane(draw_mode, snapshots,
+                                                  tmp_path, snap_dir,
+                                                  monkeypatch, kernel):
+    """Draws and baselines are lanes, forked or cold, in either draw mode.
+
+    In program mode every draw and its baseline has a warmup of its own
+    and no measurement seed, so each runs as a one-lane batch. The
+    journal and report stay byte-equal to a scalar campaign.
+    """
+    from repro.campaign.executor import run_campaign
+    from repro.campaign.plan import CampaignSpec
+    from repro.snapshot import batch
+
+    def spec():
+        return CampaignSpec(
+            name="lanes", benchmarks=["gcc", "tonto"], schemes=["ABS", "EP"],
+            vdds=[0.97], n_instructions=800, warmup=400, min_seeds=4,
+            max_seeds=4, batch_size=4, draw_mode=draw_mode,
+        )
+
+    run_batch, reports = batch.run_batch, []
+
+    def spy(specs, snapshot_dir, report=None, force_evict=None):
+        reports.append(batch.BatchReport())
+        return run_batch(specs, snapshot_dir, reports[-1], force_evict)
+
+    monkeypatch.setattr(batch, "run_batch", spy)
+    outputs = {}
+    for lanes in (0, 4):
+        directory = tmp_path / str(lanes)
+        run_campaign(str(directory), spec=spec(), cache=False,
+                     snapshots=snapshots, snapshot_dir=str(snap_dir),
+                     batch_lanes=lanes)
+        outputs[lanes] = [(directory / name).read_bytes()
+                          for name in ("journal.jsonl", "report.json")]
+    assert outputs[4] == outputs[0]
+    grid = spec()
+    simulations = {
+        run.key()
+        for point in grid.points() for index in range(4)
+        for run in grid.pair_specs(point, index)
+    }
+    assert sum(r.vector_lanes for r in reports) == len(simulations)
+    assert sum(r.n_lanes for r in reports) == len(simulations)
 
 
 def test_timed_campaign_runs_kernel_lanes_once_per_spec(tmp_path, snap_dir,
@@ -287,13 +397,6 @@ if HAVE_HYPOTHESIS:
         SchemeKind.ABS, SchemeKind.FFS,
     )
 
-    @pytest.fixture(scope="module")
-    def kernel():
-        from repro.uarch.batchkernel import load_kernel
-
-        if load_kernel() is None:
-            pytest.skip("no compiled batch kernel")
-
     @st.composite
     def _geometries(draw):
         """A core and TEP geometry inside the kernel's model."""
@@ -323,31 +426,40 @@ if HAVE_HYPOTHESIS:
         scheme=st.sampled_from(GENERATED_SCHEMES),
         vdd=st.sampled_from((0.97, 1.0, 1.04)),
         seed=st.integers(min_value=1, max_value=1000),
-        mseeds=st.lists(
-            st.integers(min_value=1, max_value=10 ** 6),
-            min_size=1, max_size=6, unique=True,
+        # a lane without a measurement seed continues the warmup stream
+        mseeds=st.one_of(
+            st.just([None]),
+            st.lists(
+                st.integers(min_value=1, max_value=10 ** 6),
+                min_size=1, max_size=6, unique=True,
+            ),
         ),
         geometry=_geometries(),
-        warmup=st.integers(min_value=100, max_value=1500),
+        warmup=st.integers(min_value=0, max_value=1500),
         window=st.integers(min_value=200, max_value=2000),
+        store=st.booleans(),
     )
     # sjeng keys fu_ops in a non-sorted first-issue order; povray issues
     # FPU ops, which must not hold the complex unit for their latency
     @example(benchmark="sjeng", scheme=SchemeKind.EP, vdd=1.04, seed=1,
              mseeds=[1, 2, 3, 4], geometry=(None, None), warmup=3000,
-             window=6000)
+             window=6000, store=True)
     @example(benchmark="povray", scheme=SchemeKind.FAULT_FREE, vdd=0.97,
              seed=1, mseeds=[1, 2], geometry=(None, None), warmup=300,
-             window=600)
+             window=600, store=True)
+    @example(benchmark="gcc", scheme=SchemeKind.ABS, vdd=0.97, seed=3,
+             mseeds=[None], geometry=(None, None), warmup=0, window=600,
+             store=False)
     def test_generated_kernel_lanes_match_cold_scalar_runs(
         benchmark, scheme, vdd, seed, mseeds, geometry, warmup, window,
-        kernel, snap_dir,
+        store, kernel, snap_dir,
     ):
         """Every kernel lane equals a cold scalar run of its spec.
 
-        ``list(stats.fu_ops)`` is compared on its own because
-        ``as_dict()`` sorts ``fu_ops``, while the energy sum follows
-        the dict's order.
+        The donor is forked from ``snap_dir`` or, with ``store`` off,
+        warmed cold. ``list(stats.fu_ops)`` is compared on its own
+        because ``as_dict()`` sorts ``fu_ops``, while the energy sum
+        follows the dict's order.
         """
         from repro.harness.runner import run_one
         from repro.snapshot.batch import BatchReport, run_batch
@@ -361,11 +473,12 @@ if HAVE_HYPOTHESIS:
                 measurement_seed=mseed,
             )
 
+        directory = str(snap_dir) if store else None
         lanes = [spec(m) for m in mseeds]
         for lane in lanes:
-            lane.snapshot_dir = str(snap_dir)
+            lane.snapshot_dir = directory
         report = BatchReport()
-        batched = run_batch(lanes, str(snap_dir), report)
+        batched = run_batch(lanes, directory, report)
         assert report.fallback_reason is None
         for lane, (mseed, result) in enumerate(zip(mseeds, batched)):
             cold = run_one(spec(mseed))
