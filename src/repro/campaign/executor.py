@@ -101,14 +101,16 @@ def draw_metadata(run_spec, result):
     return summary, fork_key(run_spec, run_spec.snapshot_dir)
 
 
-def run_draws(spec, point, indices, run_fn, step=None):
+def run_draws(spec, point, indices, run_fn, baselines, step=None):
     """Execute draws ``indices`` of ``point``; yield each outcome in order.
 
     Builds every draw's (scheme, fault-free baseline) pair with
     :meth:`~repro.campaign.plan.CampaignSpec.pair_specs` and calls
     ``run_fn(specs) -> results`` once per ``step`` draws (default: all
-    of them in one call). Each distinct baseline spec is sent only with
-    the first chunk that needs it; later draws reuse that result.
+    of them in one call). ``baselines`` maps baseline spec keys to
+    results: a baseline missing from it is sent only with the first
+    chunk that needs it and stored there, so callers that pass one dict
+    to every call for a point simulate its baseline once.
 
     Yields ``(index, run_event, None)`` per completed draw, where
     ``run_event`` is the journal ``run`` event. For the first draw whose
@@ -118,7 +120,6 @@ def run_draws(spec, point, indices, run_fn, step=None):
     """
     indices = list(indices)
     step = step or max(1, len(indices))
-    baselines = {}  # baseline spec key -> result, reused across chunks
     for at in range(0, len(indices), step):
         chunk = indices[at:at + step]
         pairs = [spec.pair_specs(point, i) for i in chunk]
@@ -218,9 +219,11 @@ def measure_point(scheduler, run_fn, on_run=None):
     ``"max_seeds"``, or ``"failed"`` when a verified run came back as a
     :class:`~repro.verify.bundle.RunFailure`, kept in ``failure``.
     """
+    baselines = {}  # kept across batches: the baseline runs once
     while scheduler.next_batch() is not None:
         for index, event, failure in run_draws(
-            scheduler.spec, scheduler.point, scheduler.pending(), run_fn
+            scheduler.spec, scheduler.point, scheduler.pending(), run_fn,
+            baselines,
         ):
             if failure is not None:
                 scheduler.fail(failure)

@@ -16,7 +16,9 @@ seeds are statistically independent.
 import hashlib
 
 from repro.core.schemes import SchemeKind, scheme_kind
+from repro.faults.storm import StormConfig
 from repro.harness.runner import RunSpec
+from repro.record import Record
 from repro.workloads.profiles import get_profile
 
 
@@ -98,8 +100,11 @@ def extract_metrics(result, baseline):
 DEFAULT_TARGETS = {"perf_overhead": 0.02, "fault_rate": 0.005}
 
 
-class CampaignSpec:
+class CampaignSpec(Record):
     """Declarative description of one fault-injection campaign.
+
+    Its manifest form (:meth:`to_dict`, :meth:`from_dict`) and ``repr``
+    derive from :attr:`FIELDS`, the constructor parameters in order.
 
     Parameters
     ----------
@@ -157,6 +162,11 @@ class CampaignSpec:
         list enumerates whole-run seeds by definition.
     """
 
+    FIELDS = ("name", "benchmarks", "schemes", "vdds", "n_instructions",
+              "warmup", "master_seed", "seeds", "min_seeds", "max_seeds",
+              "batch_size", "targets", "z", "predictor", "overclock",
+              "verify", "storm", "telemetry_interval", "draw_mode")
+
     def __init__(self, name, benchmarks, schemes, vdds=(0.97,),
                  n_instructions=6000, warmup=3000, master_seed=1,
                  seeds=None, min_seeds=3, max_seeds=12, batch_size=3,
@@ -181,11 +191,7 @@ class CampaignSpec:
         self.predictor = predictor
         self.overclock = float(overclock)
         self.verify = bool(verify)
-        if storm is not None and not hasattr(storm, "canonical"):
-            from repro.faults.storm import StormConfig
-
-            storm = StormConfig.from_dict(storm)
-        self.storm = storm
+        self.storm = StormConfig.load(storm)
         self.telemetry_interval = max(0, int(telemetry_interval))
         if draw_mode not in ("fault", "program"):
             raise ValueError(
@@ -277,31 +283,6 @@ class CampaignSpec:
         run_spec.snapshot_dir = base_spec.snapshot_dir = self.snapshot_dir
         return (run_spec, base_spec)
 
-    # ------------------------------------------------------------------
-    def to_dict(self):
-        """JSON-safe manifest form; inverse of :meth:`from_dict`."""
-        return {
-            "name": self.name,
-            "benchmarks": list(self.benchmarks),
-            "schemes": [s.name for s in self.schemes],
-            "vdds": list(self.vdds),
-            "n_instructions": self.n_instructions,
-            "warmup": self.warmup,
-            "master_seed": self.master_seed,
-            "seeds": self.seeds,
-            "min_seeds": self.min_seeds,
-            "max_seeds": self.max_seeds,
-            "batch_size": self.batch_size,
-            "targets": dict(self.targets),
-            "z": self.z,
-            "predictor": self.predictor,
-            "overclock": self.overclock,
-            "verify": self.verify,
-            "storm": self.storm.to_dict() if self.storm is not None else None,
-            "telemetry_interval": self.telemetry_interval,
-            "draw_mode": self.draw_mode,
-        }
-
     @classmethod
     def from_dict(cls, data):
         """Rebuild a spec from its manifest form.
@@ -310,17 +291,4 @@ class CampaignSpec:
         seeds, so a missing key means the legacy ``"program"`` semantics —
         resuming an old campaign must reproduce its original draws.
         """
-        data = dict(data)
-        data.setdefault("draw_mode", "program")
-        explicit = data.pop("seeds", None)
-        spec = cls(**data)
-        if explicit is not None:
-            spec.seeds = list(explicit)
-            spec.min_seeds = spec.max_seeds = spec.batch_size = len(explicit)
-        return spec
-
-    def __repr__(self):
-        return (
-            f"CampaignSpec({self.name!r}, {len(self.points())} points, "
-            f"seeds {self.min_seeds}..{self.max_seeds})"
-        )
+        return super().from_dict({"draw_mode": "program", **data})

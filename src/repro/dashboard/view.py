@@ -209,47 +209,30 @@ class CampaignView:
     def fork_spec(self, point_id):
         """A ready-to-run single-point campaign spec forked from a point.
 
-        Re-emits the point's :class:`RunSpec` knobs as a ``campaign
-        plan`` manifest spec (grid collapsed to the one point, every
-        statistical knob inherited), plus draw 0's full run spec
-        (``RunSpec.to_dict()``) and the CLI line that plans it, stopping
-        targets included — the replay/what-if loop: tweak a knob, plan,
-        run.
+        ``campaign_spec`` is the manifest spec with the grid collapsed to
+        the one point and every statistical knob inherited; ``run_spec``
+        is draw 0's full ``RunSpec.to_dict()``; ``cli`` is the ``campaign
+        plan`` line that plans exactly ``campaign_spec``, or ``None``
+        when the spec sets a knob the CLI has no flag for (see
+        :func:`~repro.harness.cli.campaign_plan_line`) — the
+        replay/what-if loop: tweak a knob, plan, run.
         """
+        from repro.harness.cli import campaign_plan_line
+
         point = next(
             (p for p in self.spec.points() if p.id == point_id), None
         )
         if point is None:
             return None
-        campaign = self.spec.to_dict()
-        campaign["name"] = f"{self.spec.name}-fork"
-        campaign["benchmarks"] = [point.benchmark]
-        campaign["schemes"] = [point.scheme.name]
-        campaign["vdds"] = [point.vdd]
-        run_spec, _base = self.spec.pair_specs(point, 0)
-        cli = (
-            "repro-timing campaign plan --dir <new-dir>"
-            f" --name {campaign['name']}"
-            f" --benchmarks {point.benchmark}"
-            f" --schemes {point.scheme.name}"
-            f" --vdds {point.vdd!r}"
-            f" --instructions {self.spec.n_instructions}"
-            f" --warmup {self.spec.warmup}"
-            f" --seed {self.spec.master_seed}"
-            f" --seeds-min {self.spec.min_seeds}"
-            f" --seeds-max {self.spec.max_seeds}"
-            f" --batch {self.spec.batch_size}"
-            f" --predictor {self.spec.predictor}"
-            " --half-width"
-        )
-        for metric, half_width in sorted(self.spec.targets.items()):
-            cli += f" {metric}={half_width!r}"
-        if self.spec.telemetry_interval:
-            cli += f" --telemetry-interval {self.spec.telemetry_interval}"
+        forked = CampaignSpec.from_dict(dict(
+            self.spec.to_dict(), name=f"{self.spec.name}-fork",
+            benchmarks=[point.benchmark], schemes=[point.scheme],
+            vdds=[point.vdd],
+        ))
         return {
-            "campaign_spec": campaign,
-            "run_spec": run_spec.to_dict(),
-            "cli": cli,
+            "campaign_spec": forked.to_dict(),
+            "run_spec": self.spec.pair_specs(point, 0)[0].to_dict(),
+            "cli": campaign_plan_line(forked),
         }
 
     # ------------------------------------------------------------------

@@ -71,6 +71,9 @@ from repro.fleet.security import (
 )
 
 ENDPOINT_NAME = "coordinator.json"
+#: a lease tail must have at least this many unfinished indices before
+#: it can be split: a single in-flight draw is already being executed
+MIN_STEAL = 2
 
 #: shard names come off the wire; anything fancier than this is either a
 #: bug or an attempted path escape, and is rejected at hello time
@@ -106,7 +109,7 @@ class FleetCoordinator:
                  heartbeat_timeout=15.0, wait_delay=0.5, linger=1.0,
                  resume=False, cache=True, cache_dir=None, snapshots=True,
                  snapshot_dir=None, secret=None, tls_cert=None,
-                 tls_key=None, tls_ca=None, steal=True, min_steal=2):
+                 tls_key=None, tls_ca=None, steal=True):
         self.directory = str(directory)
         self.host = host
         self.port = port  # 0 = ephemeral; rebound to the real port on serve
@@ -125,9 +128,6 @@ class FleetCoordinator:
         self.tls_key = tls_key
         self.tls_ca = tls_ca
         self.steal = bool(steal)
-        #: a lease tail must have at least this many unfinished indices
-        #: before it can be split — 1-index tails are not worth moving
-        self.min_steal = max(2, int(min_steal))
         #: rejection/fault counters, surfaced by :meth:`status` and
         #: persisted to the lease ledger on every bump (so ``fleet
         #: status`` on a dead fleet still reports them) — the audit
@@ -509,17 +509,16 @@ class FleetCoordinator:
         Only reached when no unleased work exists anywhere, i.e. the
         requesting worker is idle while others hold unfinished leases.
         The victim is the lease with the most unfinished indices (at
-        least :attr:`min_steal` — a single in-flight draw cannot be
-        moved, it is already being executed). The victim worker is not
-        told: it keeps executing the stolen indices it already holds,
-        and the exactly-once gate drops whichever copy arrives second.
+        least :data:`MIN_STEAL`). The victim worker is not told: it
+        keeps executing the stolen indices it already holds, and the
+        exactly-once gate drops whichever copy arrives second.
         """
         victim_id, victim = max(
             (
                 (lease_id, lease)
                 for lease_id, lease in self._leases.items()
                 if lease["worker"] != worker
-                and len(lease["indices"]) >= self.min_steal
+                and len(lease["indices"]) >= MIN_STEAL
             ),
             key=lambda item: (len(item[1]["indices"]), -item[0]),
             default=(None, None),

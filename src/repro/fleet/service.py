@@ -204,7 +204,7 @@ class ElasticPool:
 
     def __init__(self, coordinator, min_workers, max_workers,
                  spawn_kwargs=None, secret=None, interval=SCALE_INTERVAL,
-                 idle_grace=IDLE_GRACE, name_prefix="worker"):
+                 idle_grace=IDLE_GRACE):
         self.coordinator = coordinator
         self.min_workers = int(min_workers)
         self.max_workers = int(max_workers)
@@ -221,13 +221,12 @@ class ElasticPool:
         self.secret = secret
         self.interval = float(interval)
         self.idle_grace = float(idle_grace)
-        self.name_prefix = name_prefix
         self.procs = {}  # name -> Popen
         self.retired = set()  # names drained on purpose
         self.spawned = 0  # lifetime spawn count (also names workers)
 
     def spawn(self, reason):
-        name = f"{self.name_prefix}{self.spawned}"
+        name = f"worker{self.spawned}"
         self.spawned += 1
         self.procs[name] = spawn_worker(
             self.coordinator.host, self.coordinator.port, name,

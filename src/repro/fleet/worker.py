@@ -10,7 +10,8 @@ generator the single-pool executor drives — with a ``run_fn`` from
 :func:`~repro.campaign.executor.make_run_fn`, one lane group at a time:
 when the coordinator's config names a snapshot store, the first draw
 of a leased point warms its pipeline snapshot once and every later draw
-forks from it, and the point's fault-free baseline runs once per lease.
+forks from it, and the point's fault-free baseline runs once while the
+worker holds leases of that point.
 Completed draws are streamed back as the journal ``run`` events
 ``run_draws`` built — the coordinator appends them to this worker's
 shard journal — and a :class:`~repro.verify.bundle.RunFailure` draw
@@ -103,6 +104,8 @@ class FleetWorker:
         self.batch_lanes = resolve_batch_lanes(batch_lanes)
         self.spec = None
         self._run_fn = None
+        #: {point id: its baseline results}, for the point last leased
+        self._baselines = {}
         self.draws_done = 0
 
     # ------------------------------------------------------------------
@@ -302,7 +305,9 @@ class FleetWorker:
         # lockstep engine; throttled workers stay per-draw (the dial is a
         # straggler simulation, coarser chunks would distort it)
         step = 1 if self.throttle > 0 else max(1, self.batch_lanes)
-        draws = run_draws(self.spec, point, indices, self._run_fn, step)
+        self._baselines = {point.id: self._baselines.get(point.id, {})}
+        draws = run_draws(self.spec, point, indices, self._run_fn,
+                          self._baselines[point.id], step)
         for _ in range(0, len(indices), step):
             if self.throttle > 0:
                 await asyncio.sleep(self.throttle)

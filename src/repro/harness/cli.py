@@ -549,43 +549,57 @@ def _verify_main(argv):
 # ----------------------------------------------------------------------
 # campaign subcommand
 # ----------------------------------------------------------------------
+def _target(text):
+    """One ``METRIC=HALFWIDTH`` stopping target as a (metric, float) pair."""
+    metric, _, value = text.partition("=")
+    try:
+        return metric, float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected METRIC=HALFWIDTH, got {text!r}"
+        ) from None
+
+
+#: ``(CampaignSpec field, flag, help, argparse keywords)`` of every grid
+#: knob ``campaign plan|run`` and ``fleet serve|run`` take. The flags are
+#: declared, read back into a spec, and spelled on a dashboard fork's
+#: command line from this table alone. A flag left out keeps the
+#: constructor's default; a field missing here is set by manifest only.
+SPEC_FLAGS = (
+    ("name", "--name", "campaign name (report header)",
+     dict(default="campaign")),
+    ("benchmarks", "--benchmarks", "benchmark axis of the grid",
+     dict(nargs="+", default=["astar", "bzip2"])),
+    ("schemes", "--schemes", "scheme axis of the grid",
+     dict(nargs="+", default=["EP", "ABS", "FFS", "CDS"])),
+    ("vdds", "--vdds", "supply-voltage axis of the grid",
+     dict(nargs="+", type=float)),
+    ("n_instructions", "--instructions", "measured instructions per run",
+     dict(type=int)),
+    ("warmup", "--warmup", "warmup instructions per run", dict(type=int)),
+    ("master_seed", "--seed", "master seed of the per-point seed streams",
+     dict(type=int)),
+    ("min_seeds", "--seeds-min", "minimum seed draws per grid point",
+     dict(type=int)),
+    ("max_seeds", "--seeds-max", "maximum seed draws per grid point",
+     dict(type=int)),
+    ("batch_size", "--batch", "seed draws per sequential batch",
+     dict(type=int)),
+    ("targets", "--half-width", "stopping targets, e.g. perf_overhead=0.02 "
+     "fault_rate=0.005 (default: those two)",
+     dict(nargs="*", type=_target, metavar="METRIC=HW")),
+    ("predictor", "--predictor", "violation predictor design",
+     dict(choices=["tep", "mre", "tvp"])),
+    ("telemetry_interval", "--telemetry-interval",
+     "collect cycle-windowed interval metrics on every scheme run at this "
+     "window size and aggregate them in the report (0 = off)",
+     dict(type=int, metavar="CYCLES")),
+)
+
+
 def _add_spec_options(parser):
-    parser.add_argument("--name", default="campaign",
-                        help="campaign name (report header)")
-    parser.add_argument("--benchmarks", nargs="+",
-                        default=["astar", "bzip2"],
-                        help="benchmark axis of the grid")
-    parser.add_argument("--schemes", nargs="+",
-                        default=["EP", "ABS", "FFS", "CDS"],
-                        help="scheme axis of the grid")
-    parser.add_argument("--vdds", nargs="+", type=float, default=[0.97],
-                        help="supply-voltage axis of the grid")
-    parser.add_argument("--instructions", type=int, default=6000,
-                        help="measured instructions per run")
-    parser.add_argument("--warmup", type=int, default=3000,
-                        help="warmup instructions per run")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="master seed of the per-point seed streams")
-    parser.add_argument("--seeds-min", type=int, default=3,
-                        help="minimum seed draws per grid point")
-    parser.add_argument("--seeds-max", type=int, default=12,
-                        help="maximum seed draws per grid point")
-    parser.add_argument("--batch", type=int, default=3,
-                        help="seed draws per sequential batch")
-    parser.add_argument(
-        "--half-width", nargs="*", metavar="METRIC=HW", default=None,
-        help="stopping targets, e.g. perf_overhead=0.02 fault_rate=0.005 "
-             "(default: those two)",
-    )
-    parser.add_argument("--predictor", default="tep",
-                        choices=["tep", "mre", "tvp"],
-                        help="violation predictor design")
-    parser.add_argument(
-        "--telemetry-interval", type=int, default=0, metavar="CYCLES",
-        help="collect cycle-windowed interval metrics on every scheme "
-             "run at this window size and aggregate them in the report "
-             "(0 = off)",
-    )
+    for field, flag, help_text, options in SPEC_FLAGS:
+        parser.add_argument(flag, dest=field, help=help_text, **options)
 
 
 def _add_exec_options(parser):
@@ -653,38 +667,39 @@ def _campaign_parser():
     return parser
 
 
-def _parse_targets(pairs):
-    targets = {}
-    for pair in pairs:
-        metric, _, value = pair.partition("=")
-        if not value:
-            raise ValueError(f"expected METRIC=HALFWIDTH, got {pair!r}")
-        targets[metric] = float(value)
-    return targets
-
-
 def _campaign_spec(args):
     from repro.campaign import CampaignSpec
 
-    targets = (
-        _parse_targets(args.half_width) if args.half_width is not None
-        else None
-    )
-    return CampaignSpec(
-        name=args.name,
-        benchmarks=args.benchmarks,
-        schemes=args.schemes,
-        vdds=args.vdds,
-        n_instructions=args.instructions,
-        warmup=args.warmup,
-        master_seed=args.seed,
-        min_seeds=args.seeds_min,
-        max_seeds=args.seeds_max,
-        batch_size=args.batch,
-        targets=targets,
-        predictor=args.predictor,
-        telemetry_interval=args.telemetry_interval,
-    )
+    given = {field: getattr(args, field) for field, *_rest in SPEC_FLAGS}
+    return CampaignSpec(**{k: v for k, v in given.items() if v is not None})
+
+
+def campaign_plan_line(spec):
+    """The ``campaign plan`` command that plans ``spec`` exactly, or None.
+
+    Every flag of :data:`SPEC_FLAGS` is spelled out. A field without a
+    flag (explicit ``seeds``, ``z``, ``overclock``, ``verify``, a
+    ``storm``, the ``draw_mode``) that differs from its default has no
+    command line; such a spec is planned from its :meth:`to_dict` form.
+    """
+    import shlex
+
+    data = spec.to_dict()
+    default = type(spec)(spec.name, spec.benchmarks, spec.schemes).to_dict()
+    flagged = {field for field, *_rest in SPEC_FLAGS}
+    if any(data[field] != default[field]
+           for field in spec.FIELDS if field not in flagged):
+        return None
+    argv = ["repro-timing", "campaign", "plan", "--dir", "<new-dir>"]
+    for field, flag, _help, options in SPEC_FLAGS:
+        value = data[field]
+        if isinstance(value, dict):
+            value = [f"{key}={item}" for key, item in value.items()]
+        if "nargs" in options:
+            argv += [flag] + [str(item) for item in value]
+        else:
+            argv.append(f"{flag}={value}")
+    return shlex.join(argv)
 
 
 def _print_report_summary(report):

@@ -201,20 +201,22 @@ def table1(n_instructions=10000, warmup=4000, seed=1, benchmarks=None,
 # ----------------------------------------------------------------------
 # Figures 4/5 (1.04V) and 8/9 (0.97V)
 # ----------------------------------------------------------------------
+def _sweep(vdd, n_instructions, warmup, seed, benchmarks, jobs, cache,
+           cache_dir):
+    """A figure's sweep: every profile at 1.04 V, high-FR set at 0.97 V."""
+    if benchmarks is None:
+        benchmarks = (profile_names() if vdd == VDD_LOW_FAULT
+                      else paper_data.HIGH_FR_BENCHMARKS)
+    return SchedulingSweep(vdd, n_instructions, warmup, seed, benchmarks,
+                           jobs=jobs, cache=cache, cache_dir=cache_dir)
+
+
 def _figure(metric, vdd, name, title, n_instructions, warmup, seed,
             benchmarks, sweep=None, jobs=1, cache=False, cache_dir=None):
-    if benchmarks is None:
-        benchmarks = (
-            profile_names()
-            if vdd == VDD_LOW_FAULT
-            else list(paper_data.HIGH_FR_BENCHMARKS)
-        )
     if sweep is None:
-        sweep = SchedulingSweep(vdd, n_instructions, warmup, seed,
-                                benchmarks, jobs=jobs, cache=cache,
-                                cache_dir=cache_dir)
-    else:
-        benchmarks = sweep.benchmarks
+        sweep = _sweep(vdd, n_instructions, warmup, seed, benchmarks, jobs,
+                       cache, cache_dir)
+    benchmarks = sweep.benchmarks
     series = sweep.relative_overheads(metric)
     averages = {
         name_: (sum(vals.values()) / len(vals) if vals else float("nan"))
@@ -392,8 +394,12 @@ def headline(n_instructions=10000, warmup=4000, seed=1, benchmarks=None,
              sweeps=None, jobs=1, cache=False, cache_dir=None):
     """Average overhead reductions vs EP, compared to the paper's claims.
 
-    ``sweeps`` optionally maps vdd -> precomputed :class:`SchedulingSweep`.
+    ``sweeps`` optionally maps vdd -> precomputed :class:`SchedulingSweep`;
+    the two figures at one voltage share one sweep either way.
     """
+    sweeps = {vdd: (sweeps or {}).get(vdd) or _sweep(
+        vdd, n_instructions, warmup, seed, benchmarks, jobs, cache,
+        cache_dir) for vdd in (VDD_LOW_FAULT, VDD_HIGH_FAULT)}
     results = {}
     for name, fig_fn, claim_key, vdd in (
         ("perf@1.04V", fig4, "perf_reduction_low_fr", VDD_LOW_FAULT),
@@ -401,9 +407,8 @@ def headline(n_instructions=10000, warmup=4000, seed=1, benchmarks=None,
         ("perf@0.97V", fig8, "perf_reduction_high_fr", VDD_HIGH_FAULT),
         ("ED@0.97V", fig9, "ed_reduction_high_fr", VDD_HIGH_FAULT),
     ):
-        sweep = sweeps.get(vdd) if sweeps else None
-        fig = fig_fn(n_instructions, warmup, seed, benchmarks, sweep=sweep,
-                     jobs=jobs, cache=cache, cache_dir=cache_dir)
+        fig = fig_fn(n_instructions, warmup, seed, benchmarks,
+                     sweep=sweeps[vdd])
         best = min(fig.data["averages"].values())
         reduction = 1.0 - best
         results[name] = {

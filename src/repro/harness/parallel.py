@@ -99,9 +99,6 @@ class ResultCache(BlobStore):
         self.hits = 0
         self.misses = 0
 
-    def _path(self, spec):
-        return self.path_for(spec.key())
-
     def load(self, spec):
         """The cached result for ``spec``, or ``None`` on a miss.
 

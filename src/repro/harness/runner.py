@@ -48,11 +48,6 @@ def _sorted_items(value):
     return tuple(sorted(value.items())) if value else None
 
 
-def _load(cls, value):
-    """``value``, rebuilt by ``cls.from_dict`` when given in dict form."""
-    return cls.from_dict(value) if isinstance(value, dict) else value
-
-
 class RunSpec(Record):
     """Everything needed to reproduce one simulation run.
 
@@ -108,8 +103,8 @@ class RunSpec(Record):
         self.n_instructions = n_instructions
         self.warmup = warmup
         self.seed = seed
-        self.config = _load(CoreConfig, config)
-        self.tep_config = _load(TEPConfig, tep_config)
+        self.config = CoreConfig.load(config)
+        self.tep_config = TEPConfig.load(tep_config)
         #: which timing-violation predictor design drives the scheme:
         #: "tep" (the paper's), "mre" (Xin/Joseph) or "tvp" (Roy et al.)
         self.predictor = predictor
@@ -118,7 +113,7 @@ class RunSpec(Record):
         self.overclock = overclock
         #: optional :class:`~repro.faults.storm.StormConfig` — fault-storm
         #: stress mode (wild faults, sensor dropouts, TEP chaos)
-        self.storm = _load(StormConfig, storm)
+        self.storm = StormConfig.load(storm)
         #: run under the lockstep golden-model checker (repro.verify)
         self.verify = verify
         #: optional dict form of a test-only
@@ -127,7 +122,7 @@ class RunSpec(Record):
         #: optional :class:`~repro.telemetry.config.TelemetryConfig` —
         #: interval metrics, event tracing, and self-profiling recorded
         #: over the measured window
-        self.telemetry = _load(TelemetryConfig, telemetry)
+        self.telemetry = TelemetryConfig.load(telemetry)
         #: when set, the measurement window draws its fault-side RNG
         #: streams (injector, storm wrappers) from this seed instead of
         #: continuing the warmup streams. The warmup then depends only on
@@ -309,6 +304,13 @@ def build_core(spec):
     """Assemble (but do not run) the full simulation stack for ``spec``."""
     profile = get_profile(spec.benchmark)
     program = _cached_program(profile, spec.seed)
+    config = spec.config or CoreConfig.core1()
+    if program.highest_register >= config.n_arch_regs:
+        raise ValueError(
+            f"{spec.benchmark}'s program uses register "
+            f"r{program.highest_register}, but the core has "
+            f"n_arch_regs={config.n_arch_regs}"
+        )
     trace = TraceGenerator(program, seed=spec.seed + 101)
     hierarchy = MemoryHierarchy()
     scheme = make_scheme(spec.scheme)
@@ -331,7 +333,6 @@ def build_core(spec):
     # (begin_measurement), not here: the storm is a measured-window
     # stressor, so a storm draw can fork from a storm-free warmup
     # snapshot and the warmup stays a pure function of warmup_canonical()
-    config = spec.config or CoreConfig.core1()
     core = OoOCore(
         config, trace, hierarchy, scheme,
         injector=injector, tep=tep, sensor=sensor, vdd=spec.vdd,

@@ -8,6 +8,8 @@ static-PC footprint, heavy PC recurrence through loops, and correlated
 branch behaviour.
 """
 
+from functools import cached_property
+
 
 class BasicBlock:
     """A straight-line sequence of static instructions ending in a branch.
@@ -62,6 +64,13 @@ class Program:
                 if inst.pc in self._pc_map:
                     raise ValueError(f"duplicate PC {inst.pc:#x}")
                 self._pc_map[inst.pc] = inst
+
+    @cached_property
+    def highest_register(self):
+        """Highest architectural register any instruction names."""
+        return max((reg for inst in self._pc_map.values()
+                    for reg in (inst.dest, *inst.srcs) if reg is not None),
+                   default=0)
 
     @property
     def static_insts(self):

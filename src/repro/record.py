@@ -13,11 +13,16 @@ import enum
 
 
 def _plain(value):
-    """JSON-safe form of one field value (records nest as dicts)."""
+    """JSON-safe form of one field value (records nest as dicts, and
+    lists and dicts are copied, so editing a ``to_dict()`` is safe)."""
     if isinstance(value, Record):
         return value.to_dict()
     if isinstance(value, enum.Enum):
         return value.name
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
     return value
 
 
@@ -38,6 +43,11 @@ class Record:
     def from_dict(cls, data):
         """Rebuild an instance; fields missing from ``data`` default."""
         return cls(**{k: data[k] for k in cls.FIELDS if k in data})
+
+    @classmethod
+    def load(cls, value):
+        """``value``, rebuilt by :meth:`from_dict` when given as a dict."""
+        return cls.from_dict(value) if isinstance(value, dict) else value
 
     def __repr__(self):
         knobs = ", ".join(

@@ -362,3 +362,37 @@ class TestBoundedRetry:
         # second call served from the shared cache (same results)
         again = run_fn(list(spec.pair_specs(point, 0)))
         assert again[0].stats.as_dict() == results[0].stats.as_dict()
+
+
+class TestBaselineMemo:
+    def test_uncached_point_simulates_its_baseline_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Two batches of one point share a single fault-free baseline.
+
+        Without a result cache the baseline used to run again for every
+        scheduler batch; the journal must not notice the difference.
+        """
+        from repro.campaign import executor
+
+        spec = dict(name="memo", benchmarks=["astar"], schemes=["EP", "ABS"],
+                    vdds=[0.97], n_instructions=800, warmup=400,
+                    min_seeds=4, max_seeds=4, batch_size=2)
+        run_campaign(tmp_path / "cached", spec=CampaignSpec(**spec),
+                     cache_dir=tmp_path / "cache", snapshots=False)
+        baselines = []
+
+        def spy(specs, **kwargs):
+            baselines.extend(s.key() for s in specs
+                             if s.scheme.name == "FAULT_FREE")
+            return run_many(specs, **kwargs)
+
+        monkeypatch.setattr(executor, "run_many", spy)
+        run_campaign(tmp_path / "uncached", spec=CampaignSpec(**spec),
+                     cache=False, snapshots=False)
+        # one per point (each point's warmup seed keys its own baseline)
+        assert len(baselines) == len(set(baselines)) == 2
+        for name in ("journal.jsonl", "report.json"):
+            assert (tmp_path / "uncached" / name).read_bytes() == (
+                tmp_path / "cached" / name
+            ).read_bytes(), name

@@ -268,7 +268,8 @@ class TestDrilldown:
         rebuilt = RunSpec.from_dict(fork["run_spec"])
         assert rebuilt.benchmark == point.benchmark
         assert rebuilt.vdd == point.vdd
-        assert "campaign plan" in fork["cli"]
+        # explicit seeds have no flag: no command line can plan this fork
+        assert fork["cli"] is None
 
     def test_fork_run_spec_is_draw_zero(self, tmp_path):
         """The forked run spec keys like draw 0: measurement seed and
@@ -283,26 +284,6 @@ class TestDrilldown:
         assert draw.measurement_seed is not None
         rebuilt = RunSpec.from_dict(json.loads(json.dumps(fork["run_spec"])))
         assert rebuilt.key() == draw.key()
-
-    def test_fork_cli_line_plans_the_forked_spec(self, tmp_path):
-        """Parsing the CLI line yields the fork's campaign spec, stopping
-        targets included."""
-        import shlex
-
-        from repro.harness.cli import _campaign_parser, _campaign_spec
-
-        for i, targets in enumerate(({"perf_overhead": 0.05},
-                                     {"ipc": 0.1, "fault_rate": 0.01}, {})):
-            spec = _spec(seeds=None, min_seeds=2, max_seeds=5, batch_size=2,
-                         targets=targets, telemetry_interval=200)
-            write_manifest(tmp_path / str(i), spec)
-            fork = CampaignView(tmp_path / str(i)).fork_spec(
-                spec.points()[0].id
-            )
-            argv = shlex.split(fork["cli"])
-            assert argv[:2] == ["repro-timing", "campaign"]
-            args = _campaign_parser().parse_args(argv[2:])
-            assert _campaign_spec(args).to_dict() == fork["campaign_spec"]
 
     def test_fork_spec_is_plannable(self, tmp_path):
         """The forked spec feeds CampaignSpec.from_dict and validates."""

@@ -170,20 +170,19 @@ class TestFleetRun:
 
 
 class TestWorkerBaseline:
-    def test_scalar_lease_runs_its_baseline_once(self, tmp_path,
-                                                 monkeypatch):
-        """A lease's one-draw chunks share one fault-free baseline run.
-
-        Without the reuse, a no-cache scalar worker would simulate the
-        point's baseline once per draw: about twice the work.
-        """
+    @staticmethod
+    def _fleet_runs(tmp_path, monkeypatch, batch_size):
+        """Schemes a one-worker scalar no-cache fleet simulated for one
+        EP point of 4 draws, leased ``batch_size`` draws at a time; the
+        fleet's bytes must equal the pool's."""
         import asyncio
 
         from repro.fleet import FleetWorker
         from repro.fleet.coordinator import FleetCoordinator
         from repro.harness import parallel
 
-        point = dict(schemes=["EP"], min_seeds=4, max_seeds=4, batch_size=4)
+        point = dict(schemes=["EP"], min_seeds=4, max_seeds=4,
+                     batch_size=batch_size)
         _single_pool(tmp_path / "pool", **point)
         run_one, runs = parallel.run_one, []
 
@@ -210,11 +209,28 @@ class TestWorkerBaseline:
             return report
 
         assert asyncio.run(go())["complete"]
-        assert sorted(runs) == ["EP"] * 4 + ["FAULT_FREE"]
         for name in ("journal.jsonl", "report.json"):
             assert (tmp_path / "fleet" / name).read_bytes() == (
                 tmp_path / "pool" / name
             ).read_bytes(), name
+        return sorted(runs)
+
+    def test_scalar_lease_runs_its_baseline_once(self, tmp_path,
+                                                 monkeypatch):
+        """A lease's one-draw chunks share one fault-free baseline run.
+
+        Without the reuse, a no-cache scalar worker would simulate the
+        point's baseline once per draw: about twice the work.
+        """
+        runs = self._fleet_runs(tmp_path, monkeypatch, batch_size=4)
+        assert runs == ["EP"] * 4 + ["FAULT_FREE"]
+
+    def test_point_baseline_runs_once_across_leases(self, tmp_path,
+                                                    monkeypatch):
+        """Two leases of one point (``batch_size=2``) still share one
+        baseline: the worker keeps it for the point, not the lease."""
+        runs = self._fleet_runs(tmp_path, monkeypatch, batch_size=2)
+        assert runs == ["EP"] * 4 + ["FAULT_FREE"]
 
 
 class TestFleetSnapshots:

@@ -114,3 +114,29 @@ def test_calibration_report():
     assert "astar" in result.data["rows"]
     assert 0 <= result.data["mean_ipc_err"] < 1.0
     assert "Calibration" in result.render()
+
+
+def test_headline_runs_each_voltage_sweep_once(monkeypatch):
+    """The two figures at one voltage read one sweep: 2 voltages x 2
+    benchmarks x 5 schemes is 20 simulations, not 40, and the numbers
+    equal the figures computed one by one."""
+    from repro.harness import parallel
+
+    run_one, runs = parallel.run_one, []
+
+    def spy(spec):
+        runs.append(spec.key())
+        return run_one(spec)
+
+    monkeypatch.setattr(parallel, "run_one", spy)
+    args = (600, 300, 1, ["astar", "bzip2"])
+    data = experiments.headline(*args).data
+    assert len(runs) == len(set(runs)) == 20
+    for name, fig_fn in (("perf@1.04V", experiments.fig4),
+                         ("ED@1.04V", experiments.fig5),
+                         ("perf@0.97V", experiments.fig8),
+                         ("ED@0.97V", experiments.fig9)):
+        averages = fig_fn(*args).data["averages"]
+        assert data[name]["per_scheme"] == {
+            scheme: 1.0 - avg for scheme, avg in averages.items()
+        }

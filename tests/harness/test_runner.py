@@ -105,3 +105,17 @@ def test_spec_repr_readable():
 def test_unknown_benchmark_raises():
     with pytest.raises(KeyError):
         run_one(RunSpec("spec_nonesuch", **_FAST))
+
+
+def test_register_file_smaller_than_the_program_is_rejected():
+    """The generator writes r1..r31, so 16 architectural registers cannot
+    rename its program: build_core says so instead of an IndexError deep
+    in rename, and constructing the config stays allowed."""
+    from repro.uarch.config import CoreConfig
+
+    spec = RunSpec("gcc", "ABS", 0.97, 600, 300, 1,
+                   config=CoreConfig(n_arch_regs=16, n_phys_regs=40))
+    with pytest.raises(ValueError, match=r"r31.*n_arch_regs=16"):
+        run_one(spec)
+    with pytest.raises(ValueError, match="n_arch_regs=16"):
+        build_core(spec)
