@@ -224,14 +224,14 @@ def main(argv=None):
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
-    # measurements of deleted code paths cannot be retaken; carry them
+    # carry every key this script does not write: the fleet figures of
+    # fleet_throughput.py, and measurements of deleted code paths, which
+    # cannot be retaken
     try:
         with open(out) as fh:
-            historical = json.load(fh).get("historical")
+            record = {**json.load(fh), **record}
     except (OSError, ValueError):
-        historical = None
-    if historical:
-        record["historical"] = historical
+        pass
     with open(out, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

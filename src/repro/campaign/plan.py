@@ -182,6 +182,8 @@ class CampaignSpec(Record):
         self.master_seed = int(master_seed)
         self.seeds = list(seeds) if seeds is not None else None
         if self.seeds is not None:
+            if not self.seeds:
+                raise ValueError("seeds must name at least one seed")
             min_seeds = max_seeds = batch_size = len(self.seeds)
         self.min_seeds = max(1, int(min_seeds))
         self.max_seeds = max(self.min_seeds, int(max_seeds))
@@ -208,7 +210,8 @@ class CampaignSpec(Record):
 
     # ------------------------------------------------------------------
     def validate(self):
-        """Raise ``ValueError`` naming any unknown benchmark or metric.
+        """Raise ``ValueError`` naming any unknown benchmark or metric, or
+        a grid point that appears twice (``"EP"``/``"ep"``, ``0.97``/``0.970``).
 
         (Scheme names are validated on construction by :func:`scheme_kind`.)
         """
@@ -217,6 +220,11 @@ class CampaignSpec(Record):
                 get_profile(benchmark)
             except KeyError as exc:
                 raise ValueError(str(exc)) from None
+        seen = set()
+        for point in self.points():
+            if point.id in seen:
+                raise ValueError(f"grid point {point.id} appears twice")
+            seen.add(point.id)
         for metric in self.targets:
             if metric not in METRICS:
                 raise ValueError(

@@ -42,6 +42,17 @@ def render_fleet_lines(fleet):
     return lines
 
 
+def render_view(view, fleet=False):
+    """``render_status`` of ``view``, plus the fleet-health lines if ``fleet``.
+
+    What ``--follow`` redraws and what offline ``fleet status`` prints.
+    """
+    text = render_status(view.status())
+    if fleet:
+        text += "\n" + "\n".join(render_fleet_lines(view.fleet_status()))
+    return text
+
+
 def follow_status(directory, fleet=False, interval=0.5, max_updates=None,
                   stream=None, ansi=None):
     """Follow a campaign directory until it completes (or Ctrl-C).
@@ -61,10 +72,7 @@ def follow_status(directory, fleet=False, interval=0.5, max_updates=None,
             changed = view.refresh()
             if changed or updates == 0:
                 updates += 1
-                text = render_status(view.status())
-                if fleet:
-                    extra = render_fleet_lines(view.fleet_status())
-                    text += "\n" + "\n".join(extra)
+                text = render_view(view, fleet)
                 prefix = _REDRAW if ansi else ("\n" if updates > 1 else "")
                 stream.write(prefix + text + "\n")
                 stream.flush()

@@ -18,7 +18,7 @@ Endpoints (JSON unless noted; full contract in docs/observability.md):
 ``/api/figures``          cached deterministic figure catalog
 ``/api/fork/<id>``        ready-to-run single-point campaign-plan spec
 ``/events``               SSE stream: ``snapshot`` then ``update`` events
-``/artifact/<kind>/<f>``  download bundles/traces/snapshots (safe names)
+``/artifact/<kind>/<f>``  download bundles/traces (safe names)
 ``/healthz``              liveness: viewers, version, torn-line count
 ========================  =============================================
 
@@ -45,11 +45,13 @@ from repro.dashboard.view import CampaignView
 ENDPOINT_NAME = "dashboard.json"
 
 #: artifact kinds the download route may touch, mapped to the campaign
-#: subdirectory they live in — nothing outside these is reachable
+#: subdirectory they live in — nothing outside these is reachable.
+#: Warmup snapshots are not among them: they live in the snapshot store
+#: (``<store>/<model version>/<key>.snap``), not the campaign directory,
+#: so a drill-down lists their journaled keys only.
 ARTIFACT_DIRS = {
     "bundles": "bundles",
     "traces": "traces",
-    "snapshots": "snapshots",
 }
 
 _MAX_REQUEST = 16384  # request line + headers; we serve GETs only

@@ -55,7 +55,7 @@ class CampaignView:
         self.state = JournalState()
         self.ledger = LedgerState()
         self.version = 0
-        self._draws = {}  # worker -> draws folded from its shard
+        self._draws = {}  # worker -> (point, index) run keys in its shard
 
     # ------------------------------------------------------------------
     # folding
@@ -66,11 +66,17 @@ class CampaignView:
         for source, shard, record in self.watcher.poll():
             if source == SOURCE_LEDGER:
                 changed += self.ledger.fold(record)
-            elif self.state.fold(record):
-                changed += 1
-                if shard not in (None, COORDINATOR_SHARD):
-                    # a worker's shard holds only that worker's draws
-                    self._draws[shard] = self._draws.get(shard, 0) + 1
+                continue
+            changed += self.state.fold(record)
+            if (shard not in (None, COORDINATOR_SHARD) and record
+                    and record.get("event") == "run"):
+                # the coordinator appends to a worker's shard only the
+                # draws it accepted from that worker, so the distinct
+                # keys there are its draws, whenever the view attached
+                keys = self._draws.setdefault(shard, set())
+                key = (record.get("point"), record.get("index"))
+                changed += key not in keys
+                keys.add(key)
         if changed:
             self.version += 1
         return changed
@@ -249,7 +255,7 @@ class CampaignView:
             tallies = ledger.workers.get(name)
             workers[name] = dict(
                 tallies or dict.fromkeys(WORKER_TALLIES, 0),
-                draws=self._draws.get(name, 0),
+                draws=len(self._draws.get(name, ())),
             )
         return {
             "workers": workers,

@@ -67,25 +67,6 @@ def query_status(host, port, timeout=5.0, secret=None, tls_ca=None):
     return asyncio.run(_query())
 
 
-def offline_status(directory):
-    """Status of a fleet directory from its journals (no coordinator).
-
-    :func:`~repro.campaign.status.build_status` — which folds the
-    merged journal (if any) and the shard journals, so it is correct
-    for a live-but-unreachable, killed, or finished fleet — plus the
-    coordinator's last persisted security audit counters under
-    ``"audit"`` (``None`` when the ledger never recorded any), matching
-    the live :meth:`~repro.fleet.coordinator.FleetCoordinator.status`
-    shape.
-    """
-    from repro.campaign.status import build_status
-    from repro.fleet.ledger import LeaseLedger
-
-    status = build_status(directory)
-    status["audit"] = LeaseLedger(directory).replay()["audit"]
-    return status
-
-
 def worker_command(host, port, name, cache=True, cache_dir=None,
                    snapshot_dir=None, tls_ca=None, reconnect_attempts=None,
                    reconnect_delay=None, reconnect_max_delay=None,

@@ -1111,7 +1111,7 @@ def _fleet_main(argv):
             return 2
 
     if args.verb == "status":
-        from repro.fleet.service import offline_status, query_status
+        from repro.fleet.service import query_status
 
         if args.follow:
             if not args.dir:
@@ -1141,12 +1141,23 @@ def _fleet_main(argv):
             print("pass --connect HOST:PORT or --dir DIR", file=sys.stderr)
             return 2
         if status is None:
+            # no live coordinator: what --follow and /api/fleet show
+            from repro.dashboard import CampaignView
+            from repro.dashboard.follow import render_view
+
             try:
-                status = offline_status(args.dir)
+                view = CampaignView(args.dir)
             except FileNotFoundError:
                 print(f"no campaign manifest in {args.dir}",
                       file=sys.stderr)
                 return 2
+            view.refresh()
+            if args.json:
+                status = {**view.status(), **view.fleet_status()}
+                print(json.dumps(status, indent=2, sort_keys=True))
+            else:
+                print(render_view(view, fleet=True))
+            return 0
         if args.json:
             print(json.dumps(status, indent=2, sort_keys=True))
             return 0

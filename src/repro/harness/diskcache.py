@@ -12,10 +12,19 @@ blobs. Layout::
 
 where ``model_version`` is the source digest of
 :func:`~repro.harness.parallel.model_version`: any change to the
-simulator retires every entry of both caches wholesale.
+simulator retires every entry of both caches wholesale. The first store
+a process constructs on a root prunes that root's stale version
+directories.
 """
 
 import os
+import re
+
+#: a version directory's name: 16 hex digits of the source digest
+_VERSION_NAME = re.compile(r"[0-9a-f]{16}")
+
+#: roots this process has pruned (once each, at the first construction)
+_PRUNED = set()
 
 
 class BlobStore:
@@ -33,6 +42,9 @@ class BlobStore:
     def __init__(self, root, version):
         self.root = str(root)
         self.version = version
+        if os.path.abspath(self.root) not in _PRUNED:
+            _PRUNED.add(os.path.abspath(self.root))
+            self.prune_stale()
 
     def path_for(self, key):
         """On-disk path of ``key``'s entry for the current model version."""
@@ -90,8 +102,10 @@ class BlobStore:
     def prune_stale(self):
         """Delete entry directories from older model versions.
 
-        Safe under concurrent processes: each stale version directory is
-        first renamed aside (atomic, so a concurrent writer either lands
+        Only directories named like a version (16 hex digits) are stale,
+        so a root shared with other files loses nothing else. Safe under
+        concurrent processes: each stale version directory is first
+        renamed aside (atomic, so a concurrent writer either lands
         its entry before the rename — and it is deleted with the rest —
         or recreates the directory afresh via :meth:`write_bytes`'s
         retry), then removed; directories that vanish mid-prune (another
@@ -104,7 +118,9 @@ class BlobStore:
         import shutil
 
         for version in versions:
-            if version == self.version or version.startswith(".trash-"):
+            if version == self.version or not _VERSION_NAME.fullmatch(
+                version
+            ):
                 continue
             path = os.path.join(self.root, version)
             if not os.path.isdir(path):

@@ -10,7 +10,8 @@ The experiment drivers (tables, figures, calibration, shmoo) all reduce to
   Figure 4 after Table 1) is free. The cache is invalidated wholesale
   whenever the simulator's source changes: results live in a subdirectory
   named after :func:`model_version`, a digest of every ``repro`` source
-  file. Stale model versions are pruned opportunistically.
+  file. The first store a process constructs on a root prunes that
+  root's stale model versions.
 
 * **Parallelism** — cache misses are farmed to a ``multiprocessing`` pool.
   Runs are pure functions of their spec (the simulator threads explicit
@@ -273,9 +274,12 @@ def prewarm_snapshots(specs, n_jobs=1):
     warmed once (in parallel when the batch itself is parallel) so the
     fan-out that follows forks every draw from a warmed snapshot.
 
-    :func:`run_many` calls it before every fan-out, outside any
-    ``timeout`` budget; campaign pools, timed campaigns and fleet workers
-    all reach it through there.
+    :func:`run_many` calls it before every fan-out that can run two
+    tasks at once, outside any ``timeout`` budget; campaign pools, timed
+    campaigns and fleet workers all reach it through there. A serial
+    fan-out skips it: nothing races there, and a miss in
+    :func:`~repro.snapshot.fork.warmed_core` warms, stores and measures
+    on the same core, saving one restore per prefix.
     """
     from repro.snapshot import SnapshotCache
     from repro.snapshot.fork import fork_key
@@ -323,7 +327,7 @@ def run_many(specs, jobs=1, cache=False, cache_dir=None, batch_lanes=None,
     ``timeout``: seconds per run (default: none). The cache misses then
     always run on a pool, with a budget of ``timeout`` × ``ceil(misses /
     jobs)`` seconds that covers kernel lanes too and starts after the
-    snapshot prewarm. A breach terminates the pool, killing hung workers,
+    snapshot prewarm of a parallel fan-out. A breach terminates the pool, killing hung workers,
     and raises :class:`TimeoutError`.
 
     Identical specs in one batch are simulated once and share the result.
@@ -359,7 +363,8 @@ def run_many(specs, jobs=1, cache=False, cache_dir=None, batch_lanes=None,
         todo_keys = list(pending)
         todo = [specs[i] for i in pending.values()]
         n_jobs = _resolve_jobs(jobs, len(todo))
-        prewarm_snapshots(todo, n_jobs)
+        if n_jobs > 1:
+            prewarm_snapshots(todo, n_jobs)
         for t, result in _run_todo(todo, n_jobs, batch_lanes, timeout):
             # failures are never cached: a transient capture must not
             # poison future batches with a pre-failed result

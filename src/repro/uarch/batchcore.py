@@ -10,6 +10,13 @@ hands the whole batch to the compiled kernel (``batchkernel.c``, bound
 by :mod:`repro.uarch.batchkernel`), which advances every lane to the end
 of its window in place.
 
+The layout is driven by the kernel's ABI table
+(:data:`~repro.uarch.batchkernel.ARRAYS`): every per-lane array starts as
+the plan's ``<name>0`` row (or scalar) broadcast to all lanes, or as
+zeros when the plan has none, and every lane scalar named after a
+``SimStats`` counter or a ``MemoryHierarchy.stats()`` key is exported
+under that name. Adding per-lane state is one table entry.
+
 The kernel is a transliteration of ``OoOCore.run`` (pipeline.py) under
 the invariants the campaign path guarantees (selective replay mode, no
 store-set predictor, no telemetry, static TEP gate). Per-lane divergence
@@ -38,38 +45,26 @@ try:  # pragma: no cover - exercised on numpy-free installs
 except Exception:  # pragma: no cover
     np = None
 
-from repro.core.vte import FreezeKind, vte_effects
+from repro.core.vte import vte_effects
 from repro.isa.opcodes import (
     OP_FU_KIND, OP_LATENCY, UNPIPELINED_OPS, OpClass, PipeStage,
 )
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.uarch import batchkernel
-from repro.uarch.batchkernel import ARRAYS, PARAMS, RING, call_kernel
+from repro.uarch.batchkernel import (
+    ARRAYS, EVICTIONS, FREEZE_CODE, INF, MAX_IQ, MAX_WIDTH, PARAMS, RING,
+    SEL_MODE, by_role, call_kernel, role,
+)
 from repro.uarch.batchstream import BatchFallback, build_stream
 from repro.uarch.issue_queue import TIMESTAMP_MASK
 from repro.uarch.regfile import INFINITE as _SCOREBOARD_INF
 from repro.uarch.stats import SimStats
 
-INF = 1 << 60
 #: fault-stage bits of the in-order stages, which the kernel does not model
 _INORDER_MASK = 0b1000001111
-#: the kernel's static selection scratch holds this many IQ entries / issues
-_KERNEL_MAX_IQ = 64
-_KERNEL_MAX_WIDTH = 8
-
-#: VTE freeze kinds as the kernel's FRZ_* codes
-_FRZ_CODE = {
-    FreezeKind.NONE: 0,
-    FreezeKind.SLOT_ONE_CYCLE: 1,
-    FreezeKind.UNTIL_COMPLETE: 2,
-    FreezeKind.BUSY_PLUS_ONE: 3,
-    FreezeKind.WB_SLOT: 4,
-}
 
 _LOAD = int(OpClass.LOAD)
 _STORE = int(OpClass.STORE)
-
-# selection-key modes
-_SEL_AGE, _SEL_FFS, _SEL_EXACT = range(3)
 
 _VTE_TABLES = None
 
@@ -92,7 +87,7 @@ def _vte_tables():
                 ex[pi, o] = eff.ex_extra
                 mem[pi, o] = eff.mem_extra
                 wb[pi, o] = eff.wb_extra
-                frz[pi, o] = _FRZ_CODE[eff.freeze]
+                frz[pi, o] = FREEZE_CODE[eff.freeze]
                 has[pi, o] = 0 if eff.stage is None else 1
         _VTE_TABLES = (rr, ex, mem, wb, frz, has)
     return _VTE_TABLES
@@ -126,7 +121,7 @@ def build_plan(core, target, margin=256):
     _fallback(np is None, "numpy unavailable")
     cfg = core.config
     _fallback(
-        cfg.iq_size > _KERNEL_MAX_IQ or cfg.width > _KERNEL_MAX_WIDTH,
+        cfg.iq_size > MAX_IQ or cfg.width > MAX_WIDTH,
         "IQ size or width beyond the kernel's static scratch",
     )
     scheme = core.scheme
@@ -151,7 +146,6 @@ def build_plan(core, target, margin=256):
         and type(core.injector).__name__ != "FaultInjector",
         "wrapped/chaos injector",
     )
-    _fallback(TIMESTAMP_MASK != 63, "non-default timestamp width")
     from repro.isa.opcodes import FuKind
 
     fu_counts = {k: len(v) for k, v in core.fus.units.items()}
@@ -165,9 +159,9 @@ def build_plan(core, target, margin=256):
 
     policy_name = type(scheme.policy).__name__
     if policy_name == "AgeBasedSelection":
-        sel_mode = _SEL_EXACT if scheme.policy.exact else _SEL_AGE
+        sel_mode = SEL_MODE["EXACT" if scheme.policy.exact else "AGE"]
     elif policy_name == "FaultyFirstSelection":
-        sel_mode = _SEL_FFS
+        sel_mode = SEL_MODE["FFS"]
     else:
         raise BatchFallback(f"unsupported selection policy {policy_name}")
 
@@ -192,6 +186,11 @@ def build_plan(core, target, margin=256):
     plan.A0 = A0
     plan.R = R
     plan.P = P
+    # every lane dispatches next from the first slot past the ROB, is
+    # live, and has no forced eviction (a test hook sets force_at)
+    plan.dp0 = R
+    plan.active0 = True
+    plan.force_at0 = -1
     plan.NS = NS
     plan.target = int(target)
     plan.width = cfg.width
@@ -326,11 +325,9 @@ def build_plan(core, target, margin=256):
 
     # ---- wake-source indices (producer slots / scoreboard pseudo) ----
     n_phys = cfg.n_phys_regs
-    plan.n_phys = n_phys
     NW = NS + n_phys + 1
     ALWAYS = NS + n_phys
     plan.NW = NW
-    plan.ALWAYS = ALWAYS
     rename = core.rename
     wake0 = np.full(NW, INF, dtype=np.int64)
     wake0[ALWAYS] = -1
@@ -352,17 +349,18 @@ def build_plan(core, target, margin=256):
 
     ws0 = np.full(NS, ALWAYS, dtype=np.int64)
     ws1 = np.full(NS, ALWAYS, dtype=np.int64)
-    iq0 = []
-    for inst in core.iq.entries:
+    iq_slot0 = np.zeros(cfg.iq_size, dtype=np.int64)
+    for pos, inst in enumerate(core.iq.entries):
         s = seq_slot.get(inst.seq)
         _fallback(s is None or s >= R, "IQ entry outside the ROB")
-        iq0.append(s)
+        iq_slot0[pos] = s
         srcs = inst.phys_srcs
         if srcs:
             ws0[s] = src_index(srcs[0])
             if len(srcs) == 2:
                 ws1[s] = src_index(srcs[1])
-    plan.iq0 = np.asarray(iq0, dtype=np.int64)
+    plan.iq_slot0 = iq_slot0
+    plan.iq_len0 = len(core.iq.entries)
 
     last_writer = [src_index(rename.rat[a]) for a in range(cfg.n_arch_regs)]
     for s in range(R, NS):
@@ -444,24 +442,22 @@ def _plan_boundary_state(plan, core, seq_slot, srank):
         _fallback(inst is None, "blocking branch instruction lost")
         plan.blk_active0 = True
         plan.blk_fetch_abs0 = inst.fetch_cycle - A0
-        plan.blk_resolve0 = blk_resolve0
+        plan.blk_resolve_v0 = blk_resolve0
     else:
         plan.blk_active0 = False
         plan.blk_fetch_abs0 = 0
-        plan.blk_resolve0 = INF
+        plan.blk_resolve_v0 = INF
 
-    ep0 = []
+    plan.epring0 = np.zeros(RING, dtype=np.int32)
     for c, n in core._ep_stalls.items():
         vc = c - A0
         _fallback(vc < 0 or vc >= RING, "EP stall outside horizon")
-        ep0.append((vc, n))
-    plan.ep0 = ep0
-    wb0 = []
+        plan.epring0[vc] = n
+    plan.wbring0 = np.zeros(RING, dtype=np.int16)
     for c, n in core._wb_count.items():
         vc = c - A0
         _fallback(vc < 0 or vc >= RING, "WB reservation outside horizon")
-        wb0.append((vc, n))
-    plan.wb0 = wb0
+        plan.wbring0[vc] = n
 
     from repro.isa.opcodes import FuKind
 
@@ -479,7 +475,7 @@ def _plan_boundary_state(plan, core, seq_slot, srank):
     plan.resume_v0 = max(0, core._fetch_resume_at - A0)
 
     n_st = plan.n_stores
-    sr0 = np.full(n_st, INF, dtype=np.int64)
+    sr0 = np.full(plan.nst_alloc, INF, dtype=np.int64)
     lsq_store_count = 0
     for entry in core.lsq._entries:
         inst = entry.inst
@@ -493,7 +489,7 @@ def _plan_boundary_state(plan, core, seq_slot, srank):
         lsq_store_count != int(plan.SM[R]),
         "ROB stores and LSQ stores disagree",
     )
-    premax0 = np.zeros(max(n_st, 1), dtype=np.int64)
+    premax0 = np.zeros(plan.nst_alloc, dtype=np.int64)
     fr = 0
     pm = 0
     while fr < n_st and sr0[fr] < INF:
@@ -501,12 +497,13 @@ def _plan_boundary_state(plan, core, seq_slot, srank):
         premax0[fr] = pm
         fr += 1
     plan.store_resolve0 = sr0
-    plan.premax0 = premax0[:n_st] if n_st else premax0[:0]
+    plan.premax0 = premax0
     plan.frontier0 = fr
     plan.pm_run0 = pm
     plan.lsq_occ0 = len(core.lsq._entries)
 
-    conv0 = np.zeros((plan.depth, 2), dtype=np.int64)
+    plan.conv_start0 = np.zeros(plan.depth, dtype=np.int64)
+    plan.conv_len0 = np.zeros(plan.depth, dtype=np.int64)
     for i, latch in enumerate(core._conveyor):
         if not latch:
             continue
@@ -516,9 +513,8 @@ def _plan_boundary_state(plan, core, seq_slot, srank):
             slots != list(range(start, start + len(slots))),
             "conveyor latch is not a contiguous slot run",
         )
-        conv0[i, 0] = start
-        conv0[i, 1] = len(slots)
-    plan.conv0 = conv0
+        plan.conv_start0[i] = start
+        plan.conv_len0[i] = len(slots)
 
 
 def _plan_stream_groups(plan, stream):
@@ -535,16 +531,6 @@ def _plan_stream_groups(plan, stream):
     plan.miss_pcs = stream.miss_pcs
     plan.n_miss = len(stream.miss_pcs)
     plan.g_has_miss = (stream.g_miss_off[1:] - stream.g_miss_off[:-1]) > 0
-
-
-#: compiled-kernel eviction codes -> the scalar-fallback reason strings
-_EVICT_REASON = {
-    1: "safety-net replay (wild MEM fault)",
-    2: "safety-net replay (unpadded)",
-    3: "ran past the prepared stream",
-    4: "watchdog (hang or cycle budget)",
-    5: "forced eviction (test hook)",
-}
 
 
 def _flat_sets(sets, nsets, assoc):
@@ -579,40 +565,16 @@ def _plan_caches(plan, hier):
     plan.lat_mem = hier._lat_mem
 
 
-#: per-lane int64 counters and cursors that start at zero
-_ZEROED = (
-    "cp", "g_ptr", "burned", "v_end", "last_commit_real", "evict_code",
-    "committed", "fetched", "dispatched", "issued", "replays",
-    "branch_mispredicts", "branches", "false_predictions", "ep_stalls",
-    "slot_freezes", "padded", "wrong_path", "regreads", "regwrites",
-    "broadcasts", "broadcast_occ", "iq_occ", "cam_searches", "forwards",
-    "faults_total", "faults_predicted", "faults_unpredicted",
-    "l1d_hits", "l1d_misses", "l2_hits", "l2_misses", "mem_accesses",
-)
+def _lane_scalars_named(names):
+    return tuple(name for name in by_role("scalar") if name in names)
 
-#: (SimStats field, engine counter row) pairs copied per finished lane
-_STATS_ROWS = (
-    ("committed", "committed"), ("fetched", "fetched"),
-    ("dispatched", "dispatched"), ("issued", "issued"),
-    ("replays", "replays"), ("branches", "branches"),
-    ("branch_mispredicts", "branch_mispredicts"),
-    ("wrong_path_fetched", "wrong_path"),
-    ("faults_total", "faults_total"),
-    ("faults_predicted", "faults_predicted"),
-    ("faults_unpredicted", "faults_unpredicted"),
-    ("false_predictions", "false_predictions"),
-    ("ep_stalls", "ep_stalls"), ("slot_freezes", "slot_freezes"),
-    ("padded_instructions", "padded"),
-    ("regreads", "regreads"), ("regwrites", "regwrites"),
-    ("broadcasts", "broadcasts"),
-    ("broadcast_occupancy", "broadcast_occ"),
-    ("iq_occupancy_accum", "iq_occ"),
-    ("lsq_searches", "cam_searches"), ("store_forwards", "forwards"),
-)
 
-#: d-side cache counter rows, named as in ``MemoryHierarchy.stats()``
-_CACHE_ROWS = ("l1d_hits", "l1d_misses", "l2_hits", "l2_misses",
-               "mem_accesses")
+#: lane counters exported under their ``SimStats`` name, and the
+#: d-side cache counters named as in ``MemoryHierarchy.stats()``
+_STATS_ROWS = _lane_scalars_named(
+    {name for name, value in vars(SimStats()).items() if type(value) is int}
+)
+_CACHE_ROWS = _lane_scalars_named(MemoryHierarchy().stats())
 
 
 class BatchEngine:
@@ -629,59 +591,24 @@ class BatchEngine:
     def __init__(self, plan, stream_tapes):
         self.plan = plan
         N = self.N = stream_tapes.shape[0]
-
-        def lanes(row):
-            return np.repeat(row[None], N, axis=0)
-
-        def full(value, dtype=np.int64):
-            return np.full(N, value, dtype=dtype)
-
-        self.tape = np.zeros((N, plan.NS), dtype=np.int16)
-        self.tape[:, :plan.P] = plan.prelude_tape
-        self.tape[:, plan.P:] = stream_tapes
-        self.pred = lanes(plan.pred0)
-        self.cec = lanes(plan.cec0)
-        self.wake = lanes(plan.wake0)
-        n0 = len(plan.iq0)
-        self.iq_slot = np.zeros((N, plan.iq_size), dtype=np.int64)
-        self.iq_slot[:, :n0] = plan.iq0
-        self.iq_len = full(n0)
-        self.conv_start = lanes(plan.conv0[:, 0])
-        self.conv_len = lanes(plan.conv0[:, 1])
-        self.fu_ni = lanes(plan.fu_ni0)
-        self.wbring = np.zeros((N, RING), dtype=np.int16)
-        self.epring = np.zeros((N, RING), dtype=np.int32)
-        for vc, n in plan.wb0:
-            self.wbring[:, vc] = n
-        for vc, n in plan.ep0:
-            self.epring[:, vc] = n
-        self.store_resolve = np.full((N, plan.nst_alloc), INF, dtype=np.int64)
-        self.store_resolve[:, :plan.n_stores] = plan.store_resolve0
-        self.premax = np.zeros((N, plan.nst_alloc), dtype=np.int64)
-        self.premax[:, :plan.n_stores] = plan.premax0
-        self.frontier = full(plan.frontier0)
-        self.pm_run = full(plan.pm_run0)
-        self.lsq_occ = full(plan.lsq_occ0)
-        self.free_cnt = full(plan.free_cnt0)
-        self.dp = full(plan.R)
-        self.blk_active = full(plan.blk_active0, bool)
-        self.blk_resolve_v = full(plan.blk_resolve0)
-        self.blk_fetch_abs = full(plan.blk_fetch_abs0)
-        self.resume_v = full(plan.resume_v0)
-        self.active = full(True, bool)
-        self.force_at = full(-1)
-        self.tep_tag = lanes(plan.tep_tag0)
-        self.tep_cnt = lanes(plan.tep_cnt0)
-        self.tep_stage = lanes(plan.tep_stage0)
-        self.l1d_tags = lanes(plan.l1d_tags0)
-        self.l1d_cnt = lanes(plan.l1d_cnt0)
-        self.l2_tags = lanes(plan.l2_tags0)
-        self.l2_cnt = lanes(plan.l2_cnt0)
-        for name in _ZEROED:
-            setattr(self, name, full(0))
-        self.stage_faults = np.zeros((N, 10), dtype=np.int64)
-        self.fu_op_counts = np.zeros((N, 8), dtype=np.int64)
-        self.fu_first = np.zeros((N, 8), dtype=np.int64)
+        self.params = {n: getattr(plan, n) for n in PARAMS if n != "N"}
+        self.params["N"] = N
+        for name, dtype, shape in ARRAYS:
+            if role(shape) == "plan" or name == "tape":
+                continue
+            row = getattr(plan, f"{name}0", None)
+            if row is None:
+                extents = [batchkernel._extent(d, self.params) for d in shape]
+                value = np.zeros(extents, dtype=dtype)
+            elif role(shape) == "scalar":
+                value = np.full(N, row, dtype=dtype)
+            else:
+                value = np.repeat(row[None], N, axis=0)
+            setattr(self, name, value)
+        self.tape = np.concatenate(
+            (np.broadcast_to(plan.prelude_tape, (N, plan.P)), stream_tapes),
+            axis=1,
+        )
         self.evicted_reason = [None] * N
 
     # ------------------------------------------------------------------
@@ -698,19 +625,15 @@ class BatchEngine:
         :meth:`_export` (and tests poking at engine state) read the
         results straight from them.
         """
-        p = self.plan
         for lane, at in force_evict.items():
             self.force_at[lane] = at
         arrays = {
-            name: getattr(self if shape[0] == "N" else p, name)
+            name: getattr(self.plan if role(shape) == "plan" else self, name)
             for name, _, shape in ARRAYS
         }
-        params = {name: getattr(p, name) for name in PARAMS if name != "N"}
-        params["N"] = self.N
-        call_kernel(fn, arrays, params)
+        call_kernel(fn, arrays, self.params)
         for lane in np.nonzero(self.evict_code)[0].tolist():
-            code = int(self.evict_code[lane])
-            self._evict(lane, _EVICT_REASON.get(code, "kernel eviction"))
+            self._evict(lane, EVICTIONS[int(self.evict_code[lane]) - 1][1])
         self.active[:] = False  # every lane either finished or evicted
 
     # ------------------------------------------------------------------
@@ -740,7 +663,9 @@ class BatchEngine:
         """Per lane, ``(SimStats, cache counters)`` or None if evicted.
 
         The counters are the ones a scalar run of the same window ends
-        with: :data:`_STATS_ROWS` copies the engine's counter rows,
+        with: every lane scalar named after a ``SimStats`` counter
+        (:data:`_STATS_ROWS`) or a cache counter (:data:`_CACHE_ROWS`) is
+        copied under its name,
         ``fu_ops`` is keyed in first-issue order (the order the scalar
         core inserts, which the energy sum follows), and every field the
         kernel does not model keeps its ``SimStats`` zero.
@@ -752,8 +677,8 @@ class BatchEngine:
                 out.append(None)
                 continue
             stats = SimStats()
-            for field, row in _STATS_ROWS:
-                setattr(stats, field, int(getattr(self, row)[lane]))
+            for name in _STATS_ROWS:
+                setattr(stats, name, int(getattr(self, name)[lane]))
             ve = int(self.v_end[lane])
             stats.cycles = ve + int(self.burned[lane])
             cec = self.cec[lane]
@@ -775,7 +700,7 @@ class BatchEngine:
                 "l1i_hits": int(p.cum_l1i_hits[g]),
                 "l1i_misses": int(p.cum_l1i_misses[g]),
             }
-            for row in _CACHE_ROWS:
-                cache[row] = int(getattr(self, row)[lane])
+            for name in _CACHE_ROWS:
+                cache[name] = int(getattr(self, name)[lane])
             out.append((stats, cache))
         return out

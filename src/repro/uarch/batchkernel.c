@@ -17,10 +17,14 @@
  * makes each lane's trajectory self-contained); an evicted lane stops
  * immediately and is re-run by the caller on the scalar path.
  *
- * Every argument is reached by name through ARR(A, name) and
- * PRM(p, name), from batchkernel_abi.h.  That header is generated from
- * the ARRAYS and PARAMS tables in repro.uarch.batchkernel when the
- * kernel is compiled, so the argument order lives in one place.
+ * Every argument is declared once, in the ARRAYS and PARAMS tables of
+ * repro.uarch.batchkernel, from which batchkernel_abi.h is generated
+ * when the kernel is compiled.  The header lists the arguments by role
+ * (plan arrays, per-lane rows, per-lane scalars, params) as X-macros;
+ * the context struct, the argument binding and the per-lane load/store
+ * below all expand from those lists.  The header also defines every
+ * code Python shares with this file (EV_*, FRZ_*, SEL_*, TS_MASK, the
+ * K_* limits), so none is written here by hand.
  */
 
 #include <stdint.h>
@@ -28,75 +32,19 @@
 
 #include "batchkernel_abi.h"
 
-#define K_INF (((int64_t)1) << 60)
 #define K_RMASK (K_RING - 1)
 
-/* eviction codes, mapped to reason strings in python */
-#define EV_WILD_MEM 1
-#define EV_UNPADDED 2
-#define EV_STREAM_END 3
-#define EV_WATCHDOG 4
-#define EV_FORCED 5
-
-#define FRZ_NONE 0
-#define FRZ_SLOT 1
-#define FRZ_UNTIL 2
-#define FRZ_BUSY 3
-#define FRZ_WB 4
-
-#define SEL_AGE 0
-#define SEL_FFS 1
-#define SEL_EXACT 2
-#define TS_MASK 63
-
+/* One lane's view: plan arrays and params shared by every lane, its own
+ * rows, and its scalars (counters, cursors and outputs) by value. */
+#define PLAN_FIELD(name, type) const type *name;
+#define ROW_FIELD(name, type, stride) type *name;
+#define SCALAR_FIELD(name, type) type name;
+#define PARAM_FIELD(name) int64_t name;
 typedef struct {
-    /* ---- plan (lane-invariant, read-only) ---- */
-    const int64_t *op, *lat, *fu, *nsrcs, *has_dest;
-    const uint8_t *is_load, *is_store, *is_mem, *cond_mispred;
-    const int64_t *ts, *SM, *M, *HD;
-    const int64_t *srank, *st_addr8, *addr8, *mem_addr;
-    const int64_t *ws0, *ws1;
-    const int64_t *g_start, *g_len, *g_branches;
-    const uint8_t *g_mispred, *g_has_miss;
-    const int64_t *g_miss_off, *miss_pcs;
-    const int64_t *tepi, *tept;
-    const int64_t *T_RR, *T_EX, *T_MEM, *T_WB, *T_HAS;
-    const int8_t *T_FRZ;
-    const uint8_t *op_unpipelined;
-    /* ---- per-lane rows (set up per lane before lane_run) ---- */
-    const int16_t *tape;
-    int8_t *pred;
-    int64_t *cec, *wake, *iq_slot;
-    int64_t *conv_start, *conv_len, *fu_ni;
-    int16_t *wbring;
-    int32_t *epring;
-    int64_t *store_resolve, *premax;
-    int64_t *tep_tag, *tep_cnt, *tep_stage;
-    int64_t *l1d_tags, *l1d_cnt, *l2_tags, *l2_cnt;
-    /* ---- per-lane scalars (copied in/out around lane_run) ---- */
-    int64_t iq_len, frontier, pm_run, lsq_occ, free_cnt, cp, dp;
-    int64_t blk_resolve_v, blk_fetch_abs, resume_v, g_ptr, burned;
-    int64_t last_commit_real, force_at;
-    int blk_active;
-    /* stats */
-    int64_t committed, fetched, dispatched, issued, replays;
-    int64_t branch_mispredicts, branches, false_predictions, ep_stalls;
-    int64_t slot_freezes, padded, wrong_path, regreads, regwrites;
-    int64_t broadcasts, broadcast_occ, iq_occ, cam_searches, forwards;
-    int64_t faults_total, faults_predicted, faults_unpredicted;
-    int64_t *stage_faults, *fu_op_counts, *fu_first;
-    int64_t l1d_hits, l1d_misses, l2_hits, l2_misses, mem_accesses;
-    /* outputs */
-    int64_t v_end;
-    int evict_code;
-    /* ---- params ---- */
-    int64_t N, NS, NW, n_stores, width, depth, iq_size, rob_size;
-    int64_t lsq_size, target, redirect_penalty, replay_recovery;
-    int64_t recovery_bubbles, model_wrong_path, tep_probe, uses_vte;
-    int64_t uses_ep_stall, tolerates, sel_mode, max_cycles, hang_cycles;
-    int64_t NG, tep_n, tep_cmax;
-    int64_t d_shift, d_mask, d_assoc, l2_shift, l2_mask, l2_assoc;
-    int64_t lat_l1, lat_l2, lat_mem;
+    K_PLAN_ARRAYS(PLAN_FIELD)
+    K_LANE_ROWS(ROW_FIELD, _)
+    K_LANE_SCALARS(SCALAR_FIELD)
+    K_PARAMS(PARAM_FIELD)
 } Ctx;
 
 /* ---- cache model: LRU list semantics on flat tag arrays ------------- */
@@ -138,10 +86,10 @@ static int64_t access_l2(Ctx *c, int64_t addr) {
 }
 
 static int64_t access_data(Ctx *c, int64_t addr) {
-    int64_t tag = addr >> c->d_shift;
-    int64_t si = tag & c->d_mask;
-    if (cache_probe(c->l1d_tags + si * c->d_assoc, c->l1d_cnt + si,
-                    c->d_assoc, tag)) {
+    int64_t tag = addr >> c->l1d_shift;
+    int64_t si = tag & c->l1d_mask;
+    if (cache_probe(c->l1d_tags + si * c->l1d_assoc, c->l1d_cnt + si,
+                    c->l1d_assoc, tag)) {
         c->l1d_hits++;
         return c->lat_l1;
     }
@@ -208,7 +156,7 @@ static int64_t load_data_lat(Ctx *c, int64_t slot, int64_t cam_real) {
         int64_t a8 = c->addr8[slot];
         for (int64_t r = lo; r < hi; r++) {
             if (c->st_addr8[r] == a8 && c->store_resolve[r] <= cam_real) {
-                c->forwards++;
+                c->store_forwards++;
                 return 1;
             }
         }
@@ -235,7 +183,7 @@ static int issue_one(Ctx *c, int64_t v, int64_t slot, int64_t jj,
         mem_e = c->T_MEM[pi];
         wb_e = c->T_WB[pi];
         frz = c->T_FRZ[pi];
-        c->padded += c->T_HAS[pi];
+        c->padded_instructions += c->T_HAS[pi];
     }
     int64_t f = c->tape[slot];
     int64_t bubble_stage[5];
@@ -280,14 +228,14 @@ static int issue_one(Ctx *c, int64_t v, int64_t slot, int64_t jj,
         wakeup = v + c->lat[slot] + rr_e + ex_e;
         wbreq = v + 2 + rr_e + exec_lat;
     } else if (c->is_load[slot]) {
-        c->cam_searches++;
+        c->lsq_searches++;
         /* the CAM compares store resolve times, which the scalar core
          * keeps in unshifted REAL cycles -- probe in real time */
         int64_t dlat = load_data_lat(c, slot, agen_end + c->burned);
         wakeup = agen_end + mem_e + dlat;
         wbreq = wakeup + 1;
     } else { /* store: resolve in REAL cycles, WB request stays virtual */
-        c->cam_searches++;
+        c->lsq_searches++;
         int64_t r = c->srank[slot];
         c->store_resolve[r] = agen_end + c->burned;
         int64_t fr = c->frontier, pm = c->pm_run;
@@ -314,20 +262,20 @@ static int issue_one(Ctx *c, int64_t v, int64_t slot, int64_t jj,
     if (c->has_dest[slot] && !c->is_store[slot]) {
         c->wake[slot] = wakeup;
         c->broadcasts++;
-        c->broadcast_occ += iq_len0 - (jj + 1);
+        c->broadcast_occupancy += iq_len0 - (jj + 1);
     }
     /* functional-unit reservation + VTE freezing */
     int64_t ni = v + (c->op_unpipelined[o] ? exec_lat : 1);
     if (c->uses_vte) {
         if (frz != FRZ_NONE)
             c->slot_freezes++;
-        if (frz == FRZ_SLOT) {
+        if (frz == FRZ_SLOT_ONE_CYCLE) {
             if (ni < v + 2)
                 ni = v + 2;
-        } else if (frz == FRZ_UNTIL) {
+        } else if (frz == FRZ_UNTIL_COMPLETE) {
             if (ni < exec_end)
                 ni = exec_end;
-        } else if (frz == FRZ_BUSY) {
+        } else if (frz == FRZ_BUSY_PLUS_ONE) {
             ni++;
         }
     }
@@ -337,7 +285,7 @@ static int issue_one(Ctx *c, int64_t v, int64_t slot, int64_t jj,
     if (c->uses_ep_stall && pr >= 0) {
         int64_t sc = stage_cycle(pr, v, agen_end, exec_end, cc, im);
         if (sc >= 0) {
-            c->padded++;
+            c->padded_instructions++;
             int64_t at = sc > v + 1 ? sc : v + 1;
             c->epring[at & K_RMASK]++;
         }
@@ -385,7 +333,7 @@ static int select_issue_cycle(Ctx *c, int64_t v) {
     int64_t n = c->iq_len;
     if (!n)
         return 1;
-    int64_t ready_pos[64], ready_key[64];
+    int64_t ready_pos[K_MAX_IQ], ready_key[K_MAX_IQ];
     int nr = 0;
     int64_t head_ts = c->ts[c->iq_slot[0]];
     int64_t real = v + c->burned;
@@ -429,7 +377,7 @@ static int select_issue_cycle(Ctx *c, int64_t v) {
     int64_t cap_m = c->fu_ni[3] <= v;
     int c0 = c->fu_ni[0] <= v;
     int64_t cum_s = 0, cum_c = 0, cum_m = 0;
-    int64_t sel_pos[8], sel_ucol[8];
+    int64_t sel_pos[K_MAX_WIDTH], sel_ucol[K_MAX_WIDTH];
     int nsel = 0;
     for (int i = 0; i < nr && nsel < c->width; i++) {
         int64_t slot = c->iq_slot[ready_pos[i]];
@@ -465,7 +413,7 @@ static int select_issue_cycle(Ctx *c, int64_t v) {
     }
     /* compact the IQ, preserving age order (sel_pos ascends in j only
      * per FU class; sort removals by position first) */
-    int64_t rm[8];
+    int64_t rm[K_MAX_WIDTH];
     for (int j = 0; j < nsel; j++)
         rm[j] = sel_pos[j];
     for (int a = 1; a < nsel; a++) {
@@ -570,7 +518,10 @@ static int fetch_cycle(Ctx *c, int64_t v) {
 
 /* ---- per-lane virtual-time loop ------------------------------------- */
 
-static void lane_run(Ctx *c) {
+/* Kept out of line: inlined into the per-lane load/store loop of
+ * repro_batch_run it made every kernel build about a third slower, and
+ * the kernel no faster. */
+__attribute__((noinline)) static void lane_run(Ctx *c) {
     int64_t v = 0;
     for (;;) {
         if (c->committed >= c->target) {
@@ -606,7 +557,7 @@ static void lane_run(Ctx *c) {
             if (c->model_wrong_path) {
                 int64_t wasted = (v + c->burned) - c->blk_fetch_abs - 1;
                 if (wasted > 0)
-                    c->wrong_path += wasted * c->width;
+                    c->wrong_path_fetched += wasted * c->width;
             }
         }
         commit_cycle(c, v);
@@ -622,7 +573,7 @@ static void lane_run(Ctx *c) {
         }
         if (!fetch_cycle(c, v))
             return;
-        c->iq_occ += c->iq_len;
+        c->iq_occupancy_accum += c->iq_len;
         c->wbring[vm] = 0;
         v++;
     }
@@ -631,171 +582,24 @@ static void lane_run(Ctx *c) {
 /* ---- entry point ----------------------------------------------------- */
 
 void repro_batch_run(void **A, const int64_t *p) {
+#define BIND_PLAN(name, type) base.name = ARR(A, name);
+#define BIND_PARAM(name) base.name = PRM(p, name);
+#define LOAD_ROW(name, type, stride) c.name = ARR(A, name) + lane * (stride);
+#define LOAD_SCALAR(name, type) c.name = ARR(A, name)[lane];
+#define STORE_SCALAR(name, type) ARR(A, name)[lane] = c.name;
     Ctx base;
     memset(&base, 0, sizeof(base));
-    base.op = ARR(A, op);
-    base.lat = ARR(A, lat);
-    base.fu = ARR(A, fu);
-    base.nsrcs = ARR(A, nsrcs);
-    base.has_dest = ARR(A, has_dest);
-    base.is_load = ARR(A, is_load);
-    base.is_store = ARR(A, is_store);
-    base.is_mem = ARR(A, is_mem);
-    base.cond_mispred = ARR(A, cond_mispred);
-    base.ts = ARR(A, ts);
-    base.SM = ARR(A, SM);
-    base.M = ARR(A, M);
-    base.HD = ARR(A, HD);
-    base.srank = ARR(A, srank);
-    base.st_addr8 = ARR(A, st_addr8);
-    base.addr8 = ARR(A, addr8);
-    base.mem_addr = ARR(A, mem_addr);
-    base.ws0 = ARR(A, ws0);
-    base.ws1 = ARR(A, ws1);
-    base.g_start = ARR(A, g_start);
-    base.g_len = ARR(A, g_len);
-    base.g_branches = ARR(A, g_branches);
-    base.g_mispred = ARR(A, g_mispred);
-    base.g_has_miss = ARR(A, g_has_miss);
-    base.g_miss_off = ARR(A, g_miss_off);
-    base.miss_pcs = ARR(A, miss_pcs);
-    base.tepi = ARR(A, tepi);
-    base.tept = ARR(A, tept);
-    base.T_RR = ARR(A, T_RR);
-    base.T_EX = ARR(A, T_EX);
-    base.T_MEM = ARR(A, T_MEM);
-    base.T_WB = ARR(A, T_WB);
-    base.T_FRZ = ARR(A, T_FRZ);
-    base.T_HAS = ARR(A, T_HAS);
-    base.op_unpipelined = ARR(A, op_unpipelined);
-    base.N = PRM(p, N);
-    base.NS = PRM(p, NS);
-    base.NW = PRM(p, NW);
-    base.n_stores = PRM(p, n_stores);
-    base.width = PRM(p, width);
-    base.depth = PRM(p, depth);
-    base.iq_size = PRM(p, iq_size);
-    base.rob_size = PRM(p, rob_size);
-    base.lsq_size = PRM(p, lsq_size);
-    base.target = PRM(p, target);
-    base.redirect_penalty = PRM(p, redirect_penalty);
-    base.replay_recovery = PRM(p, replay_recovery);
-    base.recovery_bubbles = PRM(p, recovery_bubbles);
-    base.model_wrong_path = PRM(p, model_wrong_path);
-    base.tep_probe = PRM(p, tep_probe);
-    base.uses_vte = PRM(p, uses_vte);
-    base.uses_ep_stall = PRM(p, uses_ep_stall);
-    base.tolerates = PRM(p, tolerates);
-    base.sel_mode = PRM(p, sel_mode);
-    base.max_cycles = PRM(p, max_cycles);
-    base.hang_cycles = PRM(p, hang_cycles);
-    base.NG = PRM(p, NG);
-    base.tep_n = PRM(p, tep_n);
-    base.tep_cmax = PRM(p, tep_cmax);
-    base.d_shift = PRM(p, l1d_shift);
-    base.d_mask = PRM(p, l1d_mask);
-    base.d_assoc = PRM(p, l1d_assoc);
-    base.l2_shift = PRM(p, l2_shift);
-    base.l2_mask = PRM(p, l2_mask);
-    base.l2_assoc = PRM(p, l2_assoc);
-    base.lat_l1 = PRM(p, lat_l1);
-    base.lat_l2 = PRM(p, lat_l2);
-    base.lat_mem = PRM(p, lat_mem);
-    int64_t nst_alloc = PRM(p, nst_alloc);
-    int64_t d_nsets = PRM(p, l1d_nsets);
-    int64_t l2_nsets = PRM(p, l2_nsets);
-
+    K_PLAN_ARRAYS(BIND_PLAN)
+    K_PARAMS(BIND_PARAM)
     for (int64_t lane = 0; lane < base.N; lane++) {
         if (!ARR(A, active)[lane])
             continue;
         Ctx c = base;
-        c.tape = ARR(A, tape) + lane * base.NS;
-        c.pred = ARR(A, pred) + lane * base.NS;
-        c.cec = ARR(A, cec) + lane * base.NS;
-        c.wake = ARR(A, wake) + lane * base.NW;
-        c.iq_slot = ARR(A, iq_slot) + lane * base.iq_size;
-        c.conv_start = ARR(A, conv_start) + lane * base.depth;
-        c.conv_len = ARR(A, conv_len) + lane * base.depth;
-        c.fu_ni = ARR(A, fu_ni) + lane * 4;
-        c.wbring = ARR(A, wbring) + lane * K_RING;
-        c.epring = ARR(A, epring) + lane * K_RING;
-        c.store_resolve = ARR(A, store_resolve) + lane * nst_alloc;
-        c.premax = ARR(A, premax) + lane * nst_alloc;
-        c.tep_tag = ARR(A, tep_tag) + lane * base.tep_n;
-        c.tep_cnt = ARR(A, tep_cnt) + lane * base.tep_n;
-        c.tep_stage = ARR(A, tep_stage) + lane * base.tep_n;
-        c.l1d_tags = ARR(A, l1d_tags) + lane * d_nsets * base.d_assoc;
-        c.l1d_cnt = ARR(A, l1d_cnt) + lane * d_nsets;
-        c.l2_tags = ARR(A, l2_tags) + lane * l2_nsets * base.l2_assoc;
-        c.l2_cnt = ARR(A, l2_cnt) + lane * l2_nsets;
-        c.iq_len = ARR(A, iq_len)[lane];
-        c.frontier = ARR(A, frontier)[lane];
-        c.pm_run = ARR(A, pm_run)[lane];
-        c.lsq_occ = ARR(A, lsq_occ)[lane];
-        c.free_cnt = ARR(A, free_cnt)[lane];
-        c.cp = ARR(A, cp)[lane];
-        c.dp = ARR(A, dp)[lane];
-        c.blk_active = ARR(A, blk_active)[lane];
-        c.blk_resolve_v = ARR(A, blk_resolve_v)[lane];
-        c.blk_fetch_abs = ARR(A, blk_fetch_abs)[lane];
-        c.resume_v = ARR(A, resume_v)[lane];
-        c.g_ptr = ARR(A, g_ptr)[lane];
-        c.burned = ARR(A, burned)[lane];
-        c.last_commit_real = ARR(A, last_commit_real)[lane];
-        c.force_at = ARR(A, force_at)[lane];
-        c.committed = ARR(A, committed)[lane];
-        c.stage_faults = ARR(A, stage_faults) + lane * 10;
-        c.fu_op_counts = ARR(A, fu_op_counts) + lane * 8;
-        c.fu_first = ARR(A, fu_first) + lane * 8;
-        c.evict_code = 0;
-
+        K_LANE_ROWS(LOAD_ROW, base)
+        K_LANE_SCALARS(LOAD_SCALAR)
         lane_run(&c);
-
-        ARR(A, iq_len)[lane] = c.iq_len;
-        ARR(A, frontier)[lane] = c.frontier;
-        ARR(A, pm_run)[lane] = c.pm_run;
-        ARR(A, lsq_occ)[lane] = c.lsq_occ;
-        ARR(A, free_cnt)[lane] = c.free_cnt;
-        ARR(A, cp)[lane] = c.cp;
-        ARR(A, dp)[lane] = c.dp;
-        ARR(A, blk_active)[lane] = (uint8_t)c.blk_active;
-        ARR(A, blk_resolve_v)[lane] = c.blk_resolve_v;
-        ARR(A, blk_fetch_abs)[lane] = c.blk_fetch_abs;
-        ARR(A, resume_v)[lane] = c.resume_v;
-        ARR(A, g_ptr)[lane] = c.g_ptr;
-        ARR(A, burned)[lane] = c.burned;
-        ARR(A, v_end)[lane] = c.v_end;
-        ARR(A, last_commit_real)[lane] = c.last_commit_real;
-        ARR(A, committed)[lane] = c.committed;
-        ARR(A, fetched)[lane] += c.fetched;
-        ARR(A, dispatched)[lane] += c.dispatched;
-        ARR(A, issued)[lane] += c.issued;
-        ARR(A, replays)[lane] += c.replays;
-        ARR(A, branch_mispredicts)[lane] += c.branch_mispredicts;
-        ARR(A, branches)[lane] += c.branches;
-        ARR(A, false_predictions)[lane] += c.false_predictions;
-        ARR(A, ep_stalls)[lane] += c.ep_stalls;
-        ARR(A, slot_freezes)[lane] += c.slot_freezes;
-        ARR(A, padded)[lane] += c.padded;
-        ARR(A, wrong_path)[lane] += c.wrong_path;
-        ARR(A, regreads)[lane] += c.regreads;
-        ARR(A, regwrites)[lane] += c.regwrites;
-        ARR(A, broadcasts)[lane] += c.broadcasts;
-        ARR(A, broadcast_occ)[lane] += c.broadcast_occ;
-        ARR(A, iq_occ)[lane] += c.iq_occ;
-        ARR(A, cam_searches)[lane] += c.cam_searches;
-        ARR(A, forwards)[lane] += c.forwards;
-        ARR(A, faults_total)[lane] += c.faults_total;
-        ARR(A, faults_predicted)[lane] += c.faults_predicted;
-        ARR(A, faults_unpredicted)[lane] += c.faults_unpredicted;
-        ARR(A, l1d_hits)[lane] += c.l1d_hits;
-        ARR(A, l1d_misses)[lane] += c.l1d_misses;
-        ARR(A, l2_hits)[lane] += c.l2_hits;
-        ARR(A, l2_misses)[lane] += c.l2_misses;
-        ARR(A, mem_accesses)[lane] += c.mem_accesses;
-        if (c.evict_code) {
-            ARR(A, evict_code)[lane] = c.evict_code;
-            ARR(A, active)[lane] = 0;
-        }
+        if (c.evict_code)
+            c.active = 0;
+        K_LANE_SCALARS(STORE_SCALAR)
     }
 }

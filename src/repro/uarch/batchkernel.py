@@ -9,11 +9,17 @@ via :mod:`ctypes`. No compiler, or a failed compile, makes
 snapshot-fork path (same results, slower). A failed compile is reported
 on stderr with the compiler's own output.
 
-The argument list is declared once, in :data:`ARRAYS` and
-:data:`PARAMS`. :func:`call_kernel` checks every argument against it by
-name, and :func:`abi_header` turns the same tables into the C header of
-named accessors (``ARR(A, name)``, ``PRM(p, name)``) that the kernel is
-compiled against, so the two sides cannot drift apart by position.
+Kernel state is declared once, in :data:`ARRAYS` and :data:`PARAMS`.
+Each array's role follows from its shape (:func:`role`): a *plan* array
+is lane-invariant and owned by the plan, a per-lane *row* or per-lane
+*scalar* (shape ``("N",)``) is owned by the engine. :func:`abi_header`
+turns the tables into the C header the kernel is compiled against: one
+X-macro list per role, from which the C side expands its context
+struct, its argument binding and its per-lane load/store, plus every
+code both sides share (eviction, freeze and selection codes, the
+timestamp mask, the scratch limits). :func:`call_kernel` checks every
+argument against the same tables by name, so the two sides cannot
+drift apart by position.
 
 The shared object is cached on disk, keyed by the C source, the
 generated header, the compiler path, the flags and the platform. Set
@@ -36,8 +42,29 @@ try:  # pragma: no cover - exercised on numpy-free installs
 except Exception:  # pragma: no cover
     np = None
 
+from repro.core.vte import FreezeKind
+from repro.uarch.issue_queue import TIMESTAMP_MASK
+
 #: length of the per-lane writeback and EP-stall rings, in cycles
 RING = 4096
+#: "never": event times not (yet) scheduled
+INF = 1 << 60
+#: the kernel's static selection scratch holds this many IQ entries / issues
+MAX_IQ = 64
+MAX_WIDTH = 8
+#: eviction codes (``EV_<name>``, numbered from 1) and the reason a
+#: lane evicted with that code reports
+EVICTIONS = (
+    ("WILD_MEM", "safety-net replay (wild MEM fault)"),
+    ("UNPADDED", "safety-net replay (unpadded)"),
+    ("STREAM_END", "ran past the prepared stream"),
+    ("WATCHDOG", "watchdog (hang or cycle budget)"),
+    ("FORCED", "forced eviction (test hook)"),
+)
+#: VTE freeze kinds as the kernel's ``FRZ_<kind>`` codes
+FREEZE_CODE = {kind: code for code, kind in enumerate(FreezeKind)}
+#: selection-key modes as the kernel's ``SEL_<mode>`` codes
+SEL_MODE = {"AGE": 0, "FFS": 1, "EXACT": 2}
 
 CFLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -55,9 +82,9 @@ PARAMS = (
 )
 
 #: Every array argument as ``(name, dtype, shape)``. A shape entry is an
-#: int, a parameter name, or ``"name+k"``. Arrays whose shape starts
-#: with ``"N"`` are per-lane rows owned by the engine; the rest are
-#: lane-invariant and owned by the plan.
+#: int, a parameter name, or ``"name+k"``; :func:`role` reads the shape.
+#: A per-lane scalar named after a ``SimStats`` counter or a
+#: ``MemoryHierarchy.stats()`` key is exported under that name.
 ARRAYS = (
     # ---- plan: per-slot static state -----------------------------------
     ("op", "int64", ("NS",)),
@@ -98,7 +125,7 @@ ARRAYS = (
     ("T_HAS", "int64", (11, 8)),
     # ---- plan: per-op facts --------------------------------------------
     ("op_unpipelined", "bool", (8,)),
-    # ---- engine: per-lane machine state --------------------------------
+    # ---- engine: per-lane machine state (initial rows: plan.<name>0) ----
     ("tape", "int16", ("N", "NS")),
     ("pred", "int8", ("N", "NS")),
     ("cec", "int64", ("N", "NS")),
@@ -136,7 +163,7 @@ ARRAYS = (
     ("l1d_cnt", "int64", ("N", "l1d_nsets")),
     ("l2_tags", "int64", ("N", "l2_nsets", "l2_assoc")),
     ("l2_cnt", "int64", ("N", "l2_nsets")),
-    # ---- engine: per-lane counters -------------------------------------
+    # ---- engine: per-lane counters (start at zero) ----------------------
     ("committed", "int64", ("N",)),
     ("fetched", "int64", ("N",)),
     ("dispatched", "int64", ("N",)),
@@ -147,15 +174,15 @@ ARRAYS = (
     ("false_predictions", "int64", ("N",)),
     ("ep_stalls", "int64", ("N",)),
     ("slot_freezes", "int64", ("N",)),
-    ("padded", "int64", ("N",)),
-    ("wrong_path", "int64", ("N",)),
+    ("padded_instructions", "int64", ("N",)),
+    ("wrong_path_fetched", "int64", ("N",)),
     ("regreads", "int64", ("N",)),
     ("regwrites", "int64", ("N",)),
     ("broadcasts", "int64", ("N",)),
-    ("broadcast_occ", "int64", ("N",)),
-    ("iq_occ", "int64", ("N",)),
-    ("cam_searches", "int64", ("N",)),
-    ("forwards", "int64", ("N",)),
+    ("broadcast_occupancy", "int64", ("N",)),
+    ("iq_occupancy_accum", "int64", ("N",)),
+    ("lsq_searches", "int64", ("N",)),
+    ("store_forwards", "int64", ("N",)),
     ("faults_total", "int64", ("N",)),
     ("faults_predicted", "int64", ("N",)),
     ("faults_unpredicted", "int64", ("N",)),
@@ -182,13 +209,54 @@ class KernelABIError(ValueError):
     """An argument to :func:`call_kernel` disagrees with the ABI table."""
 
 
+def role(shape):
+    """``"plan"``, ``"row"`` or ``"scalar"``: the role of an array of ``shape``.
+
+    Only a shape that starts with ``"N"`` has one entry per lane; one
+    with no further dimension is a per-lane scalar, which the kernel
+    loads into its context before a lane runs and stores after.
+    """
+    if shape[0] != "N":
+        return "plan"
+    return "scalar" if len(shape) == 1 else "row"
+
+
+def by_role(kind):
+    """Names of the :data:`ARRAYS` entries of role ``kind``, in table order."""
+    return tuple(name for name, _, shape in ARRAYS if role(shape) == kind)
+
+
+def _c_extent(dim):
+    """A shape entry as a C expression over the params of context ``c``."""
+    return str(dim) if isinstance(dim, int) else f"((c).{dim})"
+
+
+def shared_codes():
+    """Every constant the C source shares with Python, as (name, value)."""
+    yield from ((f"EV_{n}", code) for code, (n, _) in enumerate(EVICTIONS, 1))
+    yield from ((f"FRZ_{k.name}", code) for k, code in FREEZE_CODE.items())
+    yield from ((f"SEL_{mode}", code) for mode, code in SEL_MODE.items())
+    yield "TS_MASK", TIMESTAMP_MASK
+    yield "K_MAX_IQ", MAX_IQ
+    yield "K_MAX_WIDTH", MAX_WIDTH
+    yield "K_RING", RING
+    yield "K_INF", f"INT64_C({INF})"
+
+
 def abi_header():
-    """The C header the kernel is compiled against, generated from the tables."""
+    """The C header the kernel is compiled against, generated from the tables.
+
+    Beside the index of every argument it emits one X-macro list per
+    role: ``K_PLAN_ARRAYS(X)`` and ``K_LANE_SCALARS(X)`` call
+    ``X(name, ctype)``, ``K_LANE_ROWS(X, c)`` calls
+    ``X(name, ctype, stride)`` with the row stride read from the params
+    of context ``c``, and ``K_PARAMS(X)`` calls ``X(name)``.
+    """
     lines = [
         "/* Generated by repro.uarch.batchkernel.abi_header() from",
         " * ARRAYS and PARAMS; do not edit. */",
         "#include <stdint.h>",
-        f"#define K_RING {RING}",
+        *(f"#define {name} {value}" for name, value in shared_codes()),
         "#define ARR(A, name) ((arr_t_##name *)(A)[ARR_##name])",
         "#define PRM(p, name) ((p)[PRM_##name])",
     ]
@@ -197,6 +265,22 @@ def abi_header():
         lines.append(f"typedef {_C_TYPES[dtype]} arr_t_{name};")
     for i, name in enumerate(PARAMS):
         lines.append(f"#define PRM_{name} {i}")
+    lists = {"plan": [], "row": [], "scalar": []}
+    for name, dtype, shape in ARRAYS:
+        kind = role(shape)
+        args = [name, _C_TYPES[dtype]]
+        if kind == "row":
+            args.append(" * ".join(_c_extent(d) for d in shape[1:]))
+        lists[kind].append(f"X({', '.join(args)})")
+    for macro, items in (
+        ("K_PLAN_ARRAYS(X)", lists["plan"]),
+        ("K_LANE_ROWS(X, c)", lists["row"]),
+        ("K_LANE_SCALARS(X)", lists["scalar"]),
+        ("K_PARAMS(X)", [f"X({name})" for name in PARAMS]),
+    ):
+        lines.append(f"#define {macro} \\")
+        lines.extend(f"    {item} \\" for item in items)
+        lines.append("    /* end */")
     return "\n".join(lines) + "\n"
 
 

@@ -133,6 +133,38 @@ class TestValidate:
     def test_valid_spec_passes(self):
         assert _spec().validate() is not None
 
+    def test_empty_seed_list_fails_at_construction(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            CampaignSpec("e", ["astar"], ["EP"], seeds=[])
+
+    def test_run_seeds_rejects_an_empty_seed_list(self):
+        from repro.harness.multiseed import run_seeds
+
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_seeds("astar", "EP", 0.97, seeds=[])
+
+    @pytest.mark.parametrize("axes", [
+        dict(vdds=[0.97, 0.97]),
+        dict(vdds=[0.97, 0.970]),
+        dict(schemes=["EP", "ep"]),
+        dict(benchmarks=["astar", "astar"]),
+    ])
+    def test_repeated_grid_point_is_named(self, axes):
+        grid = dict(benchmarks=["astar"], schemes=["EP"], vdds=[0.97])
+        spec = CampaignSpec("e", **{**grid, **axes})
+        with pytest.raises(ValueError, match="astar/EP/0.97 appears twice"):
+            spec.validate()
+
+    def test_campaign_with_a_repeated_point_refuses_to_start(self, tmp_path):
+        from repro.campaign.executor import run_campaign
+
+        spec = CampaignSpec("e", ["astar"], ["EP"], vdds=[0.97, 0.97],
+                            n_instructions=300, warmup=150,
+                            min_seeds=2, max_seeds=2)
+        with pytest.raises(ValueError, match="appears twice"):
+            run_campaign(str(tmp_path / "c"), spec, cache=False)
+        assert not (tmp_path / "c" / "journal.jsonl").exists()
+
 
 def test_extract_metrics_from_real_pair():
     spec = _spec()

@@ -184,6 +184,17 @@ class TestArtifacts:
         assert dot[0] == 404
         assert kind[0] == 404
 
+    def test_snapshots_are_not_an_artifact_kind(self, tmp_path):
+        """Snapshots live in the snapshot store, so no route serves them."""
+        _populate(tmp_path, _spec())
+        os.makedirs(tmp_path / "snapshots")
+        (tmp_path / "snapshots" / "abc.snap").write_bytes(b"blob")
+
+        async def go(server):
+            return await _get(server, "/artifact/snapshots/abc.snap")
+
+        assert _serve(tmp_path, go)[0] == 404
+
 
 class TestLiveUpdates:
     def test_append_reaches_sse_and_api_within_2s(self, tmp_path):

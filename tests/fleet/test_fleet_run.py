@@ -30,6 +30,42 @@ def _single_pool(directory, **overrides):
 
 
 class TestFleetRun:
+    def test_fleet_health_reads_the_same_live_and_cold(self, tmp_path,
+                                                       capsys):
+        """Per-worker draws do not depend on when a view attached.
+
+        A view attached before the merge folded the shards first; a cold
+        one folds the merged journal first. Both count each worker's
+        accepted draws, and offline ``fleet status`` prints the same
+        lease and worker lines as ``--follow``.
+        """
+        from repro.dashboard import CampaignView
+        from repro.harness.cli import main
+
+        fleet = tmp_path / "fleet"
+        fleet_run(
+            fleet, spec=_spec(min_seeds=4, max_seeds=4, batch_size=4,
+                              n_instructions=800, warmup=400),
+            workers=2, cache=False, snapshots=False, linger=0.2,
+        )
+        journal = fleet / "journal.jsonl"
+        merged = tmp_path / "merged.jsonl"
+        os.replace(journal, merged)
+        attached = CampaignView(fleet)
+        attached.refresh()
+        os.replace(merged, journal)
+        attached.refresh()
+        cold = CampaignView(fleet)
+        cold.refresh()
+        health = cold.fleet_status()
+        assert health == attached.fleet_status()
+        assert sum(w["draws"] for w in health["workers"].values()) == 8
+        assert main(["fleet", "status", "--dir", str(fleet)]) == 0
+        out = capsys.readouterr().out
+        assert "leases: " in out and "2/2 points done" in out
+        for name, info in health["workers"].items():
+            assert f"worker {name}: {info['draws']} draws" in out
+
     def test_report_byte_identical_to_single_pool(self, tmp_path):
         _single_pool(tmp_path / "pool")
         fleet_run(

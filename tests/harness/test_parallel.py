@@ -401,6 +401,17 @@ def test_prune_sweeps_orphaned_trash_dirs(tmp_path):
     assert not orphan.exists()
 
 
+def test_first_store_on_a_root_prunes_stale_versions(tmp_path):
+    stale = tmp_path / "0123456789abcdef"
+    stale.mkdir()
+    (stale / "old.pkl").write_bytes(b"old")
+    (tmp_path / "notes").mkdir()
+    spec = _specs()[0]
+    run_many([spec], jobs=1, cache=True, cache_dir=tmp_path)
+    assert sorted(os.listdir(tmp_path)) == [model_version(), "notes"]
+    assert ResultCache(tmp_path).load(spec) is not None
+
+
 def test_prune_missing_root_is_noop(tmp_path):
     ResultCache(tmp_path / "never-created").prune_stale()
 

@@ -129,6 +129,29 @@ class TestPrewarm:
         assert len(warm_calls) == 1
         assert len({r.stats.committed for r in results}) == 1
 
+    def test_serial_run_many_restores_only_after_the_first_warmup(
+        self, tmp_path, monkeypatch
+    ):
+        """A serial fan-out measures its first draw on the warmed core.
+
+        Without a prewarm pass the first spec warms, stores and measures
+        on one core; only the other two restore the stored snapshot.
+        """
+        import repro.snapshot.fork as fork_mod
+
+        restores = []
+
+        def counting_restore(blob):
+            restores.append(len(blob))
+            return restore_core(blob)
+
+        monkeypatch.setattr(fork_mod, "restore_core", counting_restore)
+        specs = [_spec(measurement_seed=m) for m in (1, 2, 3)]
+        for spec in specs:
+            spec.snapshot_dir = str(tmp_path)
+        run_many(specs, jobs=1)
+        assert len(restores) == 2
+
     def test_cold_batch_without_snapshot_dir_still_works(self):
         specs = [_spec(), _spec(seed=6)]
         results = run_many(specs)

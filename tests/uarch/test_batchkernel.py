@@ -118,20 +118,69 @@ def test_header_matches_table():
     assert ctype == {name: widths[dt] for name, dt, _ in ARRAYS}
 
 
+def _role_lists(header):
+    """Macro name -> the argument names its generated X-macro list names."""
+    lists = {}
+    for macro, body in re.findall(
+        r"#define (K_\w+)\(X(?:, c)?\) \\\n(.*?)/\* end \*/", header, re.S
+    ):
+        lists[macro] = re.findall(r"X\((\w+)", body)
+    return lists
+
+
+def test_role_lists_name_every_argument_once():
+    lists = _role_lists(abi_header())
+    assert sorted(lists) == [
+        "K_LANE_ROWS", "K_LANE_SCALARS", "K_PARAMS", "K_PLAN_ARRAYS",
+    ]
+    listed = [name for names in lists.values() for name in names]
+    declared = [name for name, _, _ in ARRAYS] + list(PARAMS)
+    assert sorted(listed) == sorted(declared)
+    assert lists["K_PARAMS"] == list(PARAMS)
+    assert lists["K_LANE_SCALARS"] == [
+        name for name, _, shape in ARRAYS if shape == ("N",)
+    ]
+
+
 def test_kernel_source_resolves_every_argument_by_name():
     with open(_KERNEL_C) as fh:
         src = re.sub(r"/\*.*?\*/", "", fh.read(), flags=re.S)
     assert not re.search(r"\b[Ap]\[\d+\]", src), "numeric argument index"
-    used_arrays = set(re.findall(r"\bARR\(A, (\w+)\)", src))
-    used_params = set(re.findall(r"\bPRM\(p, (\w+)\)", src))
-    assert used_arrays == {name for name, _, _ in ARRAYS}
-    assert used_params <= set(PARAMS)
-    # a param the kernel never reads must at least size some array
-    shape_params = {
-        dim.partition("+")[0]
-        for _, _, shape in ARRAYS for dim in shape if isinstance(dim, str)
+    emitted = {name for name, _ in batchkernel.shared_codes()}
+    defined = set(re.findall(r"#define (\w+)", src))
+    assert not defined & emitted, "hand-written copy of a generated code"
+    arrays = {name for name, _, _ in ARRAYS}
+    assert set(re.findall(r"\bARR\(A, (\w+)\)", src)) <= arrays | {"name"}
+    assert set(re.findall(r"\bPRM\(p, (\w+)\)", src)) <= set(PARAMS) | {
+        "name"
     }
-    assert set(PARAMS) - used_params <= shape_params
+    # every argument reaches the kernel by name: each role list is
+    # expanded with a macro that reads ARR(A, name) or PRM(p, name)
+    binders = set(re.findall(
+        r"#define (\w+)\(name\b[^)]*\)[^\n]*\b(?:ARR\(A|PRM\(p), name\)", src
+    ))
+    lists = _role_lists(abi_header())
+    bound_lists = {
+        m for m, x in re.findall(r"\b(K_\w+)\((\w+)", src)
+        if m in lists and x in binders
+    }
+    assert bound_lists == set(lists)
+    assert {n for m in bound_lists for n in lists[m]} == arrays | set(PARAMS)
+
+
+def test_lane_export_rows_are_pinned():
+    batchcore = pytest.importorskip("repro.uarch.batchcore")
+    assert batchcore._STATS_ROWS == (
+        "committed", "fetched", "dispatched", "issued", "replays",
+        "branch_mispredicts", "branches", "false_predictions", "ep_stalls",
+        "slot_freezes", "padded_instructions", "wrong_path_fetched",
+        "regreads", "regwrites", "broadcasts", "broadcast_occupancy",
+        "iq_occupancy_accum", "lsq_searches", "store_forwards",
+        "faults_total", "faults_predicted", "faults_unpredicted",
+    )
+    assert batchcore._CACHE_ROWS == (
+        "l1d_hits", "l1d_misses", "l2_hits", "l2_misses", "mem_accesses",
+    )
 
 
 # ----------------------------------------------------------------------
