@@ -12,7 +12,9 @@ Finally it measures the lockstep batch engine (N draws per dispatch
 from one snapshot, ``repro.snapshot.batch.run_batch``) over a small
 lane-count sweep and records the N=16 rate plus its speedup over the
 marginal scalar rate. Every scalar run goes through the one cycle loop,
-``OoOCore.run``.
+``OoOCore.run``. Last, it times the paper drivers' path: one grid of
+headline points through ``run_many`` with the drivers' kernel lanes and
+with none, interleaved in this process, and records the CPU ratio.
 CI runs this after the test suite so every build leaves a
 machine-readable throughput record.
 
@@ -23,6 +25,7 @@ Usage::
 
 import json
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -58,6 +61,16 @@ WARM_PER_ROUND = 16
 #: eligible run makes
 BATCH_LANE_SWEEP = (1, 4, 8, 16)
 BATCH_ROUNDS = 3
+
+#: the drivers' lane A/B grid: four benchmarks under every scheme a
+#: headline sweep runs (CDS stays scalar on both legs) at 0.97 V
+DRIVER_GRID = dict(
+    benchmarks=("gcc", "mcf", "sjeng", "tonto"),
+    schemes=(SchemeKind.FAULT_FREE, SchemeKind.EP, SchemeKind.ABS,
+             SchemeKind.FFS, SchemeKind.CDS),
+    vdd=0.97, n_instructions=6000, warmup=3000,
+)
+DRIVER_ROUNDS = 3
 
 
 def run_once():
@@ -186,12 +199,63 @@ def measure_batch():
     return rates, vector_lanes
 
 
+def measure_drivers():
+    """CPU ratio of the driver grid through ``run_many``, 0 lanes / lanes.
+
+    Each round runs the grid once with ``batch_lanes=0`` (every window
+    scalar) and once with the drivers' ``DRIVER_LANES``, in alternating
+    order, serially in this process and without a result cache, and
+    asserts that both legs return equal results. The kernel is loaded
+    and the programs are built before the first timed leg. Returns
+    ``(median ratio, per-round ratios, vector lanes per lanes leg)``.
+    """
+    from repro.harness.export import sim_result_to_dict
+    from repro.harness.parallel import DRIVER_LANES, run_many
+    from repro.snapshot import batch
+
+    grid = DRIVER_GRID
+    specs = [
+        RunSpec(benchmark, scheme, grid["vdd"], grid["n_instructions"],
+                grid["warmup"], seed=1)
+        for benchmark in grid["benchmarks"] for scheme in grid["schemes"]
+    ]
+    run_many(specs[:1], batch_lanes=DRIVER_LANES)
+    for benchmark in grid["benchmarks"]:
+        build_core(RunSpec(benchmark, SchemeKind.EP, grid["vdd"],
+                           grid["n_instructions"], grid["warmup"], seed=1))
+    run_batch, reports = batch.run_batch, []
+
+    def counted(specs, snapshot_dir, report=None, **kwargs):
+        reports.append(report or batch.BatchReport())
+        return run_batch(specs, snapshot_dir, reports[-1], **kwargs)
+
+    batch.run_batch = counted
+    ratios = []
+    try:
+        for rnd in range(DRIVER_ROUNDS):
+            legs = (0, DRIVER_LANES) if rnd % 2 == 0 else (DRIVER_LANES, 0)
+            cpu, out = {}, {}
+            for lanes in legs:
+                t0 = time.process_time()
+                out[lanes] = run_many(specs, batch_lanes=lanes)
+                cpu[lanes] = time.process_time() - t0
+            assert [sim_result_to_dict(r) for r in out[0]] == [
+                sim_result_to_dict(r) for r in out[DRIVER_LANES]
+            ], "kernel lanes and scalar runs disagree"
+            ratios.append(round(cpu[0] / cpu[DRIVER_LANES], 3))
+    finally:
+        batch.run_batch = run_batch
+    vector_lanes = sum(r.vector_lanes for r in reports) // DRIVER_ROUNDS
+    return statistics.median(ratios), ratios, vector_lanes
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     out = argv[0] if argv else "BENCH_throughput.json"
     best, samples = measure()
     cold_rate, warm_rate, marginal_rate = measure_campaign()
     batch_rates, batch_vector_lanes = measure_batch()
+    driver_speedup, driver_ratios, driver_vector_lanes = measure_drivers()
     batch_n = str(max(BATCH_LANE_SWEEP))
     batch_rate = batch_rates.get(batch_n, 0.0)
     record = {
@@ -221,6 +285,15 @@ def main(argv=None):
             round(batch_rate / marginal_rate, 2) if batch_rate else 0.0
         ),
         "batch_vector_lanes": batch_vector_lanes,
+        "driver_workload": (
+            "run_many over {gcc, mcf, sjeng, tonto} x {FAULT_FREE, EP, ABS, "
+            "FFS, CDS} at vdd=0.97, 6000 measured after 3000 warmup, "
+            "jobs=1, no cache: CPU at 0 lanes over CPU at the drivers' "
+            "lanes, legs interleaved, equal results asserted"
+        ),
+        "driver_lane_speedup": round(driver_speedup, 2),
+        "driver_lane_speedup_by_round": driver_ratios,
+        "driver_vector_lanes": driver_vector_lanes,
         "python": platform.python_version(),
         "platform": platform.platform(),
     }

@@ -21,7 +21,10 @@ class CriticalityDetector:
         self.tep = tep
         self.threshold = threshold
         self.observations = 0
+        #: broadcasts that met the threshold
         self.critical_marks = 0
+        #: of those, marks that landed on the instruction's TEP entry
+        self.landed_marks = 0
 
     def observe_broadcast(self, inst, n_dependents):
         """Process one tag broadcast with ``n_dependents`` IQ matches.
@@ -34,8 +37,10 @@ class CriticalityDetector:
         self.observations += 1
         if n_dependents >= self.threshold:
             self.critical_marks += 1
-            if inst.tep_key is not None:
-                self.tep.mark_critical(inst.tep_key)
+            if inst.tep_key is not None and self.tep.mark_critical(
+                inst.tep_key
+            ):
+                self.landed_marks += 1
             return True
         return False
 

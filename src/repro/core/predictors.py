@@ -73,10 +73,12 @@ class MostRecentEntryPredictor:
             self._table.pop(key, None)
 
     def mark_critical(self, key, critical=True):
-        """Attach the CDL verdict to a resident entry."""
+        """Attach the CDL verdict to a resident entry; True if one was."""
         entry = self._table.get(key)
-        if entry is not None:
-            self._table[key] = (entry[0], critical)
+        if entry is None:
+            return False
+        self._table[key] = (entry[0], critical)
+        return True
 
     @property
     def occupancy(self):
@@ -136,9 +138,12 @@ class TimingViolationPredictor:
             self._counters[key] -= 1
 
     def mark_critical(self, key, critical=True):
-        """Attach the CDL verdict to the indexed entry."""
-        if key is not None:
-            self._critical[key] = critical
+        """Attach the CDL verdict to the indexed entry; untagged, so it
+        lands whenever there is a key."""
+        if key is None:
+            return False
+        self._critical[key] = critical
+        return True
 
     @property
     def occupancy(self):

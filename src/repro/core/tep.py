@@ -155,13 +155,19 @@ class TimingErrorPredictor:
             entry.counter -= 1
 
     def mark_critical(self, key, critical=True):
-        """Store the CDL's criticality verdict with the entry (§3.5.2)."""
+        """Store the CDL's criticality verdict with the entry (§3.5.2).
+
+        Returns True when the verdict landed: the entry holds ``key``'s
+        tag. A PC with no resident entry is not marked.
+        """
         if key is None:
-            return
+            return False
         index, tag = key
         entry = self._entries[index]
-        if entry.tag == tag:
-            entry.critical = critical
+        if entry.tag != tag:
+            return False
+        entry.critical = critical
+        return True
 
     # ------------------------------------------------------------------
     @property

@@ -13,7 +13,7 @@ sweep.
 from repro.core.schemes import SchemeKind
 from repro.faults.timing import VDD_HIGH_FAULT, VDD_LOW_FAULT, VDD_NOMINAL
 from repro.harness import paper_data
-from repro.harness.parallel import run_many
+from repro.harness.parallel import DRIVER_LANES, run_many
 from repro.harness.runner import RunSpec
 from repro.harness.tables import format_bar_series, format_table
 from repro.workloads.profiles import profile_names
@@ -45,7 +45,10 @@ class SchedulingSweep:
     points requested in bulk (:meth:`prefetch`, or implicitly by
     :meth:`relative_overheads`) fan out over ``jobs`` worker processes,
     and with ``cache`` enabled every point is persisted to — and replayed
-    from — the on-disk result cache.
+    from — the on-disk result cache. Every driver in this module runs
+    each eligible point as a lane of the compiled batch kernel
+    (:data:`~repro.harness.parallel.DRIVER_LANES`), bit-identical to its
+    scalar run; CDS points and a missing compiler stay scalar.
     """
 
     def __init__(self, vdd, n_instructions=10000, warmup=4000, seed=1,
@@ -70,7 +73,7 @@ class SchedulingSweep:
     def _run_many(self, specs):
         return run_many(
             specs, jobs=self.jobs, cache=self.cache,
-            cache_dir=self.cache_dir,
+            cache_dir=self.cache_dir, batch_lanes=DRIVER_LANES,
         )
 
     def prefetch(self, schemes):
@@ -162,6 +165,7 @@ def table1(n_instructions=10000, warmup=4000, seed=1, benchmarks=None,
             for benchmark in benchmarks
         ],
         jobs=jobs, cache=cache, cache_dir=cache_dir,
+        batch_lanes=DRIVER_LANES,
     )
     for benchmark, nominal_result in zip(benchmarks, nominal):
         ipc = nominal_result.ipc
@@ -448,7 +452,8 @@ def calibration(n_instructions=10000, warmup=4000, seed=1, benchmarks=None,
             (SchemeKind.RAZOR, VDD_HIGH_FAULT),
         )
     ]
-    points = run_many(grid, jobs=jobs, cache=cache, cache_dir=cache_dir)
+    points = run_many(grid, jobs=jobs, cache=cache, cache_dir=cache_dir,
+                      batch_lanes=DRIVER_LANES)
     for i, benchmark in enumerate(benchmarks):
         paper = paper_data.PAPER_TABLE1[benchmark]
         ipc = points[3 * i].ipc
@@ -503,7 +508,8 @@ def shmoo(n_instructions=4000, warmup=2000, seed=1, benchmarks=None,
                 overclock=factor)
         for vdd, factor in cells
     ]
-    points = run_many(specs, jobs=jobs, cache=cache, cache_dir=cache_dir)
+    points = run_many(specs, jobs=jobs, cache=cache, cache_dir=cache_dir,
+                      batch_lanes=DRIVER_LANES)
     nominal = points[0]
     rows = []
     data = {}

@@ -75,12 +75,14 @@ def run_seeds(benchmark, scheme, vdd, seeds=(1, 2, 3), n_instructions=6000,
     be an explicit sequence, or an integer N to draw N seeds from the
     campaign engine's derived seed stream (reproducible from the master
     seed, ``spec_kwargs['master_seed']``, default 1). All runs go
-    through the batch engine: ``jobs`` fans them out and ``cache``
-    reuses earlier points.
+    through the batch engine: ``jobs`` fans them out, ``cache`` reuses
+    earlier points, and every eligible run is a kernel lane
+    (:data:`~repro.harness.parallel.DRIVER_LANES`).
     """
     from repro.campaign.executor import make_run_fn, measure_point
     from repro.campaign.plan import CampaignSpec
     from repro.campaign.scheduler import PointScheduler
+    from repro.harness.parallel import DRIVER_LANES
 
     seed_list = None if isinstance(seeds, int) else list(seeds)
     n_seeds = seeds if isinstance(seeds, int) else len(seed_list)
@@ -99,7 +101,8 @@ def run_seeds(benchmark, scheme, vdd, seeds=(1, 2, 3), n_instructions=6000,
         **spec_kwargs,
     )
     point = spec.points()[0]
-    run_fn = make_run_fn(jobs=jobs, cache=cache, cache_dir=cache_dir)
+    run_fn = make_run_fn(jobs=jobs, cache=cache, cache_dir=cache_dir,
+                         batch_lanes=DRIVER_LANES)
     scheduler = measure_point(PointScheduler(spec, point), run_fn)
     acc, failure = scheduler.acc, scheduler.failure
     if failure is not None:

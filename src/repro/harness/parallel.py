@@ -35,6 +35,13 @@ from repro.harness.runner import run_one
 #: cache-format version; bump to orphan every existing cache entry.
 _CACHE_FORMAT = 1
 
+#: the most lanes per kernel call that the paper's drivers
+#: (:mod:`repro.harness.experiments`, ``run_seeds``) ask of
+#: :func:`run_many`. A table or figure spec has a warmup key of its own,
+#: so each of their eligible windows is a one-lane call; fault-mode
+#: ``run_seeds`` draws share one and fill a call of up to this many.
+DRIVER_LANES = 16
+
 #: file types under ``repro`` that the model executes
 _MODEL_SOURCE_SUFFIXES = (".py", ".c")
 
@@ -219,7 +226,9 @@ def _run_todo(todo, n_jobs, batch_lanes, timeout=None):
 
     Results come back task by task, as each finishes. With ``timeout``
     the tasks always run on a pool, even at ``n_jobs == 1``, because an
-    in-process run cannot be killed. The pool then gets ``timeout`` per
+    in-process run cannot be killed. A pool with a kernel batch to run
+    is forked after the kernel is loaded, so the compiler runs at most
+    once per process tree. The pool then gets ``timeout`` per
     run over its depth, ``ceil(len(todo) / n_jobs)`` waves with every
     kernel lane counted as a run. A breach terminates the pool, killing
     hung workers, and raises :class:`TimeoutError`.
@@ -235,6 +244,12 @@ def _run_todo(todo, n_jobs, batch_lanes, timeout=None):
         return
     import multiprocessing
 
+    if any(kind == "batch" for kind, _ in tasks):
+        # build (or load) the kernel before the fork, so the workers
+        # inherit it instead of each running the compiler
+        from repro.uarch import batchkernel
+
+        batchkernel.load_kernel()
     with _pool(min(n_jobs, len(tasks))) as pool:
         # chunk size 1: each task's result arrives on its own, and only
         # this iterator has .next(timeout)

@@ -40,6 +40,8 @@ Bit-identity with the scalar path is asserted by
 grid and a generated sweep of benchmarks, schemes and core geometries.
 """
 
+import itertools
+
 try:  # pragma: no cover - exercised on numpy-free installs
     import numpy as np
 except Exception:  # pragma: no cover
@@ -53,7 +55,7 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.uarch import batchkernel
 from repro.uarch.batchkernel import (
     ARRAYS, EVICTIONS, FREEZE_CODE, INF, MAX_IQ, MAX_WIDTH, PARAMS, RING,
-    SEL_MODE, by_role, call_kernel, role,
+    SEL_MODE, TAG_DTYPE, by_role, call_kernel, role,
 )
 from repro.uarch.batchstream import BatchFallback, build_stream
 from repro.uarch.issue_queue import TIMESTAMP_MASK
@@ -62,6 +64,11 @@ from repro.uarch.stats import SimStats
 
 #: fault-stage bits of the in-order stages, which the kernel does not model
 _INORDER_MASK = 0b1000001111
+
+#: the fallback reason of a window with a cache tag outside
+#: :data:`~repro.uarch.batchkernel.TAG_DTYPE` (an address of 2**37 or
+#: more at 64-byte lines)
+TAG_OVERFLOW = f"cache tag beyond the kernel's {TAG_DTYPE} tag arrays"
 
 _LOAD = int(OpClass.LOAD)
 _STORE = int(OpClass.STORE)
@@ -533,25 +540,45 @@ def _plan_stream_groups(plan, stream):
     plan.g_has_miss = (stream.g_miss_off[1:] - stream.g_miss_off[:-1]) > 0
 
 
+def _check_tags(lo, hi):
+    """Fall back unless tags ``lo`` through ``hi`` fit :data:`TAG_DTYPE`.
+
+    An explicit check: numpy 1.x wraps an out-of-range int silently.
+    """
+    info = np.iinfo(TAG_DTYPE)
+    _fallback(lo < info.min or hi > info.max, TAG_OVERFLOW)
+
+
 def _flat_sets(sets, nsets, assoc):
     """Materialize shared LRU set lists into flat (tags, count) arrays.
 
     Way order is preserved: index 0 is the LRU victim, the last filled
-    index the MRU — the compiled kernel keeps the same ordering.
+    index the MRU — the compiled kernel keeps the same ordering. Tags
+    are :data:`TAG_DTYPE`; -1 marks an empty way.
     """
-    tags = np.full((nsets, assoc), -1, dtype=np.int64)
-    cnt = np.zeros(nsets, dtype=np.int64)
-    for i, ways in enumerate(sets):
-        k = len(ways)
-        if k:
-            tags[i, :k] = ways
-        cnt[i] = k
+    cnt = np.fromiter(map(len, sets), dtype=np.int64, count=nsets)
+    flat = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
+                       count=int(cnt.sum()))
+    if flat.size:
+        _check_tags(int(flat.min()), int(flat.max()))
+    tags = np.full((nsets, assoc), -1, dtype=TAG_DTYPE)
+    # a boolean mask fills row-major: set by set, LRU way first
+    tags[np.arange(assoc) < cnt[:, None]] = flat.astype(TAG_DTYPE)
     return tags, cnt
 
 
 def _plan_caches(plan, hier):
-    """Geometry and post-warmup contents of the shared d-side caches."""
+    """Geometry and post-warmup contents of the shared d-side caches.
+
+    Every tag the window can probe must fit :data:`TAG_DTYPE`: data
+    addresses reach L1D and L2, the instruction-miss PCs L2.
+    """
+    probes = {"l1d": (plan.mem_addr,), "l2": (plan.mem_addr, plan.miss_pcs)}
     for name, cache in (("l1d", hier.l1d), ("l2", hier.l2)):
+        for addrs in probes[name]:
+            if addrs.size:
+                _check_tags(int(addrs.min()) >> cache._line_shift,
+                            int(addrs.max()) >> cache._line_shift)
         nsets = cache._set_mask + 1
         tags, cnt = _flat_sets(cache._sets, nsets, cache._assoc)
         setattr(plan, f"{name}_shift", cache._line_shift)

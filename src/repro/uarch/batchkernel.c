@@ -49,7 +49,12 @@ typedef struct {
 
 /* ---- cache model: LRU list semantics on flat tag arrays ------------- */
 
-static int64_t cache_probe(int64_t *tags, int64_t *cntp, int64_t assoc,
+/* The tag type is batchkernel.TAG_DTYPE; build_plan falls back unless
+ * every tag the window can probe fits it, so storing one narrows
+ * nothing. */
+typedef arr_t_l2_tags tag_t;
+
+static int64_t cache_probe(tag_t *tags, int64_t *cntp, int64_t assoc,
                            int64_t tag) {
     /* returns 1 on hit (with MRU update), 0 on miss (with fill) */
     int64_t cnt = *cntp;
@@ -57,17 +62,17 @@ static int64_t cache_probe(int64_t *tags, int64_t *cntp, int64_t assoc,
         if (tags[i] == tag) {
             if (i != cnt - 1) {
                 memmove(tags + i, tags + i + 1,
-                        (size_t)(cnt - 1 - i) * sizeof(int64_t));
-                tags[cnt - 1] = tag;
+                        (size_t)(cnt - 1 - i) * sizeof(tag_t));
+                tags[cnt - 1] = (tag_t)tag;
             }
             return 1;
         }
     }
     if (cnt >= assoc) {
-        memmove(tags, tags + 1, (size_t)(cnt - 1) * sizeof(int64_t));
+        memmove(tags, tags + 1, (size_t)(cnt - 1) * sizeof(tag_t));
         cnt--;
     }
-    tags[cnt] = tag;
+    tags[cnt] = (tag_t)tag;
     *cntp = cnt + 1;
     return 0;
 }

@@ -66,6 +66,11 @@ FREEZE_CODE = {kind: code for code, kind in enumerate(FreezeKind)}
 #: selection-key modes as the kernel's ``SEL_<mode>`` codes
 SEL_MODE = {"AGE": 0, "FFS": 1, "EXACT": 2}
 
+#: type of the per-lane cache tag arrays: a line address shifted by the
+#: line size. Synthetic programs stay far inside it; a plan whose tag
+#: does not fit falls back (``batchcore.TAG_OVERFLOW``).
+TAG_DTYPE = "int32"
+
 CFLAGS = ("-O2", "-shared", "-fPIC")
 
 #: Every int64 parameter, by name. Shapes in :data:`ARRAYS` refer to them.
@@ -159,9 +164,9 @@ ARRAYS = (
     ("tep_tag", "int64", ("N", "tep_n")),
     ("tep_cnt", "int64", ("N", "tep_n")),
     ("tep_stage", "int64", ("N", "tep_n")),
-    ("l1d_tags", "int64", ("N", "l1d_nsets", "l1d_assoc")),
+    ("l1d_tags", TAG_DTYPE, ("N", "l1d_nsets", "l1d_assoc")),
     ("l1d_cnt", "int64", ("N", "l1d_nsets")),
-    ("l2_tags", "int64", ("N", "l2_nsets", "l2_assoc")),
+    ("l2_tags", TAG_DTYPE, ("N", "l2_nsets", "l2_assoc")),
     ("l2_cnt", "int64", ("N", "l2_nsets")),
     # ---- engine: per-lane counters (start at zero) ----------------------
     ("committed", "int64", ("N",)),

@@ -33,6 +33,7 @@ except Exception:  # pragma: no cover - exercised on numpy-free installs
 from repro.isa.instruction import DynInst
 from repro.uarch.branch_predictor import GShare
 from repro.workloads.trace import TraceGenerator
+from repro.workloads.tracefile import FileTrace
 
 
 class BatchFallback(Exception):
@@ -45,7 +46,9 @@ def have_numpy():
 
 
 def _clone_trace(tg):
-    """An independent TraceGenerator continuing ``tg``'s exact stream."""
+    """An independent trace source continuing ``tg``'s exact stream."""
+    if isinstance(tg, FileTrace):
+        return copy.copy(tg)  # shares the parsed records, not the position
     clone = TraceGenerator.__new__(TraceGenerator)
     clone.program = tg.program
     clone._rng = random.Random()

@@ -735,9 +735,13 @@ class OoOCore:
             self.rename.ready_cycle[phys_dest] = wakeup  # set_ready, inlined
             stats.broadcasts += 1
             stats.broadcast_occupancy += len(self.iq.entries)
-            if self.cdl is not None:
-                n_dep = self.iq.count_dependents(phys_dest)
-                self.cdl.observe_broadcast(inst, n_dep)
+            cdl = self.cdl
+            if cdl is not None:
+                landed = cdl.landed_marks
+                cdl.observe_broadcast(
+                    inst, self.iq.count_dependents(phys_dest)
+                )
+                stats.critical_marks_landed += cdl.landed_marks - landed
         self._schedule(complete_cycle, _EV_COMPLETE, inst)
 
         # -- functional unit reservation + VTE freezing -------------------

@@ -31,6 +31,10 @@ class SimStats:
         self.inorder_stalls = 0
         self.memdep_violations = 0
         self.wrong_path_fetched = 0
+        # CDS: criticality marks that landed on the broadcasting
+        # instruction's TEP entry (a threshold hit on a PC with no
+        # resident entry marks nothing); 0 under every other scheme
+        self.critical_marks_landed = 0
         # robustness safety net (storm-mode wild faults, unpadded
         # predictions — see pipeline._issue) and storm bookkeeping
         self.safety_net_replays = 0
@@ -120,6 +124,7 @@ class SimStats:
             "inorder_stalls": self.inorder_stalls,
             "memdep_violations": self.memdep_violations,
             "wrong_path_fetched": self.wrong_path_fetched,
+            "critical_marks_landed": self.critical_marks_landed,
             "squashed": self.squashed,
             "branches": self.branches,
             "branch_mispredicts": self.branch_mispredicts,

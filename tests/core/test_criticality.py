@@ -74,3 +74,37 @@ def test_custom_threshold(tep):
     tep.train(inst.tep_key, PipeStage.MEM, True)
     cdl.observe_broadcast(inst, 2)
     assert tep.predict(inst.pc, 0).critical
+
+
+def test_landed_marks_count_only_marks_on_a_resident_entry(tep):
+    cdl = CriticalityDetector(tep, threshold=2)
+    inst = _inst()
+    inst.tep_key = tep.key_for(inst.pc, 0)
+    assert cdl.observe_broadcast(inst, 5) is True  # no entry: lands nowhere
+    tep.train(inst.tep_key, PipeStage.ISSUE, True)
+    assert cdl.observe_broadcast(inst, 5) is True
+    assert cdl.observe_broadcast(inst, 1) is False
+    assert (cdl.critical_marks, cdl.landed_marks) == (2, 1)
+
+
+def test_sim_stats_count_landed_marks_over_the_measured_window():
+    """CDS at CT = 2 lands marks on gcc, and ``critical_marks_landed``
+    counts only those of the measured window. At the paper's CT = 8 no
+    mark lands there, and a scheme without CDS never marks."""
+    from repro.core.schemes import SchemeKind
+    from repro.harness.runner import RunSpec, measure, run_one, warm_core
+    from repro.uarch.config import CoreConfig
+
+    def spec(scheme, threshold):
+        return RunSpec("gcc", scheme, 0.97, 3000, 1500, seed=1,
+                       config=CoreConfig(criticality_threshold=threshold))
+
+    cds = spec(SchemeKind.CDS, 2)
+    core = warm_core(cds)
+    at_boundary = core.cdl.landed_marks
+    stats = measure(core, cds).stats
+    assert at_boundary > 0
+    assert stats.critical_marks_landed == core.cdl.landed_marks - at_boundary
+    assert stats.critical_marks_landed > 0
+    assert run_one(spec(SchemeKind.CDS, 8)).stats.critical_marks_landed == 0
+    assert run_one(spec(SchemeKind.ABS, 2)).stats.critical_marks_landed == 0

@@ -142,3 +142,18 @@ def test_predictor_quality_ordering():
         )
     assert coverage["tep"] >= coverage["mre"] - 0.05
     assert coverage["mre"] > coverage["tvp"]
+
+
+def test_mark_critical_says_whether_the_mark_landed():
+    mre = MostRecentEntryPredictor(4)
+    assert mre.mark_critical(0x100) is False  # not resident
+    mre.train(0x100, PipeStage.ISSUE, True)
+    assert mre.mark_critical(0x100) is True
+    tvp = TimingViolationPredictor()
+    assert tvp.mark_critical(None) is False
+    assert tvp.mark_critical(tvp.key_for(0x100, 0)) is True  # untagged
+    tep = TimingErrorPredictor()
+    key = tep.key_for(0x100, 0)
+    assert tep.mark_critical(key) is False
+    tep.train(key, PipeStage.ISSUE, True)
+    assert tep.mark_critical(key) is True

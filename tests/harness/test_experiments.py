@@ -119,16 +119,20 @@ def test_calibration_report():
 def test_headline_runs_each_voltage_sweep_once(monkeypatch):
     """The two figures at one voltage read one sweep: 2 voltages x 2
     benchmarks x 5 schemes is 20 simulations, not 40, and the numbers
-    equal the figures computed one by one."""
-    from repro.harness import parallel
+    equal the figures computed one by one. Every measured window, a
+    kernel lane or a scalar run, becomes a result in ``measured_result``,
+    so the spy counts simulations on both tiers there."""
+    from repro.harness import runner
+    from repro.snapshot import batch
 
-    run_one, runs = parallel.run_one, []
+    measured_result, runs = runner.measured_result, []
 
-    def spy(spec):
+    def spy(spec, *counters, **kwargs):
         runs.append(spec.key())
-        return run_one(spec)
+        return measured_result(spec, *counters, **kwargs)
 
-    monkeypatch.setattr(parallel, "run_one", spy)
+    monkeypatch.setattr(runner, "measured_result", spy)
+    monkeypatch.setattr(batch, "measured_result", spy)
     args = (600, 300, 1, ["astar", "bzip2"])
     data = experiments.headline(*args).data
     assert len(runs) == len(set(runs)) == 20
@@ -140,3 +144,56 @@ def test_headline_runs_each_voltage_sweep_once(monkeypatch):
         assert data[name]["per_scheme"] == {
             scheme: 1.0 - avg for scheme, avg in averages.items()
         }
+
+
+def _seed_statistics(**kwargs):
+    from repro.harness.multiseed import run_seeds
+
+    result = run_seeds("astar", SchemeKind.ABS, 0.97, seeds=2, **kwargs)
+    return {name: getattr(result, name).values
+            for name in ("perf_overhead", "ed_overhead", "ipc", "fault_rate")}
+
+
+_TINY = dict(n_instructions=600, warmup=300)
+#: every driver that asks run_many for kernel lanes, at a tiny size
+_DRIVERS = {
+    "table1": lambda: experiments.table1(benchmarks=["astar"], **_TINY),
+    "fig4": lambda: experiments.fig4(benchmarks=["astar"], **_TINY),
+    "fig8": lambda: experiments.fig8(benchmarks=["astar"], **_TINY),
+    "calibration": lambda: experiments.calibration(
+        benchmarks=["astar"], **_TINY),
+    "shmoo": lambda: experiments.shmoo(
+        benchmarks=["astar"], vdds=(1.04, 0.97), overclocks=(1.0, 1.06),
+        **_TINY),
+    "headline": lambda: experiments.headline(benchmarks=["astar"], **_TINY),
+    "run_seeds": lambda: _seed_statistics(**_TINY),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(_DRIVERS))
+def test_driver_runs_kernel_lanes_equal_to_scalar(driver, monkeypatch):
+    """Each driver's data with kernel lanes equals its data with the
+    kernel unavailable (every window scalar), and some window of the
+    first run was a kernel lane."""
+    pytest.importorskip("numpy")
+    from repro.snapshot import batch
+    from repro.uarch import batchkernel
+
+    if batchkernel.load_kernel() is None:
+        pytest.skip("no compiled batch kernel")
+    run_batch, reports = batch.run_batch, []
+
+    def spy(specs, snapshot_dir, report=None, **kwargs):
+        reports.append(report or batch.BatchReport())
+        return run_batch(specs, snapshot_dir, reports[-1], **kwargs)
+
+    monkeypatch.setattr(batch, "run_batch", spy)
+
+    def data():
+        out = _DRIVERS[driver]()
+        return getattr(out, "data", out)
+
+    with_lanes = data()
+    assert sum(report.vector_lanes for report in reports) > 0
+    monkeypatch.setattr(batchkernel, "load_kernel", lambda: None)
+    assert data() == with_lanes
