@@ -90,9 +90,11 @@ def draw_metadata(run_spec, result):
 
     ``telemetry_summary`` is the scheme run's interval-metrics summary
     dict (``None`` unless the campaign set a telemetry interval);
-    ``snapshot_key`` is the warmup snapshot key the run forked from
-    (``None`` when the draw ran cold). :func:`run_draws` calls it for
-    every draw it journals.
+    ``snapshot_key`` is the warmup snapshot key a scalar run of the draw
+    forks from (``None`` when it runs cold). A kernel lane journals the
+    same key although it warms up in the kernel and reads no snapshot,
+    so journals do not depend on the tier. :func:`run_draws` calls it
+    for every draw it journals.
     """
     from repro.snapshot.fork import fork_key
 

@@ -283,7 +283,9 @@ def fleet_run(directory, spec=None, workers=2, host="127.0.0.1", port=0,
     secret handshake (exported to worker subprocesses via the
     environment, never argv); ``tls_cert``/``tls_key`` wrap the local
     sockets in TLS, with workers pinning ``tls_ca`` (defaulting to the
-    coordinator certificate itself — the self-signed case).
+    coordinator certificate itself — the self-signed case). With kernel
+    lanes on (``REPRO_BATCH_LANES``), the batch kernel is built before
+    any worker starts, so an empty kernel cache compiles once.
     """
     workers = int(workers)
     if workers < 1:
@@ -299,6 +301,14 @@ def fleet_run(directory, spec=None, workers=2, host="127.0.0.1", port=0,
                 f"min_workers ({low}) must be <= max_workers ({high})"
             )
         workers = min(max(workers, low), high)
+    from repro.snapshot.batch import resolve_batch_lanes
+
+    if resolve_batch_lanes():
+        # workers read their lanes from the same environment: build the
+        # kernel once here, so each loads it instead of compiling it
+        from repro.uarch import batchkernel
+
+        batchkernel.load_kernel()
     worker_tls_ca = tls_ca or tls_cert
     spawn_kwargs = dict(
         cache=cache, cache_dir=cache_dir, snapshot_dir=snapshot_dir,

@@ -290,9 +290,10 @@ def prewarm_snapshots(specs, n_jobs=1):
     fan-out that follows forks every draw from a warmed snapshot.
 
     :func:`run_many` calls it before every fan-out that can run two
-    tasks at once, outside any ``timeout`` budget; campaign pools, timed
-    campaigns and fleet workers all reach it through there. A serial
-    fan-out skips it: nothing races there, and a miss in
+    tasks at once, outside any ``timeout`` budget, with the specs that
+    will run scalar (kernel lanes warm up in the kernel); campaign
+    pools, timed campaigns and fleet workers all reach it through there.
+    A serial fan-out skips it: nothing races there, and a miss in
     :func:`~repro.snapshot.fork.warmed_core` warms, stores and measures
     on the same core, saving one restore per prefix.
     """
@@ -319,6 +320,25 @@ def prewarm_snapshots(specs, n_jobs=1):
             _ensure_snapshot_worker(spec)
 
 
+def _scalar_specs(specs, batch_lanes):
+    """The ``specs`` that will run on the scalar core.
+
+    With lanes on and a compiled kernel, the batch-eligible specs run as
+    kernel lanes and only the rest run scalar; otherwise every spec
+    does. The kernel is loaded here, in the parent, when lanes may use
+    it.
+    """
+    if not batch_lanes:
+        return specs
+    from repro.snapshot.batch import batch_groups
+    from repro.uarch import batchkernel
+
+    groups, rest = batch_groups(specs, batch_lanes)
+    if groups and batchkernel.load_kernel() is None:
+        return specs
+    return rest
+
+
 def run_many(specs, jobs=1, cache=False, cache_dir=None, batch_lanes=None,
              timeout=None):
     """Run a batch of specs; results in the same order as ``specs``.
@@ -337,13 +357,14 @@ def run_many(specs, jobs=1, cache=False, cache_dir=None, batch_lanes=None,
     warmup key: campaign draws, their fault-free baselines and single
     runs alike, with or without a snapshot dir. Results are
     bit-identical to the scalar path; ineligible specs run scalar as
-    before.
+    before. A kernel lane warms up in the kernel, so a parallel fan-out
+    prewarms snapshots only for the specs that run scalar.
 
     ``timeout``: seconds per run (default: none). The cache misses then
     always run on a pool, with a budget of ``timeout`` × ``ceil(misses /
     jobs)`` seconds that covers kernel lanes too and starts after the
-    snapshot prewarm of a parallel fan-out. A breach terminates the pool, killing hung workers,
-    and raises :class:`TimeoutError`.
+    snapshot prewarm of a parallel fan-out. A breach terminates the
+    pool, killing hung workers, and raises :class:`TimeoutError`.
 
     Identical specs in one batch are simulated once and share the result.
     Each fresh result is cached as it arrives, so a retry after a failure
@@ -379,7 +400,7 @@ def run_many(specs, jobs=1, cache=False, cache_dir=None, batch_lanes=None,
         todo = [specs[i] for i in pending.values()]
         n_jobs = _resolve_jobs(jobs, len(todo))
         if n_jobs > 1:
-            prewarm_snapshots(todo, n_jobs)
+            prewarm_snapshots(_scalar_specs(todo, batch_lanes), n_jobs)
         for t, result in _run_todo(todo, n_jobs, batch_lanes, timeout):
             # failures are never cached: a transient capture must not
             # poison future batches with a pre-failed result

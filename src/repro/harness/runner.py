@@ -378,6 +378,17 @@ def prime_caches(program, hierarchy, line_bytes=64):
     hierarchy.reset_stats()
 
 
+def cold_core(spec):
+    """``spec``'s core where every warmup starts: caches primed, cycle 0.
+
+    Kernel lanes plan from it and run the warmup in the kernel
+    (:func:`repro.snapshot.batch.run_batch`).
+    """
+    core = build_core(spec)
+    prime_caches(core.program, core.hierarchy)
+    return core
+
+
 def warm_core(spec, core=None):
     """Build and warm a core through ``spec``'s warmup prefix (cold path).
 

@@ -1,15 +1,18 @@
-"""Batched measurement: N measured windows per warmed donor core.
+"""Batched measurement: N measured windows per shared warmup.
 
 Specs sharing one warmup key reach bit-identical post-warmup state and
 fetch the *identical* instruction stream — they differ only in
 measurement-window fields such as ``measurement_seed``, which reseeds
 the fault injector at the warmup→measurement boundary. The batch path
-exploits this: one donor core (:func:`~repro.snapshot.fork.warmed_core`,
-forked or cold) supplies the lane-invariant plan
-(:func:`repro.uarch.batchcore.build_plan`), the per-lane fault tapes
-are drawn up front (:func:`repro.uarch.batchstream.build_tapes`), and
-the compiled kernel advances all lanes in one call. A batch may have
-one lane.
+exploits this: the cold core (:func:`~repro.harness.runner.cold_core`)
+supplies the lane-invariant plan over warmup and window
+(:func:`repro.uarch.batchcore.build_plan`), the compiled kernel runs the
+warmup on one lane, every lane starts the window from that lane's
+state, and each seeded lane's fault tape is redrawn from the first
+instruction fetched after the boundary
+(:func:`repro.uarch.batchstream.build_tapes`). No kernel lane is warmed
+on the scalar core, forked or captured: the snapshot store serves only
+scalar runs. A batch may have one lane.
 
 Correctness never depends on the batch path handling every corner:
 
@@ -19,7 +22,9 @@ Correctness never depends on the batch path handling every corner:
   (:class:`~repro.uarch.batchstream.BatchFallback`), falls back to
   per-lane scalar runs, bit-identically;
 * a *lane* the engine evicts mid-window (safety-net replay, watchdog)
-  re-runs alone on the scalar path, also bit-identically.
+  re-runs alone on the scalar path, also bit-identically; an evicted
+  *warmup* lane sends the whole batch there, under
+  :data:`~repro.uarch.batchcore.WARMUP_EVICTED`.
 
 :class:`BatchReport` records which of those happened — benchmarks and the
 CI ``batch-smoke`` gate use it to detect a silently all-scalar batch.
@@ -27,7 +32,7 @@ CI ``batch-smoke`` gate use it to detect a silently all-scalar batch.
 
 import os
 
-from repro.harness.runner import measure, measured_result, run_one
+from repro.harness.runner import cold_core, measure, measured_result
 from repro.snapshot.fork import warmed_core
 from repro.uarch import batchkernel
 from repro.uarch.batchstream import BatchFallback, build_tapes, have_numpy
@@ -92,7 +97,7 @@ def batch_groups(specs, max_lanes):
     """Partition ``specs`` into (lane groups, scalar rest).
 
     Every :func:`batch_eligible` spec joins a group of 1..``max_lanes``
-    specs sharing its warmup key (one donor, one plan); ``rest``
+    specs sharing its warmup key (one warmup, one plan); ``rest``
     collects the ineligible specs. Input order is preserved within each
     list.
     """
@@ -116,17 +121,17 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
 
     All specs must share one warmup key and be :func:`batch_eligible`;
     violations raise ``ValueError`` (they indicate a grouping bug, not a
-    modeling limit). The donor is ``warmed_core(specs[0], snapshot_dir)``.
-    A missing compiled kernel, other engine-level limits
-    (:class:`BatchFallback`) and per-lane evictions all degrade to the
-    scalar path transparently; with no kernel, nothing is warmed or
-    planned for the batch. The first scalar lane measures on the donor,
-    later ones are :func:`run_one` calls, and kernel lanes go through
-    the same :func:`~repro.harness.runner.measured_result` as every
-    scalar window.
+    modeling limit). The kernel runs ``specs[0]``'s warmup on one lane
+    and then the window on every lane. A missing compiled kernel, other
+    engine-level limits (:class:`BatchFallback`), an evicted warmup and
+    per-lane evictions all degrade to the scalar path transparently:
+    such a lane measures on ``warmed_core(spec, snapshot_dir)``, and
+    with no kernel nothing is planned for the batch. Kernel lanes go
+    through the same :func:`~repro.harness.runner.measured_result` as
+    every scalar window.
 
-    ``force_evict`` (lane index → virtual cycle) is a test hook forcing
-    divergence-path coverage at arbitrary points.
+    ``force_evict`` (lane index → cycle of the window) is a test hook
+    forcing divergence-path coverage at arbitrary points.
     """
     if report is None:
         report = BatchReport()
@@ -141,20 +146,34 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
     if any(s.warmup_key() != key for s in specs[1:]):
         raise ValueError("mixed warmup keys in one batch")
 
-    donor = None
     try:
-        from repro.uarch.batchcore import BatchEngine, build_plan
+        from repro.uarch.batchcore import (
+            WARMUP_EVICTED, BatchEngine, build_plan,
+        )
 
         if batchkernel.load_kernel() is None:
             raise BatchFallback("compiled batch kernel unavailable")
-        donor = warmed_core(ref, snapshot_dir)
-        plan = build_plan(donor, ref.n_instructions)
-        tapes = build_tapes(
-            donor, plan.stream,
-            [s.measurement_seed for s in specs], ref.vdd,
+        core = cold_core(ref)
+        plan = build_plan(core, ref.warmup + ref.n_instructions)
+        # one lane on the cold injector's stream runs the warmup
+        engine = BatchEngine(
+            plan, build_tapes(core, plan.stream, [None], ref.vdd)
         )
-        engine = BatchEngine(plan, tapes)
-        lanes = engine.run(force_evict=force_evict)
+        if ref.warmup:
+            (warm,) = engine.run(ref.warmup)
+            if warm is None:
+                raise BatchFallback(
+                    f"{WARMUP_EVICTED}: {engine.evicted_reason[0]}"
+                )
+        seeded = {lane: spec.measurement_seed
+                  for lane, spec in enumerate(specs)
+                  if spec.measurement_seed is not None}
+        tails = build_tapes(
+            core, plan.stream, list(seeded.values()), ref.vdd,
+            start=engine.first_unfetched,
+        ) if seeded else []
+        engine.fork(len(specs), dict(zip(seeded, tails)))
+        lanes = engine.run(ref.n_instructions, force_evict)
     except BatchFallback as exc:
         report.fallback_reason = str(exc)
         lanes = [None] * len(specs)
@@ -168,9 +187,5 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
         if report.fallback_reason is None:
             report.evictions[lane] = engine.evicted_reason[lane]
         report.scalar_lanes += 1
-        # build_plan and build_tapes leave the donor at the warmup
-        # boundary, so the first scalar lane measures on it
-        result = run_one(spec) if donor is None else measure(donor, spec)
-        results.append(result)
-        donor = None
+        results.append(measure(warmed_core(spec, snapshot_dir), spec))
     return results

@@ -74,8 +74,9 @@ def ensure_snapshot(spec, directory):
 def warmed_core(spec, directory):
     """A core at ``spec``'s warmup boundary: forked if it may be, else cold.
 
-    :func:`~repro.harness.runner.run_one` and every kernel batch's donor
-    warm here. Without a :func:`fork_key` nothing is read or stored.
+    :func:`~repro.harness.runner.run_one` and every scalar lane of a
+    kernel batch warm here; kernel lanes warm up in the kernel. Without
+    a :func:`fork_key` nothing is read or stored.
 
     Any defect in a cached blob — truncation, corruption, a stale pickle
     that somehow survived version pruning — is logged, evicted, and

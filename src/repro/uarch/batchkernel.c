@@ -8,6 +8,8 @@
  * their pointers here, and BatchEngine._export fills each finished
  * lane's SimStats from the same arrays, which
  * repro.harness.runner.measured_result packages like any scalar run.
+ * Every lane starts from a cold core; a batch runs its warmup as one
+ * lane, then its window on every lane, in two calls.
  * Facts about op classes (latency, unit kind, unpipelined units) come
  * from the plan, so this file holds no op-class number.  Bit-identity
  * against the scalar core is asserted by
@@ -523,11 +525,13 @@ static int fetch_cycle(Ctx *c, int64_t v) {
 
 /* ---- per-lane virtual-time loop ------------------------------------- */
 
-/* Kept out of line: inlined into the per-lane load/store loop of
- * repro_batch_run it made every kernel build about a third slower, and
- * the kernel no faster. */
+/* A lane resumes at the virtual cycle its last call stopped at (0 on a
+ * fresh lane), so a warmup call and the window call after it run one
+ * trajectory.  Kept out of line: inlined into the per-lane load/store
+ * loop of repro_batch_run it made every kernel build about a third
+ * slower, and the kernel no faster. */
 __attribute__((noinline)) static void lane_run(Ctx *c) {
-    int64_t v = 0;
+    int64_t v = c->v_end;
     for (;;) {
         if (c->committed >= c->target) {
             c->v_end = v;

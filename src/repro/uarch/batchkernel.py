@@ -1,8 +1,9 @@
 """The compiled batch kernel: its ABI table, build, and call.
 
-``batchkernel.c`` advances every lane of a :class:`~repro.uarch.batchcore.
-BatchEngine` to the end of its measurement window, in place on the
-engine's structure-of-arrays state. This module compiles it with the
+``batchkernel.c`` advances every live lane of a
+:class:`~repro.uarch.batchcore.BatchEngine` through a commit budget (a
+batch's warmup, then its measurement window), in place on the engine's
+structure-of-arrays state. This module compiles it with the
 system C compiler the first time a batch runs and binds the entry point
 via :mod:`ctypes`. No compiler, or a failed compile, makes
 :func:`load_kernel` return ``None``; the batch then runs on the scalar

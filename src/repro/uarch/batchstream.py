@@ -1,16 +1,18 @@
 """Shared-stream extraction for the batched lockstep engine.
 
-Every fork of one warmup snapshot fetches the *identical* dynamic
-instruction stream: the trace generator's RNG is warmup-side state and
-nothing on the measurement side reseeds it (see ``repro.snapshot.fork``).
-The branch predictor, the L1 instruction cache, and the fetch-group
+Every run of one warmup key fetches the *identical* dynamic instruction
+stream, through the warmup and the window: the trace generator's RNG is
+warmup-side state and nothing on the measurement side reseeds it. The
+branch predictor, the L1 instruction cache, and the fetch-group
 partition are equally lane-invariant — they are driven only by that
-stream. This module walks clones of those structures once per batch and
-flattens the result into plain arrays (:class:`StreamPlan`) that the
-vector engine (:mod:`repro.uarch.batchcore`) indexes per cycle.
+stream. This module walks clones of those structures once per batch,
+from the cold core on, and flattens the result into plain arrays
+(:class:`StreamPlan`) that the vector engine
+(:mod:`repro.uarch.batchcore`) indexes per cycle.
 
-What *does* differ per lane is the fault realization: each campaign draw
-reseeds the injector's per-instance RNG from its ``measurement_seed``,
+What *does* differ per lane is the fault realization of the window:
+each campaign draw reseeds the injector's per-instance RNG from its
+``measurement_seed`` at the first instruction fetched after the warmup,
 and a lane without one continues the warmup stream.
 :func:`build_tapes` replays that stream per lane — the real
 :meth:`~repro.faults.injector.FaultInjector.resolve` for critical PCs, a
@@ -73,11 +75,11 @@ def _clone_l1i_sets(l1i):
 
 
 class StreamPlan:
-    """Lane-invariant stream metadata for one batch window.
+    """Lane-invariant stream metadata for one batch.
 
-    Per-instruction arrays are indexed by *stream position* (0 = first
-    instruction fetched after the snapshot boundary); the engine offsets
-    them into its global slot space. Fetch groups mirror the scalar
+    Per-instruction arrays are indexed by *stream position* (0 = the
+    first instruction the core fetches), which is also the engine's slot
+    number. Fetch groups mirror the scalar
     ``_fetch`` loop: up to ``width`` instructions per cycle, terminated
     early by a mispredicted branch (which blocks fetch until resolve).
     """
@@ -93,10 +95,10 @@ class StreamPlan:
 def build_stream(core, n_insts, width):
     """Walk ``n_insts`` instructions of ``core``'s future stream.
 
-    Clones the trace generator, branch predictor and L1I so the donor
-    core is untouched. Raises :class:`BatchFallback` when the trace ends
-    inside the window or an instruction shape falls outside the vector
-    engine's model (more than two sources).
+    Clones the trace generator, branch predictor and L1I so ``core`` is
+    untouched. Raises :class:`BatchFallback` when the trace ends inside
+    the batch or an instruction shape falls outside the vector engine's
+    model (more than two sources).
     """
     if _np is None:
         raise BatchFallback("numpy unavailable")
@@ -220,14 +222,15 @@ def build_stream(core, n_insts, width):
     return plan
 
 
-def build_tapes(core, plan, measurement_seeds, vdd):
-    """Per-lane fault tapes over ``plan``'s stream.
+def build_tapes(core, plan, measurement_seeds, vdd, start=0):
+    """Per-lane fault tapes over ``plan``'s stream from position ``start``.
 
-    Returns an ``(n_lanes, plan.n)`` int16 array of fault-stage bitmasks,
-    exactly what the scalar run's ``injector.resolve`` would stamp on
-    each dynamic instance after ``begin_measurement``: reseeded from
-    ``measurement_seed + 301``, or, for a ``None`` seed, on a copy of the
-    donor injector's live warmup stream.
+    Returns an ``(n_lanes, plan.n - start)`` int16 array of fault-stage
+    bitmasks, exactly what the scalar run's ``injector.resolve`` would
+    stamp on each dynamic instance from ``start`` on: reseeded from
+    ``measurement_seed + 301`` (as ``begin_measurement`` does), or, for a
+    ``None`` seed, on a copy of ``core``'s injector stream (on a cold
+    core, the stream the warmup starts with).
 
     SAFE PCs take a short-circuit that consumes one RNG draw (the
     background-fault check) — bit-exact with ``resolve``, which skips the
@@ -238,7 +241,7 @@ def build_tapes(core, plan, measurement_seeds, vdd):
     if _np is None:
         raise BatchFallback("numpy unavailable")
     n_lanes = len(measurement_seeds)
-    tapes = _np.zeros((n_lanes, plan.n), dtype=_np.int16)
+    tapes = _np.zeros((n_lanes, plan.n - start), dtype=_np.int16)
     injector = core.injector
     if injector is None:
         return tapes
@@ -251,8 +254,8 @@ def build_tapes(core, plan, measurement_seeds, vdd):
     scratch = DynInst(0, program.static_insts[0])
     bg = injector._background_prob(vdd)
     # one (is_critical, static) pair per stream position, walked per lane
-    walk = list(zip(plan.critical.tolist(),
-                    (statics_by_pc[p] for p in plan.pc.tolist())))
+    walk = list(zip(plan.critical[start:].tolist(),
+                    (statics_by_pc[p] for p in plan.pc[start:].tolist())))
     saved_rng = injector._rng
     resolve = injector.resolve
     pick_stage = injector._pick_stage

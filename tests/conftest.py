@@ -1,4 +1,6 @@
-"""Shared fixtures: small programs, cores, and fault stacks."""
+"""Shared fixtures: small programs, cores, fault stacks, compiler runs."""
+
+import shutil
 
 import pytest
 
@@ -70,3 +72,29 @@ def make_core(program=None, scheme=SchemeKind.FAULT_FREE, injector=None,
 @pytest.fixture
 def timing_model():
     return StageTimingModel(VoltageScaling(), ProcessVariationModel(seed=3))
+
+
+@pytest.fixture
+def compiler_log(tmp_path, monkeypatch):
+    """A file that gets one line, the pid, per run of the C compiler.
+
+    ``CC`` names a wrapper around the system compiler that logs its pid,
+    every process of the test starts from an empty kernel cache, and
+    this process's loaded kernel is forgotten before and after.
+    """
+    pytest.importorskip("numpy")
+    from repro.uarch import batchkernel
+
+    cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+    if cc is None:
+        pytest.skip("no C compiler")
+    log = tmp_path / "cc.log"
+    log.write_text("")
+    wrapper = tmp_path / "cc"
+    wrapper.write_text(f'#!/bin/sh\necho $$ >> "{log}"\nexec "{cc}" "$@"\n')
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("CC", str(wrapper))
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernels"))
+    batchkernel.reset_kernel_cache()
+    yield log
+    batchkernel.reset_kernel_cache()

@@ -66,6 +66,16 @@ class TestFleetRun:
         for name, info in health["workers"].items():
             assert f"worker {name}: {info['draws']} draws" in out
 
+    def test_kernel_compiles_once_before_workers_spawn(self, tmp_path,
+                                                       monkeypatch,
+                                                       compiler_log):
+        """With lanes on and an empty kernel cache, the coordinator
+        builds the kernel and both workers load it: one compiler run."""
+        monkeypatch.setenv("REPRO_BATCH_LANES", "2")
+        fleet_run(tmp_path / "fleet", spec=_spec(), workers=2, cache=False,
+                  snapshots=False, linger=0.2)
+        assert len(compiler_log.read_text().split()) == 1
+
     def test_report_byte_identical_to_single_pool(self, tmp_path):
         _single_pool(tmp_path / "pool")
         fleet_run(

@@ -115,31 +115,13 @@ def test_run_many_dedupes_identical_specs():
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="only forked workers inherit the parent's kernel",
 )
-def test_kernel_compiles_once_before_the_pool_forks(tmp_path, monkeypatch):
+def test_kernel_compiles_once_before_the_pool_forks(compiler_log):
     """With an empty kernel cache, a parallel run with lanes runs the
     compiler once, in the parent, not once in each forked worker."""
-    pytest.importorskip("numpy")
-    import shutil
-
-    from repro.uarch import batchkernel
-
-    cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-    if cc is None:
-        pytest.skip("no C compiler")
-    log = tmp_path / "cc.log"
-    wrapper = tmp_path / "cc"
-    wrapper.write_text(f'#!/bin/sh\necho $$ >> "{log}"\nexec "{cc}" "$@"\n')
-    wrapper.chmod(0o755)
-    monkeypatch.setenv("CC", str(wrapper))
-    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernels"))
     specs = [RunSpec("astar", SchemeKind.ABS, VDD_LOW_FAULT, seed=seed,
                      **_FAST) for seed in (1, 2)]
-    batchkernel.reset_kernel_cache()
-    try:
-        results = run_many(specs, jobs=2, batch_lanes=1)
-    finally:
-        batchkernel.reset_kernel_cache()
-    assert len(log.read_text().split()) == 1
+    results = run_many(specs, jobs=2, batch_lanes=1)
+    assert len(compiler_log.read_text().split()) == 1
     assert [_fingerprint(r) for r in results] == [
         _fingerprint(run_one(spec)) for spec in specs
     ]

@@ -11,10 +11,10 @@ and no kernel at all, where every batch must fall back to the scalar
 path lane by lane and say so in its report. A hypothesis test pins that
 forcing lane evictions at arbitrary points (the mid-window divergence
 path) cannot change any result, on both paths too. A generated test
-draws benchmark, scheme, supply, seeds (or one seedless lane), lane
-count, core and TEP geometry, window lengths and a forked or cold
-donor, and compares every kernel lane with a cold scalar run of its
-spec.
+draws every warmup field of a spec, every ``CoreConfig`` and
+``TEPConfig`` field, seeds (or one seedless lane) and lane count, and
+compares every lane with a cold scalar run of its spec; a field outside
+the kernel's model must fall back under the reason ``build_plan`` names.
 """
 
 import contextlib
@@ -22,11 +22,14 @@ from unittest import mock
 
 import pytest
 
-from repro.core.schemes import SchemeKind
+from repro.core.schemes import SchemeKind, make_scheme
+from repro.core.tep import TEPConfig
 from repro.faults.storm import StormConfig
 from repro.harness.parallel import run_many
 from repro.harness.runner import RunSpec
+from repro.uarch.batchkernel import MAX_IQ, MAX_WIDTH
 from repro.uarch.batchstream import have_numpy
+from repro.uarch.config import CoreConfig
 from repro.workloads.profiles import profile_names
 
 pytestmark = pytest.mark.skipif(
@@ -132,7 +135,8 @@ def test_batch_matches_scalar(scheme, vdd, n, snap_dir, scalar_ref,
 
 
 def test_no_kernel_batch_skips_fork_and_plan(snap_dir, scalar_ref):
-    """Without a kernel, the batch goes scalar before any batch setup."""
+    """Without a kernel, the batch goes scalar before any batch setup:
+    no cold core is built for a plan, and no plan is drawn."""
     from repro.snapshot import batch
     from repro.uarch import batchcore
 
@@ -141,7 +145,7 @@ def test_no_kernel_batch_skips_fork_and_plan(snap_dir, scalar_ref):
 
     report = batch.BatchReport()
     with _engine("nokernel"), \
-            mock.patch.object(batch, "warmed_core", forbidden), \
+            mock.patch.object(batch, "cold_core", forbidden), \
             mock.patch.object(batchcore, "build_plan", forbidden):
         results = batch.run_batch(
             _specs(SchemeKind.EP, 0.97, 4, snap_dir), str(snap_dir), report
@@ -160,12 +164,12 @@ def kernel():
 
 
 def test_fallback_lane_measures_on_the_donor(monkeypatch):
-    """A whole-batch fallback after the donor is warmed warms once.
+    """A whole-batch fallback warms each scalar lane once.
 
     CDS is outside the kernel's model, so ``build_plan`` raises
-    ``BatchFallback`` on the donor. The lane then measures on that
-    donor: one warmup for the batch, and the result equals ``run_one``.
-    Without a kernel the lane is a plain ``run_one``, one warmup too.
+    ``BatchFallback`` on the cold core, before any warmup. The lane then
+    measures on its own ``warmed_core``, the donor of a scalar lane: one
+    scalar warmup for the batch, and the result equals ``run_one``.
     """
     from repro.harness.runner import run_one
     from repro.snapshot import batch, fork
@@ -185,6 +189,102 @@ def test_fallback_lane_measures_on_the_donor(monkeypatch):
     assert report.scalar_lanes == 1
     assert len(warmups) == 1
     assert _digest(lanes[0]) == _digest(run_one(spec))
+
+
+def test_evicted_warmup_runs_every_lane_scalar(kernel, snap_dir, scalar_ref,
+                                               monkeypatch):
+    """A warmup the kernel cannot finish sends the whole batch scalar.
+
+    The plan here ends halfway through the warmup, so the warmup lane
+    runs past the prepared stream and is evicted before any lane starts
+    its window. Every lane then measures on the scalar core under
+    ``WARMUP_EVICTED`` and equals its scalar run.
+    """
+    from repro.snapshot.batch import BatchReport, run_batch
+    from repro.uarch import batchcore
+
+    build_plan = batchcore.build_plan
+    monkeypatch.setattr(
+        batchcore, "build_plan",
+        lambda core, n_commits: build_plan(core, POINT["warmup"] // 2, 0),
+    )
+    report = BatchReport()
+    results = run_batch(_specs(SchemeKind.EP, 0.97, 4, snap_dir),
+                        str(snap_dir), report)
+    assert report.fallback_reason == (
+        f"{batchcore.WARMUP_EVICTED}: ran past the prepared stream")
+    assert (report.vector_lanes, report.scalar_lanes) == (0, 4)
+    assert report.evictions == {}
+    assert ([_digest(r) for r in results]
+            == scalar_ref(SchemeKind.EP, 0.97, 4))
+
+
+def test_replay_without_bubbles_in_the_warmup_runs_as_lanes(kernel):
+    """A warmup whose replays cost no recovery bubble runs on the kernel.
+
+    With ``recovery_bubbles=0`` every Razor replay of the warmup leaves
+    a zero-length stall entry on the scalar core; the lanes start from a
+    cold core, so no such entry reaches the plan and every lane, seeded
+    or not, runs as a kernel lane equal to its scalar run.
+    """
+    from repro.harness.runner import run_one
+    from repro.snapshot.batch import BatchReport, run_batch
+
+    config = CoreConfig(recovery_bubbles=0)
+    for benchmark, seed, mseeds in (("astar", 1, [None]), ("gcc", 2, [1, 2])):
+        group = [RunSpec(benchmark, SchemeKind.RAZOR, 0.97, 600, 300, seed,
+                         config=config, measurement_seed=m) for m in mseeds]
+        report = BatchReport()
+        lanes = run_batch(group, None, report)
+        assert report.vector_lanes == len(group), report
+        for spec, lane in zip(group, lanes):
+            assert _digest(lane) == _digest(run_one(spec))
+
+
+def test_kernel_campaign_never_warms_scalar(tmp_path, monkeypatch, kernel):
+    """Kernel lanes warm up in the kernel, with a snapshot store or not.
+
+    A campaign whose draws and baselines all run as lanes calls neither
+    ``warm_core`` nor ``capture_core`` and writes no snapshot into its
+    store. Its journal and report equal a scalar campaign's with the
+    same store setting, whose draws do fork from snapshots.
+    """
+    from repro.campaign.executor import run_campaign
+    from repro.campaign.plan import CampaignSpec
+    from repro.harness import runner
+    from repro.snapshot import fork
+
+    spec = dict(
+        name="kernel-warmup", benchmarks=["gcc", "tonto"],
+        schemes=["ABS", "EP"], vdds=[0.97], n_instructions=800,
+        warmup=400, min_seeds=4, max_seeds=4, batch_size=4,
+    )
+    outputs, calls, snaps = {}, {}, {}
+    for lanes in (0, 4):
+        calls[lanes] = []
+
+        def counted(name, fn, log=calls[lanes]):
+            def wrapper(*args, **kwargs):
+                log.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        store = tmp_path / f"store-{lanes}"
+        with monkeypatch.context() as patch:
+            for module, name in ((runner, "warm_core"), (fork, "warm_core"),
+                                 (fork, "capture_core")):
+                patch.setattr(module, name,
+                              counted(name, getattr(module, name)))
+            directory = tmp_path / str(lanes)
+            run_campaign(str(directory), spec=CampaignSpec(**spec),
+                         cache=False, snapshots=True,
+                         snapshot_dir=str(store), batch_lanes=lanes)
+        outputs[lanes] = [(directory / name).read_bytes()
+                          for name in ("journal.jsonl", "report.json")]
+        snaps[lanes] = sorted(store.rglob("*.snap"))
+    assert calls[4] == [] and snaps[4] == []
+    assert calls[0] and snaps[0]
+    assert outputs[4] == outputs[0]
 
 
 def test_lane_export_equals_scalar_export(kernel, snap_dir):
@@ -392,40 +492,159 @@ if HAVE_HYPOTHESIS:
             assert ([_digest(r) for r in results]
                     == scalar_ref(SchemeKind.ABS, 0.97, 4))
 
-    GENERATED_SCHEMES = (
-        SchemeKind.FAULT_FREE, SchemeKind.RAZOR, SchemeKind.EP,
-        SchemeKind.ABS, SchemeKind.FFS,
-    )
+    #: the reason ``build_plan`` names for a window whose scratch would
+    #: overflow the kernel's static selection arrays
+    _SCRATCH = "IQ size or width beyond the kernel's static scratch"
+
+    #: per record, one strategy per field, drawing values inside the
+    #: kernel's model; a record class stands for "the default (None) or
+    #: every field of that record drawn". ``RunSpec``'s measurement fields
+    #: are not lane fields: ``measurement_seed`` is drawn per lane, and a
+    #: storm, telemetry, ``verify`` or ``corruption`` makes a spec
+    #: batch-ineligible.
+    LANE_FIELDS = {
+        RunSpec: {
+            "benchmark": st.sampled_from(profile_names()),
+            "scheme": st.sampled_from((
+                SchemeKind.FAULT_FREE, SchemeKind.RAZOR, SchemeKind.EP,
+                SchemeKind.ABS, SchemeKind.FFS,
+            )),
+            "vdd": st.sampled_from((0.97, 1.0, 1.04)),
+            "n_instructions": st.integers(min_value=200, max_value=2000),
+            "warmup": st.integers(min_value=0, max_value=1500),
+            "seed": st.integers(min_value=1, max_value=1000),
+            "config": CoreConfig,
+            "tep_config": TEPConfig,
+            "predictor": st.just("tep"),
+            "overclock": st.sampled_from((1.0, 1.04, 1.08, 1.15)),
+        },
+        CoreConfig: {
+            "width": st.integers(min_value=1, max_value=MAX_WIDTH),
+            "iq_size": st.integers(min_value=8, max_value=MAX_IQ),
+            "rob_size": st.integers(min_value=16, max_value=160),
+            "lsq_size": st.integers(min_value=8, max_value=48),
+            # build_core refuses fewer registers than the program uses
+            "n_arch_regs": st.integers(min_value=32, max_value=40),
+            "n_phys_regs": st.integers(min_value=41, max_value=128),
+            "n_simple_alu": st.just(2),
+            "n_complex_alu": st.just(1),
+            "n_mem_ports": st.just(1),
+            "frontend_depth": st.integers(min_value=1, max_value=10),
+            "redirect_penalty": st.integers(min_value=0, max_value=6),
+            "replay_recovery": st.integers(min_value=0, max_value=8),
+            "recovery_bubbles": st.integers(min_value=0, max_value=4),
+            "replay_mode": st.just("selective"),
+            "bp_history_bits": st.integers(min_value=1, max_value=12),
+            "bp_table_bits": st.integers(min_value=4, max_value=14),
+            "criticality_threshold": st.integers(min_value=0, max_value=16),
+            "mem_dependence": st.just("conservative"),
+            "model_wrong_path": st.booleans(),
+            "model_inorder_faults": st.booleans(),
+        },
+        TEPConfig: {
+            "n_entries": st.sampled_from((16, 64, 256, 1024, 4096)),
+            "tag_bits": st.integers(min_value=2, max_value=16),
+            "counter_bits": st.integers(min_value=1, max_value=3),
+            "history_bits": st.just(0),
+        },
+    }
+
+    #: (record, field) -> values outside the kernel's model
+    OUTSIDE = {
+        (RunSpec, "scheme"): st.just(SchemeKind.CDS),
+        (RunSpec, "predictor"): st.sampled_from(("mre", "tvp")),
+        (CoreConfig, "width"): st.integers(min_value=MAX_WIDTH + 1,
+                                           max_value=12),
+        (CoreConfig, "iq_size"): st.integers(min_value=MAX_IQ + 1,
+                                             max_value=96),
+        (CoreConfig, "n_simple_alu"): st.sampled_from((1, 3)),
+        (CoreConfig, "n_complex_alu"): st.just(2),
+        (CoreConfig, "n_mem_ports"): st.just(2),
+        (CoreConfig, "replay_mode"): st.just("flush"),
+        (CoreConfig, "mem_dependence"): st.just("store_sets"),
+        (TEPConfig, "history_bits"): st.integers(min_value=1, max_value=4),
+    }
+
+    def _lane_fields(record):
+        """The fields of ``record`` that a kernel lane's spec varies."""
+        if record is RunSpec:
+            return [name for name, _ in RunSpec.WARMUP_FIELDS]
+        return list(record.FIELDS)
+
+    def test_lane_strategies_cover_every_field():
+        for record, strategies in LANE_FIELDS.items():
+            assert sorted(strategies) == sorted(_lane_fields(record)), record
+        for record, name in OUTSIDE:
+            assert name in LANE_FIELDS[record], (record, name)
 
     @st.composite
-    def _geometries(draw):
-        """A core and TEP geometry inside the kernel's model."""
-        from repro.core.tep import TEPConfig
-        from repro.uarch.config import CoreConfig
+    def _lane_runs(draw):
+        """``RunSpec`` keyword arguments: every warmup field drawn from
+        its strategy, and at most one field outside the kernel's model."""
+        outside = draw(st.none() | st.sampled_from(list(OUTSIDE)))
 
-        iq_size = draw(st.integers(min_value=8, max_value=64))
-        config = CoreConfig(
-            width=draw(st.integers(min_value=2, max_value=8)),
-            iq_size=iq_size,
-            rob_size=draw(st.integers(min_value=iq_size, max_value=160)),
-            lsq_size=draw(st.integers(min_value=8, max_value=48)),
+        def fields(record):
+            values = {}
+            for name, strategy in LANE_FIELDS[record].items():
+                if (record, name) == outside:
+                    values[name] = draw(OUTSIDE[outside])
+                elif isinstance(strategy, type):
+                    nested = outside is not None and outside[0] is strategy
+                    values[name] = (
+                        strategy(**fields(strategy))
+                        if nested or draw(st.booleans()) else None
+                    )
+                else:
+                    values[name] = draw(strategy)
+            return values
+
+        return fields(RunSpec)
+
+    def _fallback_reasons(spec):
+        """The ``BatchFallback`` reasons ``build_plan`` names for the
+        fields of ``spec`` outside the kernel's model (empty: none).
+
+        Every drawn supply arms a scheme's timing predictor, so its kind
+        and history bits matter whenever the scheme uses one.
+        """
+        config = spec.config or CoreConfig()
+        tep = make_scheme(spec.scheme).uses_tep
+        history = (spec.tep_config or TEPConfig()).history_bits
+        inventory = (config.n_simple_alu, config.n_complex_alu,
+                     config.n_mem_ports)
+        return {reason for reason, outside in (
+            (_SCRATCH,
+             config.width > MAX_WIDTH or config.iq_size > MAX_IQ),
+            ("criticality detection (CDS)", spec.scheme is SchemeKind.CDS),
+            ("store-set predictor", config.mem_dependence == "store_sets"),
+            ("flush-style replay mode", config.replay_mode == "flush"),
+            ("non-core1 functional unit inventory", inventory != (2, 1, 1)),
+            ("non-standard timing predictor",
+             tep and spec.predictor != "tep"),
+            ("history-indexed TEP keys vary per lane",
+             tep and spec.predictor == "tep" and history > 0),
+        ) if outside}
+
+    def _run(config=None, **fields):
+        """An example's ``RunSpec`` arguments: gcc/ABS/0.97 V, 1200 + 800
+        instructions, default records, unless ``fields`` say otherwise;
+        ``config`` overrides fields of the default core."""
+        run = dict(
+            benchmark="gcc", scheme=SchemeKind.ABS, vdd=0.97,
+            n_instructions=800, warmup=1200, seed=3, config=None,
+            tep_config=None, predictor="tep", overclock=1.0,
         )
-        tep_config = TEPConfig(
-            n_entries=draw(st.sampled_from((16, 64, 256, 1024, 4096))),
-            tag_bits=draw(st.integers(min_value=2, max_value=16)),
-            counter_bits=draw(st.integers(min_value=1, max_value=3)),
-        )
-        return config, tep_config
+        if config is not None:
+            run["config"] = CoreConfig(**config)
+        run.update(fields)
+        return run
 
     @settings(
         derandomize=True, max_examples=25, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        benchmark=st.sampled_from(profile_names()),
-        scheme=st.sampled_from(GENERATED_SCHEMES),
-        vdd=st.sampled_from((0.97, 1.0, 1.04)),
-        seed=st.integers(min_value=1, max_value=1000),
+        run=_lane_runs(),
         # a lane without a measurement seed continues the warmup stream
         mseeds=st.one_of(
             st.just([None]),
@@ -434,44 +653,73 @@ if HAVE_HYPOTHESIS:
                 min_size=1, max_size=6, unique=True,
             ),
         ),
-        geometry=_geometries(),
-        warmup=st.integers(min_value=0, max_value=1500),
-        window=st.integers(min_value=200, max_value=2000),
         store=st.booleans(),
     )
     # sjeng keys fu_ops in a non-sorted first-issue order; povray issues
     # FPU ops, which must not hold the complex unit for their latency
-    @example(benchmark="sjeng", scheme=SchemeKind.EP, vdd=1.04, seed=1,
-             mseeds=[1, 2, 3, 4], geometry=(None, None), warmup=3000,
-             window=6000, store=True)
-    @example(benchmark="povray", scheme=SchemeKind.FAULT_FREE, vdd=0.97,
-             seed=1, mseeds=[1, 2], geometry=(None, None), warmup=300,
-             window=600, store=True)
-    @example(benchmark="gcc", scheme=SchemeKind.ABS, vdd=0.97, seed=3,
-             mseeds=[None], geometry=(None, None), warmup=0, window=600,
+    @example(run=_run(benchmark="sjeng", scheme=SchemeKind.EP, vdd=1.04,
+                      seed=1, warmup=3000, n_instructions=6000),
+             mseeds=[1, 2, 3, 4], store=True)
+    @example(run=_run(benchmark="povray", scheme=SchemeKind.FAULT_FREE,
+                      seed=1, warmup=300, n_instructions=600),
+             mseeds=[1, 2], store=True)
+    @example(run=_run(warmup=0, n_instructions=600), mseeds=[None],
              store=False)
+    # warmups that end with the pipeline busy: pending EP stalls and a
+    # full conveyor (seed 1), a blocking branch and conveyor residents
+    # (seed 5)
+    @example(run=_run(benchmark="sjeng", scheme=SchemeKind.EP, seed=1,
+                      warmup=700, n_instructions=900),
+             mseeds=[1, 2, 3], store=False)
+    @example(run=_run(benchmark="sjeng", scheme=SchemeKind.EP, seed=5,
+                      warmup=700, n_instructions=900),
+             mseeds=[None], store=True)
+    # the values of the field probe: each equalled scalar on the kernel
+    @example(run=_run(benchmark="astar", scheme=SchemeKind.FFS, vdd=1.04,
+                      overclock=1.08), mseeds=[1, 2, 3], store=False)
+    @example(run=_run(benchmark="mcf", scheme=SchemeKind.EP,
+                      overclock=1.15), mseeds=[1, 2, 3], store=False)
+    @example(run=_run(config=dict(frontend_depth=9)), mseeds=[1, 2, 3],
+             store=False)
+    @example(run=_run(benchmark="bzip2", scheme=SchemeKind.RAZOR,
+                      config=dict(redirect_penalty=5)),
+             mseeds=[1, 2, 3], store=False)
+    @example(run=_run(benchmark="sjeng", scheme=SchemeKind.RAZOR,
+                      config=dict(replay_recovery=6)),
+             mseeds=[1, 2, 3], store=False)
+    @example(run=_run(benchmark="tonto", config=dict(recovery_bubbles=1)),
+             mseeds=[1, 2, 3], store=False)
+    @example(run=_run(scheme=SchemeKind.FFS,
+                      config=dict(bp_history_bits=6, bp_table_bits=8)),
+             mseeds=[1, 2, 3], store=False)
+    @example(run=_run(benchmark="mcf", config=dict(n_phys_regs=48)),
+             mseeds=[1, 2, 3], store=False)
+    @example(run=_run(benchmark="astar", scheme=SchemeKind.EP,
+                      config=dict(model_wrong_path=False)),
+             mseeds=[1, 2, 3], store=False)
+    @example(run=_run(benchmark="bzip2", scheme=SchemeKind.FFS,
+                      config=dict(model_inorder_faults=True)),
+             mseeds=[1, 2, 3], store=False)
+    # outside the model: the batch falls back under build_plan's reason
+    @example(run=_run(predictor="mre"), mseeds=[1, 2], store=False)
+    @example(run=_run(scheme=SchemeKind.CDS), mseeds=[None], store=True)
     def test_generated_kernel_lanes_match_cold_scalar_runs(
-        benchmark, scheme, vdd, seed, mseeds, geometry, warmup, window,
-        store, kernel, snap_dir,
+        run, mseeds, store, kernel, snap_dir,
     ):
-        """Every kernel lane equals a cold scalar run of its spec.
+        """Every lane equals a cold scalar run of its spec.
 
-        The donor is forked from ``snap_dir`` or, with ``store`` off,
-        warmed cold. ``list(stats.fu_ops)`` is compared on its own
+        A spec inside the kernel's model runs every lane on the kernel;
+        one with a field outside it falls back under the reason
+        ``build_plan`` names for that field. ``store`` hands the batch a
+        snapshot store. ``list(stats.fu_ops)`` is compared on its own
         because ``as_dict()`` sorts ``fu_ops``, while the energy sum
         follows the dict's order.
         """
         from repro.harness.runner import run_one
         from repro.snapshot.batch import BatchReport, run_batch
 
-        config, tep_config = geometry
-
         def spec(mseed):
-            return RunSpec(
-                benchmark, scheme, vdd, window, warmup, seed,
-                config=config, tep_config=tep_config,
-                measurement_seed=mseed,
-            )
+            return RunSpec(**run, measurement_seed=mseed)
 
         directory = str(snap_dir) if store else None
         lanes = [spec(m) for m in mseeds]
@@ -479,7 +727,11 @@ if HAVE_HYPOTHESIS:
             lane.snapshot_dir = directory
         report = BatchReport()
         batched = run_batch(lanes, directory, report)
-        assert report.fallback_reason is None
+        reasons = _fallback_reasons(lanes[0])
+        if reasons:
+            assert report.fallback_reason in reasons, report
+        else:
+            assert report.fallback_reason is None, report
         for lane, (mseed, result) in enumerate(zip(mseeds, batched)):
             cold = run_one(spec(mseed))
             assert _digest(result) == _digest(cold), (lane, report)

@@ -3,10 +3,12 @@
 The compiled kernel keeps its cache tags as ``batchkernel.TAG_DTYPE``
 (int32), so at 64-byte lines an address of 2**37 or more has a tag that
 does not fit. Synthetic programs stay far below that (their addresses
-end near 0x50400000), but a trace file may carry any address. A window
-whose caches or stream hold such a tag must fall back to the scalar path
-under the named reason, ``batchcore.TAG_OVERFLOW``, and still equal its
-scalar run; the same trace inside the range runs as a kernel lane.
+end near 0x50400000), but a trace file may carry any address. A batch
+whose stream holds such a tag, in the warmup or in the window, must fall
+back to the scalar path under the named reason,
+``batchcore.TAG_OVERFLOW``, and still equal its scalar run; the same
+trace inside the range runs as a kernel lane. The batch plans from a
+cold trace-file core, as it would from ``runner.cold_core``.
 """
 
 import itertools
@@ -34,9 +36,8 @@ SPEC = RunSpec("bzip2", SchemeKind.FAULT_FREE, 0.97, n_instructions=1000,
                warmup=500)
 #: an offset that puts a data address past 2**37
 FAR = 1 << 37
-#: which records carry a far address: none, some of the warmup's (the
-#: warmed caches then hold a far tag), or the window's (only the
-#: stream does)
+#: which records carry a far address: none, some of the warmup's, or
+#: the window's
 SPANS = {"in range": range(0), "warmup": range(100, 400),
          "window": range(SPEC.warmup, 3000)}
 
@@ -59,10 +60,12 @@ def _records(span):
     return out
 
 
-def _warm_core(records):
+def _core(records, warmup=0):
+    """A core fetching ``records``, run through ``warmup`` commits."""
     core = OoOCore(CoreConfig.core1(), FileTrace(records), MemoryHierarchy(),
                    make_scheme(SchemeKind.FAULT_FREE))
-    core.run(SPEC.warmup)
+    if warmup:
+        core.run(warmup)
     return core
 
 
@@ -81,11 +84,13 @@ def test_trace_file_tags_run_as_a_lane_or_fall_back_by_name(span,
     if batchkernel.load_kernel() is None:
         pytest.skip("no compiled batch kernel")
     records = _records(SPANS[span])
+    monkeypatch.setattr(batch, "cold_core", lambda spec: _core(records))
     monkeypatch.setattr(batch, "warmed_core",
-                        lambda spec, snapshot_dir: _warm_core(records))
+                        lambda spec, snapshot_dir: _core(records, spec.warmup))
     report = batch.BatchReport()
     [lane] = batch.run_batch([SPEC], None, report)
     far = span != "in range"
     assert report.fallback_reason == (TAG_OVERFLOW if far else None)
     assert report.vector_lanes == (0 if far else 1)
-    assert _digest(lane) == _digest(measure(_warm_core(records), SPEC))
+    assert _digest(lane) == _digest(measure(_core(records, SPEC.warmup),
+                                            SPEC))

@@ -3,7 +3,10 @@
 import os
 import pickle
 
+import pytest
+
 from repro.core.schemes import SchemeKind
+from repro.faults.storm import StormConfig
 from repro.harness.parallel import ResultCache, model_version, run_many
 from repro.harness.runner import RunSpec, run_one
 from repro.snapshot import (
@@ -151,6 +154,30 @@ class TestPrewarm:
             spec.snapshot_dir = str(tmp_path)
         run_many(specs, jobs=1)
         assert len(restores) == 2
+
+    def test_parallel_run_many_prewarms_only_scalar_specs(self, tmp_path,
+                                                          monkeypatch):
+        """Kernel lanes warm up in the kernel, so a parallel fan-out
+        with lanes prewarms only the specs that run scalar: here the
+        storm draw, which no kernel lane can take."""
+        pytest.importorskip("numpy")
+        from repro.harness import parallel
+        from repro.uarch import batchkernel
+
+        if batchkernel.load_kernel() is None:
+            pytest.skip("no compiled batch kernel")
+        prewarmed = []
+        monkeypatch.setattr(
+            parallel, "prewarm_snapshots",
+            lambda specs, n_jobs=1: prewarmed.extend(specs),
+        )
+        lanes = [_spec(measurement_seed=m) for m in (1, 2)]
+        storms = [_spec(measurement_seed=3,
+                        storm=StormConfig(burst_rate=0.001))]
+        for spec in lanes + storms:
+            spec.snapshot_dir = str(tmp_path)
+        run_many(lanes + storms, jobs=2, batch_lanes=4)
+        assert prewarmed == storms
 
     def test_cold_batch_without_snapshot_dir_still_works(self):
         specs = [_spec(), _spec(seed=6)]
