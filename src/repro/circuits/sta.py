@@ -7,12 +7,7 @@ critical-path delay distribution, whose mu and sigma feed the mu+2sigma
 fault criterion.
 """
 
-import statistics
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on bare installs
-    np = None
+import numpy as np
 
 
 def critical_path(netlist, library, factors=None):
@@ -52,12 +47,8 @@ def monte_carlo_delay(netlist, library, variation, n_samples=64):
     """
     if n_samples <= 0:
         raise ValueError("need at least one sample")
-    delays = (
-        np.empty(n_samples) if np is not None else [0.0] * n_samples
-    )
+    delays = np.empty(n_samples)
     for i in range(n_samples):
         sample = variation.sample_gate_factors(netlist.n_gates)
         delays[i], _ = critical_path(netlist, library, sample.factors)
-    if np is not None:
-        return delays, float(delays.mean()), float(delays.std())
-    return delays, statistics.fmean(delays), statistics.pstdev(delays)
+    return delays, float(delays.mean()), float(delays.std())

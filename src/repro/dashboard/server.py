@@ -2,9 +2,9 @@
 
 ``repro-timing dashboard serve --dir <campaign>`` turns a campaign
 directory — live, killed, or finished — into a multi-viewer web service.
-No third-party dependency (matching the optional-numpy policy): HTTP/1.1
-parsing, routing, and Server-Sent-Events are a few hundred lines over
-``asyncio.start_server``, the same substrate as the fleet protocol.
+No third-party dependency: HTTP/1.1 parsing, routing, and
+Server-Sent-Events are a few hundred lines over ``asyncio.start_server``,
+the same substrate as the fleet protocol.
 
 Endpoints (JSON unless noted; full contract in docs/observability.md):
 

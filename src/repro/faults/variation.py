@@ -10,23 +10,13 @@ C_ox ~ 1/t_ox, so the per-gate delay factor relative to nominal is
 
 to first order. The model produces per-gate multiplicative delay factors
 and the implied sigma/mu of a logic path as the root-sum-square over its
-(assumed independent) gate contributions.
-
-numpy is an optional extra (``repro[numpy]``): with it installed the
-model draws from ``numpy.random.default_rng`` (the reference streams
-every pinned result was produced with); without it a pure-python
-fallback draws from :class:`random.Random` — same distributions, same
-determinism per seed, but a different (non-numpy) stream, so exact
-numbers differ between the two installs.
+(assumed independent) gate contributions. Draws come from
+``numpy.random.default_rng(seed)``, so a seed fixes every sample.
 """
 
 import math
-import statistics
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on bare installs
-    np = None
+import numpy as np
 
 
 class VariationSample:
@@ -35,10 +25,7 @@ class VariationSample:
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        if np is not None:
-            self.factors = np.asarray(factors, dtype=float)
-        else:
-            self.factors = [float(f) for f in factors]
+        self.factors = np.asarray(factors, dtype=float)
 
     def __len__(self):
         return len(self.factors)
@@ -46,16 +33,12 @@ class VariationSample:
     @property
     def mean(self):
         """Mean delay factor over the sampled gates."""
-        if np is not None:
-            return float(self.factors.mean())
-        return statistics.fmean(self.factors)
+        return float(self.factors.mean())
 
     @property
     def std(self):
         """Standard deviation of the delay factors."""
-        if np is not None:
-            return float(self.factors.std())
-        return statistics.pstdev(self.factors)
+        return float(self.factors.std())
 
 
 class ProcessVariationModel:
@@ -75,12 +58,7 @@ class ProcessVariationModel:
             raise ValueError("deviation must be in [0, 1)")
         self.deviation = deviation
         self.sigma_param = deviation / 3.0
-        if np is not None:
-            self._rng = np.random.default_rng(seed)
-        else:
-            import random
-
-            self._rng = random.Random(seed)
+        self._rng = np.random.default_rng(seed)
 
     def sample_gate_factors(self, n_gates):
         """Sample per-gate delay factors for ``n_gates`` gates.
@@ -89,23 +67,11 @@ class ProcessVariationModel:
         factor is ``(1+dL) * (1+dtox) / (1+dW)``, clipped to stay positive.
         """
         s = self.sigma_param
-        if np is not None:
-            d_l = self._rng.normal(0.0, s, n_gates)
-            d_w = self._rng.normal(0.0, s, n_gates)
-            d_tox = self._rng.normal(0.0, s, n_gates)
-            factors = (
-                (1.0 + d_l) * (1.0 + d_tox) / np.clip(1.0 + d_w, 0.1, None)
-            )
-            return VariationSample(np.clip(factors, 0.1, None))
-        gauss = self._rng.gauss
-        d_l = [gauss(0.0, s) for _ in range(n_gates)]
-        d_w = [gauss(0.0, s) for _ in range(n_gates)]
-        d_tox = [gauss(0.0, s) for _ in range(n_gates)]
-        factors = [
-            max(0.1, (1.0 + l) * (1.0 + t) / max(0.1, 1.0 + w))
-            for l, w, t in zip(d_l, d_w, d_tox)
-        ]
-        return VariationSample(factors)
+        d_l = self._rng.normal(0.0, s, n_gates)
+        d_w = self._rng.normal(0.0, s, n_gates)
+        d_tox = self._rng.normal(0.0, s, n_gates)
+        factors = (1.0 + d_l) * (1.0 + d_tox) / np.clip(1.0 + d_w, 0.1, None)
+        return VariationSample(np.clip(factors, 0.1, None))
 
     def path_sigma_over_mu(self, logic_depth):
         """Relative sigma of a path of ``logic_depth`` equal-delay gates.

@@ -186,24 +186,33 @@ def _task(item):
 
 
 def _plan_tasks(todo, batch_lanes):
-    """Partition ``todo`` into pool tasks, vectorizing where possible.
+    """Partition ``todo`` into pool tasks: the one tier decision.
 
-    Each lane group of :func:`~repro.snapshot.batch.batch_groups` (up to
-    ``batch_lanes`` eligible specs sharing one warmup key) becomes a
-    ``("batch", group)`` task; each ineligible spec stays a ``("one",
-    spec)`` task. Returns ``(tasks, index_lists)`` where
-    ``index_lists[t]`` maps task ``t``'s results back to positions in
-    ``todo``.
+    With lanes on, each lane group of
+    :func:`~repro.snapshot.batch.batch_groups` (up to ``batch_lanes``
+    eligible specs sharing one warmup key) becomes a ``("batch",
+    group)`` task if the kernel loads. It is loaded here, in the parent,
+    before any pool forks, so the compiler runs at most once per process
+    tree. Every other spec, and every spec when lanes are off or no
+    kernel loads, is a ``("one", spec)`` task. Returns ``(tasks,
+    index_lists, scalar)``: ``index_lists[t]`` maps task ``t``'s results
+    back to positions in ``todo``, and ``scalar`` lists the ``"one"``
+    specs.
     """
     from repro.snapshot.batch import batch_groups
+    from repro.uarch import batchkernel
 
-    groups, rest = batch_groups(todo, batch_lanes)
+    groups, scalar = [], todo
+    if batch_lanes:
+        groups, scalar = batch_groups(todo, batch_lanes)
+    if groups and batchkernel.load_kernel() is None:
+        groups, scalar = [], todo
     index_of = {id(spec): i for i, spec in enumerate(todo)}
     tasks = [("batch", group) for group in groups]
-    tasks += [("one", spec) for spec in rest]
+    tasks += [("one", spec) for spec in scalar]
     index_lists = [[index_of[id(spec)] for spec in group]
-                   for group in groups + [[spec] for spec in rest]]
-    return tasks, index_lists
+                   for group in groups + [[spec] for spec in scalar]]
+    return tasks, index_lists, scalar
 
 
 def _pool(n_jobs):
@@ -221,35 +230,22 @@ def _pool(n_jobs):
     return ctx.Pool(n_jobs)
 
 
-def _run_todo(todo, n_jobs, batch_lanes, timeout=None):
-    """Run the cache-missing specs; yield ``(i, result)`` per ``todo[i]``.
+def _run_todo(todo, tasks, index_lists, n_jobs, timeout=None):
+    """Run :func:`_plan_tasks`' tasks; yield ``(i, result)`` per ``todo[i]``.
 
     Results come back task by task, as each finishes. With ``timeout``
     the tasks always run on a pool, even at ``n_jobs == 1``, because an
-    in-process run cannot be killed. A pool with a kernel batch to run
-    is forked after the kernel is loaded, so the compiler runs at most
-    once per process tree. The pool then gets ``timeout`` per
+    in-process run cannot be killed. The pool then gets ``timeout`` per
     run over its depth, ``ceil(len(todo) / n_jobs)`` waves with every
     kernel lane counted as a run. A breach terminates the pool, killing
     hung workers, and raises :class:`TimeoutError`.
     """
-    if batch_lanes:
-        tasks, index_lists = _plan_tasks(todo, batch_lanes)
-    else:
-        tasks = [("one", spec) for spec in todo]
-        index_lists = [[i] for i in range(len(todo))]
     if timeout is None and min(n_jobs, len(tasks)) == 1:
         for item, indices in zip(tasks, index_lists):
             yield from zip(indices, _task(item))
         return
     import multiprocessing
 
-    if any(kind == "batch" for kind, _ in tasks):
-        # build (or load) the kernel before the fork, so the workers
-        # inherit it instead of each running the compiler
-        from repro.uarch import batchkernel
-
-        batchkernel.load_kernel()
     with _pool(min(n_jobs, len(tasks))) as pool:
         # chunk size 1: each task's result arrives on its own, and only
         # this iterator has .next(timeout)
@@ -320,25 +316,6 @@ def prewarm_snapshots(specs, n_jobs=1):
             _ensure_snapshot_worker(spec)
 
 
-def _scalar_specs(specs, batch_lanes):
-    """The ``specs`` that will run on the scalar core.
-
-    With lanes on and a compiled kernel, the batch-eligible specs run as
-    kernel lanes and only the rest run scalar; otherwise every spec
-    does. The kernel is loaded here, in the parent, when lanes may use
-    it.
-    """
-    if not batch_lanes:
-        return specs
-    from repro.snapshot.batch import batch_groups
-    from repro.uarch import batchkernel
-
-    groups, rest = batch_groups(specs, batch_lanes)
-    if groups and batchkernel.load_kernel() is None:
-        return specs
-    return rest
-
-
 def run_many(specs, jobs=1, cache=False, cache_dir=None, batch_lanes=None,
              timeout=None):
     """Run a batch of specs; results in the same order as ``specs``.
@@ -399,9 +376,11 @@ def run_many(specs, jobs=1, cache=False, cache_dir=None, batch_lanes=None,
         todo_keys = list(pending)
         todo = [specs[i] for i in pending.values()]
         n_jobs = _resolve_jobs(jobs, len(todo))
+        tasks, index_lists, scalar = _plan_tasks(todo, batch_lanes)
         if n_jobs > 1:
-            prewarm_snapshots(_scalar_specs(todo, batch_lanes), n_jobs)
-        for t, result in _run_todo(todo, n_jobs, batch_lanes, timeout):
+            prewarm_snapshots(scalar, n_jobs)
+        for t, result in _run_todo(todo, tasks, index_lists, n_jobs,
+                                   timeout):
             # failures are never cached: a transient capture must not
             # poison future batches with a pre-failed result
             if store is not None and not getattr(result, "is_failure", False):

@@ -35,7 +35,7 @@ import os
 from repro.harness.runner import cold_core, measure, measured_result
 from repro.snapshot.fork import warmed_core
 from repro.uarch import batchkernel
-from repro.uarch.batchstream import BatchFallback, build_tapes, have_numpy
+from repro.uarch.batchstream import BatchFallback, build_tapes
 
 
 class BatchReport:
@@ -79,14 +79,14 @@ def resolve_batch_lanes(batch_lanes=None):
 def batch_eligible(spec):
     """True when ``spec`` may run as a lane of a batched measurement.
 
-    The one kernel-lane rule: numpy is importable, and the measured
-    window has no storm (it mutates the injector per cycle), telemetry
-    (observers), ``verify`` or ``corruption`` (the checker must see every
-    commit). Other limits are whole-batch fallbacks or lane evictions.
+    The one kernel-lane rule, read from the spec's fields alone: the
+    measured window has no storm (it mutates the injector per cycle),
+    telemetry (observers), ``verify`` or ``corruption`` (the checker
+    must see every commit). Other limits are whole-batch fallbacks or
+    lane evictions.
     """
     return (
-        have_numpy()
-        and getattr(spec, "storm", None) is None
+        getattr(spec, "storm", None) is None
         and getattr(spec, "telemetry", None) is None
         and not getattr(spec, "verify", False)
         and not getattr(spec, "corruption", None)

@@ -47,10 +47,7 @@ grid and a generated sweep of every warmup, core and TEP field.
 
 import itertools
 
-try:  # pragma: no cover - exercised on numpy-free installs
-    import numpy as np
-except Exception:  # pragma: no cover
-    np = None
+import numpy as np
 
 from repro.core.vte import vte_effects
 from repro.isa.opcodes import (
@@ -133,7 +130,6 @@ def build_plan(core, n_commits, margin=256):
     whenever the configuration falls outside the kernel's model, and
     ``ValueError`` for a core that has already run.
     """
-    _fallback(np is None, "numpy unavailable")
     if core.cycle:
         raise ValueError(f"build_plan needs a cold core, not one at cycle "
                          f"{core.cycle}")
@@ -436,8 +432,11 @@ class BatchEngine:
             self._evict(lane, "in-order-stage fault on tape")
         for lane, at in (force_evict or {}).items():
             self.force_at[lane] = self.v_end[lane] + at
-        # the scalar core's cycle budget, against cycles since cycle 0
-        self.params.update(target=target, max_cycles=400 * target + 20000)
+        # the scalar core's cycle budget, counted from the real cycle
+        # every live lane starts this call at
+        start = int(self.v_end[0]) + int(self.burned[0])
+        self.params.update(target=target,
+                           max_cycles=start + 400 * target + 20000)
         arrays = {
             name: getattr(self.plan if role(shape) == "plan" else self, name)
             for name, _, shape in ARRAYS

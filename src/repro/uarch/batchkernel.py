@@ -38,10 +38,7 @@ import subprocess
 import sys
 import tempfile
 
-try:  # pragma: no cover - exercised on numpy-free installs
-    import numpy as np
-except Exception:  # pragma: no cover
-    np = None
+import numpy as np
 
 from repro.core.vte import FreezeKind
 from repro.uarch.issue_queue import TIMESTAMP_MASK

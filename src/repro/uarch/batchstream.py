@@ -5,9 +5,9 @@ stream, through the warmup and the window: the trace generator's RNG is
 warmup-side state and nothing on the measurement side reseeds it. The
 branch predictor, the L1 instruction cache, and the fetch-group
 partition are equally lane-invariant — they are driven only by that
-stream. This module walks clones of those structures once per batch,
-from the cold core on, and flattens the result into plain arrays
-(:class:`StreamPlan`) that the vector engine
+stream. This module walks those structures of the cold core once per
+batch, consuming them (the planned core never runs), and flattens the
+result into plain arrays (:class:`StreamPlan`) that the vector engine
 (:mod:`repro.uarch.batchcore`) indexes per cycle.
 
 What *does* differ per lane is the fault realization of the window:
@@ -27,51 +27,13 @@ correct.
 import copy
 import random
 
-try:  # numpy is an optional extra: the batch path gates on it
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as np
 
 from repro.isa.instruction import DynInst
-from repro.uarch.branch_predictor import GShare
-from repro.workloads.trace import TraceGenerator
-from repro.workloads.tracefile import FileTrace
 
 
 class BatchFallback(Exception):
     """The batch engine cannot handle this run; use the scalar path."""
-
-
-def have_numpy():
-    """True when the numpy-backed batch engine can run at all."""
-    return _np is not None
-
-
-def _clone_trace(tg):
-    """An independent trace source continuing ``tg``'s exact stream."""
-    if isinstance(tg, FileTrace):
-        return copy.copy(tg)  # shares the parsed records, not the position
-    clone = TraceGenerator.__new__(TraceGenerator)
-    clone.program = tg.program
-    clone._rng = random.Random()
-    clone._rng.setstate(tg._rng.getstate())
-    clone._seq = tg._seq
-    clone._block = tg._block
-    clone._pos = tg._pos
-    clone._exec_counts = dict(tg._exec_counts)
-    clone.emitted = tg.emitted
-    return clone
-
-
-def _clone_bp(bp):
-    clone = GShare(bp.table_bits, bp.history_bits, bp.index_history_bits)
-    clone._table = list(bp._table)
-    clone.ghr = bp.ghr
-    return clone
-
-
-def _clone_l1i_sets(l1i):
-    return [list(ways) for ways in l1i._sets]
 
 
 class StreamPlan:
@@ -95,20 +57,19 @@ class StreamPlan:
 def build_stream(core, n_insts, width):
     """Walk ``n_insts`` instructions of ``core``'s future stream.
 
-    Clones the trace generator, branch predictor and L1I so ``core`` is
-    untouched. Raises :class:`BatchFallback` when the trace ends inside
-    the batch or an instruction shape falls outside the vector engine's
-    model (more than two sources).
+    The walk consumes ``core``'s own trace, branch predictor and L1I, so
+    ``core`` must be a cold core that never runs: afterwards only its
+    injector and program are read. Raises :class:`BatchFallback` when
+    the trace ends inside the batch or an instruction shape falls
+    outside the vector engine's model (more than two sources).
     """
-    if _np is None:
-        raise BatchFallback("numpy unavailable")
-    tg = _clone_trace(core.trace)
-    bp = _clone_bp(core.bp)
-    l1i_sets = _clone_l1i_sets(core.hierarchy.l1i)
-    l1i_assoc = core.hierarchy.l1i._assoc
-    l1i_shift = core.hierarchy.l1i._line_shift
-    l1i_mask = core.hierarchy.l1i._set_mask
-    if not core.hierarchy.l1i._pow2_sets:  # pragma: no cover - 512-set L1I
+    bp = core.bp
+    l1i = core.hierarchy.l1i
+    l1i_sets = l1i._sets
+    l1i_assoc = l1i._assoc
+    l1i_shift = l1i._line_shift
+    l1i_mask = l1i._set_mask
+    if not l1i._pow2_sets:  # pragma: no cover - 512-set L1I
         raise BatchFallback("non-power-of-two L1I set count")
     tep = core.tep
     if core._tep_gate == 0:
@@ -121,15 +82,15 @@ def build_stream(core, n_insts, width):
     )
 
     n = int(n_insts)
-    pc = _np.zeros(n, dtype=_np.int64)
-    op = _np.zeros(n, dtype=_np.int8)
-    mem_addr = _np.zeros(n, dtype=_np.int64)
-    dest = _np.full(n, -1, dtype=_np.int16)
-    src0 = _np.full(n, -1, dtype=_np.int16)
-    src1 = _np.full(n, -1, dtype=_np.int16)
-    nsrcs = _np.zeros(n, dtype=_np.int8)
-    mispred = _np.zeros(n, dtype=_np.bool_)
-    critical = _np.zeros(n, dtype=_np.bool_)
+    pc = np.zeros(n, dtype=np.int64)
+    op = np.zeros(n, dtype=np.int8)
+    mem_addr = np.zeros(n, dtype=np.int64)
+    dest = np.full(n, -1, dtype=np.int16)
+    src0 = np.full(n, -1, dtype=np.int16)
+    src1 = np.full(n, -1, dtype=np.int16)
+    nsrcs = np.zeros(n, dtype=np.int8)
+    mispred = np.zeros(n, dtype=np.bool_)
+    critical = np.zeros(n, dtype=np.bool_)
 
     g_start, g_len, g_mispred, g_branches = [], [], [], []
     g_l1i_hits, g_l1i_misses, g_miss_off = [], [], []
@@ -137,7 +98,7 @@ def build_stream(core, n_insts, width):
 
     last_line = core._last_fetch_line
     i = 0
-    trace_next = tg.__next__
+    trace_next = core.trace.__next__
     while i < n:
         start = i
         hits = misses = branches = 0
@@ -211,14 +172,14 @@ def build_stream(core, n_insts, width):
     plan.nsrcs = nsrcs
     plan.mispredicted = mispred
     plan.critical = critical
-    plan.g_start = _np.asarray(g_start, dtype=_np.int64)
-    plan.g_len = _np.asarray(g_len, dtype=_np.int64)
-    plan.g_mispred = _np.asarray(g_mispred, dtype=_np.bool_)
-    plan.g_branches = _np.asarray(g_branches, dtype=_np.int64)
-    plan.g_l1i_hits = _np.asarray(g_l1i_hits, dtype=_np.int64)
-    plan.g_l1i_misses = _np.asarray(g_l1i_misses, dtype=_np.int64)
-    plan.g_miss_off = _np.asarray(g_miss_off, dtype=_np.int64)
-    plan.miss_pcs = _np.asarray(miss_pcs, dtype=_np.int64)
+    plan.g_start = np.asarray(g_start, dtype=np.int64)
+    plan.g_len = np.asarray(g_len, dtype=np.int64)
+    plan.g_mispred = np.asarray(g_mispred, dtype=np.bool_)
+    plan.g_branches = np.asarray(g_branches, dtype=np.int64)
+    plan.g_l1i_hits = np.asarray(g_l1i_hits, dtype=np.int64)
+    plan.g_l1i_misses = np.asarray(g_l1i_misses, dtype=np.int64)
+    plan.g_miss_off = np.asarray(g_miss_off, dtype=np.int64)
+    plan.miss_pcs = np.asarray(miss_pcs, dtype=np.int64)
     return plan
 
 
@@ -238,10 +199,8 @@ def build_tapes(core, plan, measurement_seeds, vdd, start=0):
     go through the real ``resolve`` on a scratch instance so the timing
     model's decision chain is shared, not re-implemented.
     """
-    if _np is None:
-        raise BatchFallback("numpy unavailable")
     n_lanes = len(measurement_seeds)
-    tapes = _np.zeros((n_lanes, plan.n - start), dtype=_np.int16)
+    tapes = np.zeros((n_lanes, plan.n - start), dtype=np.int16)
     injector = core.injector
     if injector is None:
         return tapes

@@ -32,7 +32,7 @@ access after, dependents wake when data returns (non-speculative wakeup).
 from collections import deque
 from operator import itemgetter
 
-from repro.isa.opcodes import OpClass, PipeStage, UNPIPELINED_OPS
+from repro.isa.opcodes import PipeStage, UNPIPELINED_OPS
 from repro.core.criticality import CriticalityDetector
 from repro.core.vte import FreezeKind, vte_effects
 from repro.uarch.branch_predictor import GShare
@@ -242,15 +242,17 @@ class OoOCore:
         Returns the :class:`~repro.uarch.stats.SimStats` of the run.
         Two watchdogs guard against a wedged machine: ``hang_cycles``
         without a single commit (deadlock/livelock — the common failure
-        shape) and ``max_cycles`` total (default: a generous multiple of
-        the budget; backstop for pathological-but-progressing runs).
-        Both raise :class:`SimulationHangError` with a full occupancy
-        snapshot of the queueing structures.
+        shape) and ``max_cycles`` in this call, counted from the cycle it
+        starts at (default: a generous multiple of the budget; backstop
+        for pathological-but-progressing runs). Both raise
+        :class:`SimulationHangError` with a full occupancy snapshot of
+        the queueing structures.
         """
         if max_committed <= 0:
             raise ValueError("max_committed must be positive")
         if max_cycles is None:
             max_cycles = 400 * max_committed + 20000
+        last_cycle = self.cycle + max_cycles
         stats = self.stats
         progress_committed = stats.committed
         progress_cycle = self.cycle
@@ -280,7 +282,7 @@ class OoOCore:
                 sample_due = sampler.sample(self, cycle)
             if thermal is not None and not cycle & 127:
                 thermal.advance(128)
-            if cycle > max_cycles:
+            if cycle > last_cycle:
                 raise self._hang_error(
                     "cycle budget exhausted", max_committed,
                     cycle - progress_cycle,
@@ -308,9 +310,9 @@ class OoOCore:
                 commit()
             if iq.entries:
                 select()
-            # front end, inlined from _frontend: dispatch from the tail
-            # latch, advance the conveyor, fetch into a free head latch
-            # (conveyor slots are swapped in place, so index every cycle)
+            # front end: dispatch from the tail latch, advance the
+            # conveyor, fetch into a free head latch (conveyor slots are
+            # swapped in place, so index every cycle)
             if conveyor[-1]:
                 dispatch()
             for i in range(depth - 1, 0, -1):
@@ -785,16 +787,17 @@ class OoOCore:
         # -- recovery scheduling ---------------------------------------------
         for stage in selective_stages:
             # recovery bubbles while the errant stage re-latches and the
-            # pipeline control restores (Razor recovery sequence)
+            # pipeline control restores (Razor recovery sequence); a
+            # replay without bubbles schedules no stall
+            bubbles = self.config.recovery_bubbles
             stage_cycle = self._stage_cycle(
                 stage, cycle, cam_cycle, exec_end, wb_cycle
             )
-            if stage_cycle is None:
+            if stage_cycle is None or not bubbles:
                 continue
             stall_cycle = max(stage_cycle, cycle + 1)
             self._ep_stalls[stall_cycle] = (
-                self._ep_stalls.get(stall_cycle, 0)
-                + self.config.recovery_bubbles
+                self._ep_stalls.get(stall_cycle, 0) + bubbles
             )
         if flush_stage is not None:
             stage_cycle = self._stage_cycle(
@@ -899,15 +902,6 @@ class OoOCore:
     # ==================================================================
     # front end
     # ==================================================================
-    def _frontend(self):
-        self._dispatch()
-        conveyor = self._conveyor
-        for i in range(len(conveyor) - 1, 0, -1):
-            if not conveyor[i]:
-                conveyor[i], conveyor[i - 1] = conveyor[i - 1], conveyor[i]
-        if not conveyor[0]:
-            self._fetch(conveyor[0])
-
     def _dispatch(self):
         cycle = self.cycle
         if cycle < self._dispatch_hold_until:
@@ -991,15 +985,6 @@ class OoOCore:
                     self._schedule(self.cycle + 1, _EV_REPLAY, inst)
                     break
 
-    def _next_inst(self):
-        if self._refetch:
-            return self._refetch.popleft()
-        try:
-            return next(self.trace)
-        except StopIteration:
-            self._done_fetching = True
-            return None
-
     def _fetch(self, latch):
         if self._done_fetching and not self._refetch:
             return
@@ -1022,7 +1007,7 @@ class OoOCore:
         last_line = self._last_fetch_line
         fetched = 0
         for _ in range(self._width):
-            # _next_inst, inlined
+            # the next instruction: a refetched one first, else the trace
             if refetch:
                 inst = refetch.popleft()
             else:

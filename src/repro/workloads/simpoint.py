@@ -8,31 +8,15 @@ k-means, and pick the interval closest to each centroid as the phase
 representative, weighted by cluster population.
 """
 
-import random
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on bare installs
-    np = None
+import numpy as np
 
 from repro.workloads.trace import TraceGenerator
-
-
-def _require_numpy():
-    # phase selection is offline analysis, not simulation: on a bare
-    # install it raises at use, never at import
-    if np is None:
-        raise ImportError(
-            "SimPoint phase selection requires numpy; "
-            "install the 'repro[numpy]' extra"
-        )
 
 
 class BBVCollector:
     """Collects per-interval basic-block vectors from a program walk."""
 
     def __init__(self, program, interval=1000, seed=0):
-        _require_numpy()
         self.program = program
         self.interval = interval
         self._block_index = {
@@ -71,7 +55,6 @@ class BBVCollector:
 
 def random_projection(bbvs, n_dims=15, seed=0):
     """Project BBVs to ``n_dims`` dimensions (SimPoint uses 15)."""
-    _require_numpy()
     bbvs = np.asarray(bbvs, dtype=float)
     if bbvs.shape[1] <= n_dims:
         return bbvs
@@ -85,7 +68,6 @@ def kmeans(points, k, seed=0, max_iters=100):
 
     Returns (labels, centroids, inertia).
     """
-    _require_numpy()
     points = np.asarray(points, dtype=float)
     n = len(points)
     if k <= 0 or k > n:

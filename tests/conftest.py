@@ -82,7 +82,6 @@ def compiler_log(tmp_path, monkeypatch):
     every process of the test starts from an empty kernel cache, and
     this process's loaded kernel is forgotten before and after.
     """
-    pytest.importorskip("numpy")
     from repro.uarch import batchkernel
 
     cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")

@@ -175,7 +175,6 @@ def test_driver_runs_kernel_lanes_equal_to_scalar(driver, monkeypatch):
     """Each driver's data with kernel lanes equals its data with the
     kernel unavailable (every window scalar), and some window of the
     first run was a kernel lane."""
-    pytest.importorskip("numpy")
     from repro.snapshot import batch
     from repro.uarch import batchkernel
 

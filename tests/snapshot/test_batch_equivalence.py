@@ -28,13 +28,8 @@ from repro.faults.storm import StormConfig
 from repro.harness.parallel import run_many
 from repro.harness.runner import RunSpec
 from repro.uarch.batchkernel import MAX_IQ, MAX_WIDTH
-from repro.uarch.batchstream import have_numpy
 from repro.uarch.config import CoreConfig
 from repro.workloads.profiles import profile_names
-
-pytestmark = pytest.mark.skipif(
-    not have_numpy(), reason="batch engine requires numpy"
-)
 
 POINT = dict(benchmark="gcc", n_instructions=600, warmup=300, seed=5)
 SCHEMES = (SchemeKind.ABS, SchemeKind.EP)
@@ -222,10 +217,9 @@ def test_evicted_warmup_runs_every_lane_scalar(kernel, snap_dir, scalar_ref,
 def test_replay_without_bubbles_in_the_warmup_runs_as_lanes(kernel):
     """A warmup whose replays cost no recovery bubble runs on the kernel.
 
-    With ``recovery_bubbles=0`` every Razor replay of the warmup leaves
-    a zero-length stall entry on the scalar core; the lanes start from a
-    cold core, so no such entry reaches the plan and every lane, seeded
-    or not, runs as a kernel lane equal to its scalar run.
+    With ``recovery_bubbles=0`` a Razor replay of the warmup costs no
+    stall; the lanes start from a cold core and every lane, seeded or
+    not, runs as a kernel lane equal to its scalar run.
     """
     from repro.harness.runner import run_one
     from repro.snapshot.batch import BatchReport, run_batch
@@ -432,9 +426,9 @@ def test_timed_campaign_runs_kernel_lanes_once_per_spec(tmp_path, snap_dir,
     planned, stored = [], []
 
     def spy_plan(todo, batch_lanes):
-        tasks, index_lists = plan_tasks(todo, batch_lanes)
+        tasks, index_lists, scalar = plan_tasks(todo, batch_lanes)
         planned.extend(kind for kind, _payload in tasks)
-        return tasks, index_lists
+        return tasks, index_lists, scalar
 
     def spy_store(self, spec, result):
         stored.append(spec.scheme)
@@ -700,6 +694,10 @@ if HAVE_HYPOTHESIS:
     @example(run=_run(benchmark="bzip2", scheme=SchemeKind.FFS,
                       config=dict(model_inorder_faults=True)),
              mseeds=[1, 2, 3], store=False)
+    # a one-instruction window that starts at cycle 25,094, past the
+    # 20,400 cycles of its budget if that counted from cycle 0
+    @example(run=_run(benchmark="mcf", seed=1, warmup=8000,
+                      n_instructions=1), mseeds=[1, 2], store=False)
     # outside the model: the batch falls back under build_plan's reason
     @example(run=_run(predictor="mre"), mseeds=[1, 2], store=False)
     @example(run=_run(scheme=SchemeKind.CDS), mseeds=[None], store=True)

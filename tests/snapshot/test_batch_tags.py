@@ -19,17 +19,12 @@ import pytest
 from repro.core.schemes import SchemeKind, make_scheme
 from repro.harness.runner import RunSpec, measure
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.uarch.batchstream import have_numpy
 from repro.uarch.config import CoreConfig
 from repro.uarch.pipeline import OoOCore
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
 from repro.workloads.trace import TraceGenerator
 from repro.workloads.tracefile import FileTrace
-
-pytestmark = pytest.mark.skipif(
-    not have_numpy(), reason="batch engine requires numpy"
-)
 
 #: the measured window: 1000 fault-free instructions after 500 of warmup
 SPEC = RunSpec("bzip2", SchemeKind.FAULT_FREE, 0.97, n_instructions=1000,

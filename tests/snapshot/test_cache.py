@@ -160,7 +160,6 @@ class TestPrewarm:
         """Kernel lanes warm up in the kernel, so a parallel fan-out
         with lanes prewarms only the specs that run scalar: here the
         storm draw, which no kernel lane can take."""
-        pytest.importorskip("numpy")
         from repro.harness import parallel
         from repro.uarch import batchkernel
 

@@ -4,9 +4,10 @@ import os
 import re
 import shutil
 
+import numpy as np
 import pytest
 
-from repro.uarch import batchkernel
+from repro.uarch import batchcore, batchkernel
 from repro.uarch.batchkernel import (
     ARRAYS,
     CFLAGS,
@@ -16,8 +17,6 @@ from repro.uarch.batchkernel import (
     call_kernel,
     so_path,
 )
-
-np = pytest.importorskip("numpy")
 
 _KERNEL_C = os.path.join(os.path.dirname(batchkernel.__file__), "batchkernel.c")
 
@@ -169,7 +168,6 @@ def test_kernel_source_resolves_every_argument_by_name():
 
 
 def test_lane_export_rows_are_pinned():
-    batchcore = pytest.importorskip("repro.uarch.batchcore")
     assert batchcore._STATS_ROWS == (
         "committed", "fetched", "dispatched", "issued", "replays",
         "branch_mispredicts", "branches", "false_predictions", "ep_stalls",

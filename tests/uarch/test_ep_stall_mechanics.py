@@ -83,3 +83,18 @@ def test_stall_cycle_freezes_commit_and_fetch():
     core_b._ep_stalls[40] = 7
     core_b.run(300)
     assert core_b.stats.cycles == core_a.stats.cycles + 7
+
+
+def test_replay_without_recovery_bubbles_schedules_no_stall():
+    """A selective replay with ``recovery_bubbles=0`` costs no cycle, so
+    it leaves no zero-length entry that ``run`` would poll every cycle
+    and every whole-pipeline stall would shift."""
+    from repro.core.schemes import SchemeKind
+    from repro.harness.runner import RunSpec, warm_core
+    from repro.uarch.config import CoreConfig
+
+    spec = RunSpec("astar", SchemeKind.RAZOR, 0.97, warmup=300,
+                   config=CoreConfig(recovery_bubbles=0))
+    core = warm_core(spec)
+    assert core.stats.replays > 0
+    assert core._ep_stalls == {}
