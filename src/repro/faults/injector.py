@@ -116,7 +116,7 @@ class FaultInjector:
                 return stage
         return weights[-1][0]
 
-    def assign(self, static_insts, pc_freq, fr_low, fr_high, stage_weights=None):
+    def assign(self, static_insts, pc_freq, fr_low, fr_high):
         """Assign timing classes so dynamic fault rates hit the targets.
 
         Parameters
@@ -133,7 +133,6 @@ class FaultInjector:
         """
         if fr_high < fr_low:
             raise ValueError("fr_high must be >= fr_low")
-        del stage_weights  # reserved for future per-profile overrides
         self._pc_timing = {}
         # Inflate targets: only `repeatability` of instances actually fault.
         want_hot = fr_low / max(self.repeatability, 1e-9)

@@ -236,17 +236,3 @@ class ChaosProxy:
                 writer.close()
             except (ConnectionError, OSError):
                 pass
-
-
-async def run_proxy(target_host, target_port, config=None,
-                    host="127.0.0.1", port=0, ready=None):
-    """Serve a chaos proxy forever (until cancelled) — test scaffolding."""
-    proxy = ChaosProxy(target_host, target_port, config=config,
-                       host=host, port=port)
-    await proxy.start()
-    if ready is not None:
-        ready.set_result(proxy)
-    try:
-        await asyncio.Event().wait()
-    finally:
-        await proxy.stop()

@@ -16,9 +16,9 @@ scalar runs. A batch may have one lane.
 
 Correctness never depends on the batch path handling every corner:
 
-* a spec the engine cannot model (storm, telemetry, verify, corruption)
-  is simply not batch-eligible;
-* a *batch* with no compiled kernel, or one the planner rejects
+* a spec outside the kernel's model is simply not batch-eligible
+  (:func:`batch_eligible`, read from its fields): it runs scalar;
+* a *batch* with no compiled kernel, or whose data the planner rejects
   (:class:`~repro.uarch.batchstream.BatchFallback`), falls back to
   per-lane scalar runs, bit-identically;
 * a *lane* the engine evicts mid-window (safety-net replay, watchdog)
@@ -32,10 +32,13 @@ CI ``batch-smoke`` gate use it to detect a silently all-scalar batch.
 
 import os
 
+from repro.core.schemes import make_scheme
+from repro.core.tep import TEPConfig
 from repro.harness.runner import cold_core, measure, measured_result
 from repro.snapshot.fork import warmed_core
 from repro.uarch import batchkernel
 from repro.uarch.batchstream import BatchFallback, build_tapes
+from repro.uarch.config import CoreConfig
 
 
 class BatchReport:
@@ -79,17 +82,37 @@ def resolve_batch_lanes(batch_lanes=None):
 def batch_eligible(spec):
     """True when ``spec`` may run as a lane of a batched measurement.
 
-    The one kernel-lane rule, read from the spec's fields alone: the
-    measured window has no storm (it mutates the injector per cycle),
-    telemetry (observers), ``verify`` or ``corruption`` (the checker
-    must see every commit). Other limits are whole-batch fallbacks or
-    lane evictions.
+    The one place a kernel model limit is decided, from the spec's
+    fields before any core is built. The measured window has no storm
+    (it mutates the injector per cycle), telemetry (observers),
+    ``verify`` or ``corruption`` (the checker must see every commit),
+    and the core is inside the kernel's model:
+
+    * the scheme does not detect criticality (CDS);
+    * a scheme with a timing predictor uses the paper's TEP
+      (``predictor == "tep"``) indexed by PC alone (``history_bits == 0``);
+    * selective replay and conservative memory disambiguation;
+    * Core-1's functional units (:data:`~repro.uarch.batchkernel.FU_COUNTS`),
+      and an issue queue and width that fit the kernel's static scratch.
+
+    Other limits depend on the data: whole-batch fallbacks or lane
+    evictions.
     """
+    if (spec.storm is not None or spec.telemetry is not None
+            or spec.verify or spec.corruption):
+        return False
+    scheme = make_scheme(spec.scheme)
+    config = spec.config or CoreConfig.core1()
+    history_bits = (spec.tep_config or TEPConfig()).history_bits
     return (
-        getattr(spec, "storm", None) is None
-        and getattr(spec, "telemetry", None) is None
-        and not getattr(spec, "verify", False)
-        and not getattr(spec, "corruption", None)
+        not scheme.detects_criticality
+        and (not scheme.uses_tep
+             or (spec.predictor == "tep" and not history_bits))
+        and config.replay_mode == "selective"
+        and config.mem_dependence == "conservative"
+        and config.fu_counts == batchkernel.FU_COUNTS
+        and config.iq_size <= batchkernel.MAX_IQ
+        and config.width <= batchkernel.MAX_WIDTH
     )
 
 
@@ -122,8 +145,8 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
     All specs must share one warmup key and be :func:`batch_eligible`;
     violations raise ``ValueError`` (they indicate a grouping bug, not a
     modeling limit). The kernel runs ``specs[0]``'s warmup on one lane
-    and then the window on every lane. A missing compiled kernel, other
-    engine-level limits (:class:`BatchFallback`), an evicted warmup and
+    and then the window on every lane. A missing compiled kernel, data
+    the planner rejects (:class:`BatchFallback`), an evicted warmup and
     per-lane evictions all degrade to the scalar path transparently:
     such a lane measures on ``warmed_core(spec, snapshot_dir)``, and
     with no kernel nothing is planned for the batch. Kernel lanes go

@@ -21,17 +21,17 @@ zeros when the plan has none, and every lane scalar named after a
 ``SimStats`` counter or a ``MemoryHierarchy.stats()`` key is exported
 under that name. Adding per-lane state is one table entry.
 
-The kernel is a transliteration of ``OoOCore.run`` (pipeline.py) under
-the invariants the campaign path guarantees (selective replay mode, no
-store-set predictor, no telemetry, static TEP gate). Per-lane divergence
-that it does not cover — safety-net replays, watchdog hangs, running
-past the prepared stream — *evicts* the lane: it is marked dead and the
-caller re-runs that seed on the scalar path, so correctness never
-depends on the batch engine handling every corner. A batch the engine
-cannot take at all (no compiled kernel, a configuration outside the
-model, an evicted warmup lane) raises
-:class:`~repro.uarch.batchstream.BatchFallback` and runs scalar lane by
-lane.
+The kernel is a transliteration of ``OoOCore.run`` (pipeline.py) for
+the specs :func:`repro.snapshot.batch.batch_eligible` admits, which
+decides every model limit from the spec. Per-lane divergence that it
+does not cover — safety-net replays, watchdog hangs, running past the
+prepared stream — *evicts* the lane: it is marked dead and the caller
+re-runs that seed on the scalar path, so correctness never depends on
+the batch engine handling every corner. Data the kernel cannot take (a
+cache tag wider than :data:`TAG_DTYPE`, a trace that ends or has an
+instruction with more than two sources, an evicted warmup lane) raises
+:class:`~repro.uarch.batchstream.BatchFallback`, and the batch runs
+scalar lane by lane.
 
 EP stalls use a virtual-time trick: a whole-pipeline stall shifts every
 in-flight event by one cycle (``_shift_in_flight``), which means the
@@ -49,15 +49,16 @@ import itertools
 
 import numpy as np
 
+from repro.core.policies import FaultyFirstSelection
 from repro.core.vte import vte_effects
 from repro.isa.opcodes import (
-    OP_FU_KIND, OP_LATENCY, UNPIPELINED_OPS, FuKind, OpClass, PipeStage,
+    OP_FU_KIND, OP_LATENCY, UNPIPELINED_OPS, OpClass, PipeStage,
 )
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.uarch import batchkernel
 from repro.uarch.batchkernel import (
-    ARRAYS, EVICTIONS, FREEZE_CODE, INF, MAX_IQ, MAX_WIDTH, PARAMS,
-    SEL_MODE, TAG_DTYPE, by_role, call_kernel, role,
+    ARRAYS, EVICTIONS, FREEZE_CODE, INF, PARAMS, SEL_MODE, TAG_DTYPE,
+    by_role, call_kernel, role,
 )
 from repro.uarch.batchstream import BatchFallback, build_stream
 from repro.uarch.issue_queue import TIMESTAMP_MASK
@@ -117,60 +118,23 @@ class BatchPlan:
     pass
 
 
-def _fallback(cond, why):
-    if cond:
-        raise BatchFallback(why)
-
-
 def build_plan(core, n_commits, margin=256):
     """Flatten ``core`` (cold: built and primed, no cycle run) for a batch.
 
-    ``n_commits`` is the commit budget of the whole trajectory, warmup
-    plus window. Raises :class:`~repro.uarch.batchstream.BatchFallback`
-    whenever the configuration falls outside the kernel's model, and
-    ``ValueError`` for a core that has already run.
+    ``core`` is the cold core of a
+    :func:`~repro.snapshot.batch.batch_eligible` spec, so its
+    configuration is inside the kernel's model. ``n_commits`` is the
+    commit budget of the whole trajectory, warmup plus window. Raises
+    :class:`~repro.uarch.batchstream.BatchFallback` only for data outside
+    the model (:data:`TAG_OVERFLOW`, or the trace limits of
+    :func:`~repro.uarch.batchstream.build_stream`), and ``ValueError``
+    for a core that has already run.
     """
     if core.cycle:
         raise ValueError(f"build_plan needs a cold core, not one at cycle "
                          f"{core.cycle}")
     cfg = core.config
-    _fallback(
-        cfg.iq_size > MAX_IQ or cfg.width > MAX_WIDTH,
-        "IQ size or width beyond the kernel's static scratch",
-    )
     scheme = core.scheme
-    _fallback(core._tep_gate == 2, "dynamic sensor gate")
-    _fallback(core.cdl is not None, "criticality detection (CDS)")
-    _fallback(core.memdep is not None, "store-set predictor")
-    _fallback(not core._selective_mode, "flush-style replay mode")
-    _fallback(core.ebus is not None, "telemetry event bus attached")
-    _fallback(core.telemetry_sampler is not None, "telemetry sampler")
-    _fallback(core.commit_listener is not None, "commit listener attached")
-    _fallback(
-        getattr(core.sensor, "thermal", None) is not None,
-        "thermal-coupled sensor",
-    )
-    _fallback(
-        core.injector is not None
-        and type(core.injector).__name__ != "FaultInjector",
-        "wrapped/chaos injector",
-    )
-    fu_counts = {k: len(v) for k, v in core.fus.units.items()}
-    _fallback(
-        fu_counts != {FuKind.SIMPLE: 2, FuKind.COMPLEX: 1, FuKind.MEM: 1},
-        "non-core1 functional unit inventory",
-    )
-    hier = core.hierarchy
-    for cache in (hier.l1i, hier.l1d, hier.l2):
-        _fallback(not cache._pow2_sets, "non-power-of-two cache sets")
-
-    policy_name = type(scheme.policy).__name__
-    if policy_name == "AgeBasedSelection":
-        sel_mode = SEL_MODE["EXACT" if scheme.policy.exact else "AGE"]
-    elif policy_name == "FaultyFirstSelection":
-        sel_mode = SEL_MODE["FFS"]
-    else:
-        raise BatchFallback(f"unsupported selection policy {policy_name}")
 
     NS = int(n_commits) + int(margin)
     stream = build_stream(core, NS, cfg.width)
@@ -196,7 +160,9 @@ def build_plan(core, n_commits, margin=256):
     plan.uses_vte = bool(scheme.uses_vte)
     plan.uses_ep_stall = bool(scheme.uses_ep_stall)
     plan.tolerates = bool(scheme.tolerates_predicted_faults)
-    plan.sel_mode = sel_mode
+    plan.sel_mode = SEL_MODE[
+        "FFS" if isinstance(scheme.policy, FaultyFirstSelection) else "AGE"
+    ]
     plan.hang_cycles = 20000
 
     # ---- per-slot static arrays --------------------------------------
@@ -291,7 +257,7 @@ def build_plan(core, n_commits, margin=256):
     plan.n_miss = len(stream.miss_pcs)
     plan.g_has_miss = (stream.g_miss_off[1:] - stream.g_miss_off[:-1]) > 0
 
-    _plan_caches(plan, hier)
+    _plan_caches(plan, core.hierarchy)
     plan.stream = stream
     return plan
 
@@ -302,7 +268,8 @@ def _check_tags(lo, hi):
     An explicit check: numpy 1.x wraps an out-of-range int silently.
     """
     info = np.iinfo(TAG_DTYPE)
-    _fallback(lo < info.min or hi > info.max, TAG_OVERFLOW)
+    if lo < info.min or hi > info.max:
+        raise BatchFallback(TAG_OVERFLOW)
 
 
 def _flat_sets(sets, nsets, assoc):
@@ -418,13 +385,10 @@ class BatchEngine:
         scalar ``OoOCore.run(target)`` returns. Returns
         :meth:`_export`'s per-lane counters. ``force_evict`` maps lane ->
         cycle of this call; the lane is evicted at the top of that cycle
-        (test hook for the divergence path). Raises
-        :class:`~repro.uarch.batchstream.BatchFallback` when the compiled
-        kernel is unavailable.
+        (test hook for the divergence path). The caller has loaded the
+        kernel (:func:`~repro.snapshot.batch.run_batch` checks first).
         """
         fn = batchkernel.load_kernel()
-        if fn is None:
-            raise BatchFallback("compiled batch kernel unavailable")
         # tapes carrying in-order-stage bits would hit the scalar
         # dispatch-side checks the kernel doesn't model
         bad = self.active & (self.tape & _INORDER_MASK).any(axis=1)

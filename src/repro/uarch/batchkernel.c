@@ -1,8 +1,9 @@
 /* Compiled per-lane kernel for the batched lockstep engine.
  *
  * This is the batch engine's cycle loop: OoOCore.run transliterated
- * under the campaign invariants (selective replay, no store-set
- * predictor, no telemetry, static TEP gate).  It operates IN PLACE on
+ * for the specs repro.snapshot.batch.batch_eligible admits (AGE or FFS
+ * select, selective replay, no store sets, no telemetry, static TEP
+ * gate).  It operates IN PLACE on
  * repro.uarch.batchcore.BatchEngine's structure-of-arrays numpy state:
  * python builds the plan, tapes and (N,)-shaped state arrays, hands
  * their pointers here, and BatchEngine._export fills each finished
@@ -359,14 +360,9 @@ static int select_issue_cycle(Ctx *c, int64_t v) {
                     continue;
             }
         }
-        int64_t key;
-        if (c->sel_mode == SEL_EXACT) {
-            key = pos;
-        } else {
-            key = ((c->ts[slot] - head_ts) & TS_MASK) * c->iq_size + pos;
-            if (c->sel_mode == SEL_FFS && c->pred[slot] < 0)
-                key += (TS_MASK + 1) * c->iq_size;
-        }
+        int64_t key = ((c->ts[slot] - head_ts) & TS_MASK) * c->iq_size + pos;
+        if (c->sel_mode == SEL_FFS && c->pred[slot] < 0)
+            key += (TS_MASK + 1) * c->iq_size;
         /* insertion into key-sorted order (keys are unique) */
         int i = nr++;
         while (i > 0 && ready_key[i - 1] > key) {

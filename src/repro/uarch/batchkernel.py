@@ -41,6 +41,7 @@ import tempfile
 import numpy as np
 
 from repro.core.vte import FreezeKind
+from repro.isa.opcodes import FuKind
 from repro.uarch.issue_queue import TIMESTAMP_MASK
 
 #: length of the per-lane writeback and EP-stall rings, in cycles
@@ -50,6 +51,8 @@ INF = 1 << 60
 #: the kernel's static selection scratch holds this many IQ entries / issues
 MAX_IQ = 64
 MAX_WIDTH = 8
+#: the functional units the kernel's select loop is written for: Core-1's
+FU_COUNTS = {FuKind.SIMPLE: 2, FuKind.COMPLEX: 1, FuKind.MEM: 1}
 #: eviction codes (``EV_<name>``, numbered from 1) and the reason a
 #: lane evicted with that code reports
 EVICTIONS = (
@@ -62,7 +65,7 @@ EVICTIONS = (
 #: VTE freeze kinds as the kernel's ``FRZ_<kind>`` codes
 FREEZE_CODE = {kind: code for code, kind in enumerate(FreezeKind)}
 #: selection-key modes as the kernel's ``SEL_<mode>`` codes
-SEL_MODE = {"AGE": 0, "FFS": 1, "EXACT": 2}
+SEL_MODE = {"AGE": 0, "FFS": 1}
 
 #: type of the per-lane cache tag arrays: a line address shifted by the
 #: line size. Synthetic programs stay far inside it; a plan whose tag

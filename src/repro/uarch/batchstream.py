@@ -8,7 +8,9 @@ partition are equally lane-invariant — they are driven only by that
 stream. This module walks those structures of the cold core once per
 batch, consuming them (the planned core never runs), and flattens the
 result into plain arrays (:class:`StreamPlan`) that the vector engine
-(:mod:`repro.uarch.batchcore`) indexes per cycle.
+(:mod:`repro.uarch.batchcore`) indexes per cycle. The stream reads no
+fault injector: it depends only on the program, the seed, the window
+and the core configuration.
 
 What *does* differ per lane is the fault realization of the window:
 each campaign draw reseeds the injector's per-instance RNG from its
@@ -19,9 +21,9 @@ and a lane without one continues the warmup stream.
 short-circuit for SAFE PCs (which consume exactly one background draw) —
 producing a dense (lanes x instructions) fault-stage-mask tape.
 
-Anything this module cannot prove lane-invariant raises
-:class:`BatchFallback`; callers then run the scalar path, which is always
-correct.
+Only the data raises :class:`BatchFallback` here (a trace that ends
+inside the batch, an instruction with more than two sources); callers
+then run the scalar path, which is always correct.
 """
 
 import copy
@@ -48,7 +50,7 @@ class StreamPlan:
 
     __slots__ = (
         "n", "pc", "op", "mem_addr", "dest", "src0", "src1", "nsrcs",
-        "mispredicted", "critical",
+        "mispredicted",
         "g_start", "g_len", "g_mispred", "g_branches", "g_l1i_hits",
         "g_l1i_misses", "g_miss_off", "miss_pcs",
     )
@@ -58,10 +60,10 @@ def build_stream(core, n_insts, width):
     """Walk ``n_insts`` instructions of ``core``'s future stream.
 
     The walk consumes ``core``'s own trace, branch predictor and L1I, so
-    ``core`` must be a cold core that never runs: afterwards only its
-    injector and program are read. Raises :class:`BatchFallback` when
-    the trace ends inside the batch or an instruction shape falls
-    outside the vector engine's model (more than two sources).
+    ``core`` must be a cold core that never runs: afterwards
+    :func:`build_tapes` reads only its injector and program. Raises
+    :class:`BatchFallback` when the trace ends inside the batch or an
+    instruction has more than two sources.
     """
     bp = core.bp
     l1i = core.hierarchy.l1i
@@ -69,17 +71,6 @@ def build_stream(core, n_insts, width):
     l1i_assoc = l1i._assoc
     l1i_shift = l1i._line_shift
     l1i_mask = l1i._set_mask
-    if not l1i._pow2_sets:  # pragma: no cover - 512-set L1I
-        raise BatchFallback("non-power-of-two L1I set count")
-    tep = core.tep
-    if core._tep_gate == 0:
-        if type(tep).__name__ != "TimingErrorPredictor":
-            raise BatchFallback("non-standard timing predictor")
-        if tep.config.history_bits:
-            raise BatchFallback("history-indexed TEP keys vary per lane")
-    critical_pcs = (
-        core.injector._pc_timing if core.injector is not None else {}
-    )
 
     n = int(n_insts)
     pc = np.zeros(n, dtype=np.int64)
@@ -90,7 +81,6 @@ def build_stream(core, n_insts, width):
     src1 = np.full(n, -1, dtype=np.int16)
     nsrcs = np.zeros(n, dtype=np.int8)
     mispred = np.zeros(n, dtype=np.bool_)
-    critical = np.zeros(n, dtype=np.bool_)
 
     g_start, g_len, g_mispred, g_branches = [], [], [], []
     g_l1i_hits, g_l1i_misses, g_miss_off = [], [], []
@@ -149,7 +139,6 @@ def build_stream(core, n_insts, width):
                 if bp.predict_and_update(ipc, inst.taken):
                     mispred[i] = True
                     wrong = True
-            critical[i] = ipc in critical_pcs
             i += 1
             if wrong:
                 break
@@ -171,7 +160,6 @@ def build_stream(core, n_insts, width):
     plan.src1 = src1
     plan.nsrcs = nsrcs
     plan.mispredicted = mispred
-    plan.critical = critical
     plan.g_start = np.asarray(g_start, dtype=np.int64)
     plan.g_len = np.asarray(g_len, dtype=np.int64)
     plan.g_mispred = np.asarray(g_mispred, dtype=np.bool_)
@@ -202,19 +190,16 @@ def build_tapes(core, plan, measurement_seeds, vdd, start=0):
     n_lanes = len(measurement_seeds)
     tapes = np.zeros((n_lanes, plan.n - start), dtype=np.int16)
     injector = core.injector
-    if injector is None:
+    if injector is None or not injector.enabled:
         return tapes
-    if not injector.enabled:
-        return tapes
-    if injector.thermal is not None:
-        raise BatchFallback("thermal-coupled injector varies per cycle")
     program = core.program
-    statics_by_pc = {si.pc: si for si in program.static_insts}
+    # a PC is critical when the injector assigned it a timing class
+    timing = injector._pc_timing
+    by_pc = {si.pc: (si.pc in timing, si) for si in program.static_insts}
     scratch = DynInst(0, program.static_insts[0])
     bg = injector._background_prob(vdd)
     # one (is_critical, static) pair per stream position, walked per lane
-    walk = list(zip(plan.critical[start:].tolist(),
-                    (statics_by_pc[p] for p in plan.pc[start:].tolist())))
+    walk = [by_pc[p] for p in plan.pc[start:].tolist()]
     saved_rng = injector._rng
     resolve = injector.resolve
     pick_stage = injector._pick_stage

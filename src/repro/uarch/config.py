@@ -17,7 +17,7 @@ class CoreConfig(Record):
               "frontend_depth", "redirect_penalty", "replay_recovery",
               "recovery_bubbles", "replay_mode", "bp_history_bits",
               "bp_table_bits", "criticality_threshold", "mem_dependence",
-              "model_wrong_path", "model_inorder_faults")
+              "model_wrong_path")
 
     def __init__(
         self,
@@ -40,7 +40,6 @@ class CoreConfig(Record):
         criticality_threshold=8,
         mem_dependence="conservative",
         model_wrong_path=True,
-        model_inorder_faults=False,
     ):
         if width <= 0 or iq_size <= 0 or rob_size <= 0:
             raise ValueError("core dimensions must be positive")
@@ -87,7 +86,6 @@ class CoreConfig(Record):
         #: mispredicted branch resolves (timing is unaffected: wrong-path
         #: instructions never enter the rename/OoO engine in this model)
         self.model_wrong_path = model_wrong_path
-        self.model_inorder_faults = model_inorder_faults
 
     @property
     def fu_counts(self):

@@ -36,7 +36,6 @@ from repro.isa.opcodes import PipeStage, UNPIPELINED_OPS
 from repro.core.criticality import CriticalityDetector
 from repro.core.vte import FreezeKind, vte_effects
 from repro.uarch.branch_predictor import GShare
-from repro.uarch.config import CoreConfig
 from repro.uarch.functional_units import FuPool
 from repro.uarch.issue_queue import IssueQueue, TIMESTAMP_MASK
 from repro.uarch.lsq import LoadStoreQueue
@@ -269,7 +268,6 @@ class OoOCore:
         fetch = self._fetch
         iq = self.iq
         rob_entries = self.rob._entries  # deque, mutated in place only
-        refetch = self._refetch
         conveyor = self._conveyor
         depth = len(conveyor)
         while stats.committed < max_committed:
@@ -328,12 +326,7 @@ class OoOCore:
             self._wb_count.pop(cycle, None)
             stats.cycles += 1
             self.cycle = cycle + 1
-            if (
-                self._done_fetching
-                and not refetch
-                and not rob_entries
-                and not any(conveyor)
-            ):
+            if self._done_fetching and self._drained():
                 break
         stats.lsq_searches = self.lsq.cam_searches
         stats.store_forwards = self.lsq.forwards
@@ -443,11 +436,7 @@ class OoOCore:
         else:
             lst.append((kind, inst, inst.version))
 
-    def _process_events(self, events=None):
-        if events is None:
-            events = self._events.pop(self.cycle, None)
-            if not events:
-                return
+    def _process_events(self, events):
         if len(events) > 1:
             events.sort(key=_EV_KIND)
         stats = self.stats
@@ -721,16 +710,8 @@ class OoOCore:
             wb_request = cycle + 2 + rr_extra + exec_lat
         exec_end = cycle + 1 + rr_extra + exec_lat
 
-        # -- writeback arbitration (_reserve_writeback, inlined) ---------
-        width = self._width
-        wb = self._wb_count
-        get = wb.get
-        wb_cycle = wb_request
-        while get(wb_cycle, 0) >= width:
-            wb_cycle += 1
-        wb[wb_cycle] = get(wb_cycle, 0) + 1
-        if wb_extra:
-            wb[wb_cycle + 1] = get(wb_cycle + 1, 0) + 1
+        # -- writeback arbitration ------------------------------------------
+        wb_cycle = self._reserve_writeback(wb_request, wb_extra)
         complete_cycle = wb_cycle + wb_extra
         phys_dest = inst.phys_dest
         if wakeup is not None and phys_dest >= 0:
@@ -1083,13 +1064,6 @@ class OoOCore:
 
     # ==================================================================
     def _drained(self):
-        if not self._done_fetching or self._refetch:
-            return False
-        if len(self.rob) or any(self._conveyor):
-            return False
-        return True
-
-    @classmethod
-    def default(cls, trace, hierarchy, scheme, **kwargs):
-        """Convenience constructor with the Core-1 configuration."""
-        return cls(CoreConfig.core1(), trace, hierarchy, scheme, **kwargs)
+        """True once the trace is exhausted and nothing is in flight."""
+        return (self._done_fetching and not self._refetch
+                and not len(self.rob) and not any(self._conveyor))

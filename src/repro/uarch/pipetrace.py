@@ -25,22 +25,10 @@ class PipeTraceRecord:
     __slots__ = ("seq", "pc", "op", "fetch", "dispatch", "issue",
                  "complete", "commit", "faulty", "predicted")
 
-    def __init__(self, inst):
-        self.seq = inst.seq
-        self.pc = inst.pc
-        self.op = inst.op.name
-        self.fetch = inst.fetch_cycle
-        self.dispatch = inst.dispatch_cycle
-        self.issue = inst.issue_cycle
-        self.complete = inst.complete_cycle
-        self.commit = inst.commit_cycle
-        self.faulty = inst.replayed or bool(inst.fault_stages)
-        self.predicted = inst.pred_fault_stage is not None
-
     @classmethod
     def from_retire_event(cls, cycle, payload):
         """Build a record from a bus ``retire`` event payload."""
-        record = cls.__new__(cls)
+        record = cls()
         record.seq = payload["seq"]
         record.pc = payload["pc"]
         record.op = payload["op"]

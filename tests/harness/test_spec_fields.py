@@ -69,7 +69,6 @@ def _core_configs(draw):
         mem_dependence=draw(st.sampled_from(["conservative",
                                              "store_sets"])),
         model_wrong_path=draw(st.booleans()),
-        model_inorder_faults=draw(st.booleans()),
     )
 
 
@@ -202,6 +201,19 @@ def test_scheme_spellings_share_one_key():
         for scheme in ("ABS", "abs", SchemeKind.ABS)
     }
     assert len(keys) == 1
+
+
+def test_a_retired_config_field_still_loads():
+    """A config dict from an older bundle or manifest may carry
+    ``model_inorder_faults``, a knob nothing read: it loads, and keys
+    the same simulation as the dict without it."""
+    data = RunSpec("gcc", SchemeKind.EP, 0.97, 600, 300, 1,
+                   config=CoreConfig(width=2)).to_dict()
+    old = json.loads(json.dumps(data))
+    old["config"]["model_inorder_faults"] = True
+    loaded, current = RunSpec.from_dict(old), RunSpec.from_dict(data)
+    assert loaded.key() == current.key()
+    assert loaded.warmup_key() == current.warmup_key()
 
 
 #: ``(key(), warmup_key())`` of SchemeKind-built, default-config specs,

@@ -75,7 +75,7 @@ CONFIG_MUTATIONS = {
         "recovery_bubbles": 2, "replay_mode": "flush",
         "bp_history_bits": 8, "bp_table_bits": 10,
         "criticality_threshold": 4, "mem_dependence": "store_sets",
-        "model_wrong_path": False, "model_inorder_faults": True,
+        "model_wrong_path": False,
     }),
     TEPConfig: ("tep_config", {
         "n_entries": 512, "tag_bits": 12, "counter_bits": 3,

@@ -13,8 +13,9 @@ forcing lane evictions at arbitrary points (the mid-window divergence
 path) cannot change any result, on both paths too. A generated test
 draws every warmup field of a spec, every ``CoreConfig`` and
 ``TEPConfig`` field, seeds (or one seedless lane) and lane count, and
-compares every lane with a cold scalar run of its spec; a field outside
-the kernel's model must fall back under the reason ``build_plan`` names.
+compares every lane with a cold scalar run of its spec; a spec with a
+field outside the kernel's model must be turned away by
+``batch_eligible`` and still equal its scalar run through ``run_many``.
 """
 
 import contextlib
@@ -22,7 +23,7 @@ from unittest import mock
 
 import pytest
 
-from repro.core.schemes import SchemeKind, make_scheme
+from repro.core.schemes import SchemeKind
 from repro.core.tep import TEPConfig
 from repro.faults.storm import StormConfig
 from repro.harness.parallel import run_many
@@ -158,16 +159,21 @@ def kernel():
         pytest.skip("no compiled batch kernel")
 
 
-def test_fallback_lane_measures_on_the_donor(monkeypatch):
-    """A whole-batch fallback warms each scalar lane once.
+def test_cds_spec_runs_scalar_without_a_plan(kernel, monkeypatch):
+    """A spec outside the kernel's model never reaches the planner.
 
-    CDS is outside the kernel's model, so ``build_plan`` raises
-    ``BatchFallback`` on the cold core, before any warmup. The lane then
-    measures on its own ``warmed_core``, the donor of a scalar lane: one
-    scalar warmup for the batch, and the result equals ``run_one``.
+    CDS detects criticality, which the kernel does not model, so
+    ``batch_eligible`` turns it away before any core is built:
+    ``run_many`` with lanes on runs it as a scalar task that warms one
+    core, and the result equals ``run_one``. No cold core is built for a
+    plan, and no plan is drawn.
     """
     from repro.harness.runner import run_one
     from repro.snapshot import batch, fork
+    from repro.uarch import batchcore
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a CDS spec was planned for the kernel")
 
     spec = RunSpec(scheme=SchemeKind.CDS, vdd=0.97, **POINT)
     warm_core, warmups = fork.warm_core, []
@@ -176,14 +182,13 @@ def test_fallback_lane_measures_on_the_donor(monkeypatch):
         warmups.append(spec)
         return warm_core(spec, core)
 
-    report = batch.BatchReport()
     with monkeypatch.context() as patch:
+        patch.setattr(batch, "cold_core", forbidden)
+        patch.setattr(batchcore, "build_plan", forbidden)
         patch.setattr(fork, "warm_core", counting)
-        lanes = batch.run_batch([spec], None, report)
-    assert report.fallback_reason is not None
-    assert report.scalar_lanes == 1
+        (result,) = run_many([spec], batch_lanes=16)
     assert len(warmups) == 1
-    assert _digest(lanes[0]) == _digest(run_one(spec))
+    assert _digest(result) == _digest(run_one(spec))
 
 
 def test_evicted_warmup_runs_every_lane_scalar(kernel, snap_dir, scalar_ref,
@@ -486,10 +491,6 @@ if HAVE_HYPOTHESIS:
             assert ([_digest(r) for r in results]
                     == scalar_ref(SchemeKind.ABS, 0.97, 4))
 
-    #: the reason ``build_plan`` names for a window whose scratch would
-    #: overflow the kernel's static selection arrays
-    _SCRATCH = "IQ size or width beyond the kernel's static scratch"
-
     #: per record, one strategy per field, drawing values inside the
     #: kernel's model; a record class stands for "the default (None) or
     #: every field of that record drawn". ``RunSpec``'s measurement fields
@@ -533,7 +534,6 @@ if HAVE_HYPOTHESIS:
             "criticality_threshold": st.integers(min_value=0, max_value=16),
             "mem_dependence": st.just("conservative"),
             "model_wrong_path": st.booleans(),
-            "model_inorder_faults": st.booleans(),
         },
         TEPConfig: {
             "n_entries": st.sampled_from((16, 64, 256, 1024, 4096)),
@@ -543,7 +543,8 @@ if HAVE_HYPOTHESIS:
         },
     }
 
-    #: (record, field) -> values outside the kernel's model
+    #: (record, field) -> values outside the kernel's model, which make a
+    #: spec batch-ineligible
     OUTSIDE = {
         (RunSpec, "scheme"): st.just(SchemeKind.CDS),
         (RunSpec, "predictor"): st.sampled_from(("mre", "tvp")),
@@ -558,6 +559,12 @@ if HAVE_HYPOTHESIS:
         (CoreConfig, "mem_dependence"): st.just("store_sets"),
         (TEPConfig, "history_bits"): st.integers(min_value=1, max_value=4),
     }
+    #: the OUTSIDE fields only a scheme with a timing predictor reads, and
+    #: the schemes drawn with them
+    PREDICTOR_FIELDS = {(RunSpec, "predictor"), (TEPConfig, "history_bits")}
+    PREDICTOR_SCHEMES = st.sampled_from(
+        (SchemeKind.EP, SchemeKind.ABS, SchemeKind.FFS)
+    )
 
     def _lane_fields(record):
         """The fields of ``record`` that a kernel lane's spec varies."""
@@ -573,8 +580,9 @@ if HAVE_HYPOTHESIS:
 
     @st.composite
     def _lane_runs(draw):
-        """``RunSpec`` keyword arguments: every warmup field drawn from
-        its strategy, and at most one field outside the kernel's model."""
+        """``(RunSpec keyword arguments, the OUTSIDE field or None)``:
+        every warmup field drawn from its strategy, and at most one field
+        outside the kernel's model."""
         outside = draw(st.none() | st.sampled_from(list(OUTSIDE)))
 
         def fields(record):
@@ -582,6 +590,9 @@ if HAVE_HYPOTHESIS:
             for name, strategy in LANE_FIELDS[record].items():
                 if (record, name) == outside:
                     values[name] = draw(OUTSIDE[outside])
+                elif (name == "scheme" and record is RunSpec
+                      and outside in PREDICTOR_FIELDS):
+                    values[name] = draw(PREDICTOR_SCHEMES)
                 elif isinstance(strategy, type):
                     nested = outside is not None and outside[0] is strategy
                     values[name] = (
@@ -592,37 +603,14 @@ if HAVE_HYPOTHESIS:
                     values[name] = draw(strategy)
             return values
 
-        return fields(RunSpec)
+        return fields(RunSpec), outside
 
-    def _fallback_reasons(spec):
-        """The ``BatchFallback`` reasons ``build_plan`` names for the
-        fields of ``spec`` outside the kernel's model (empty: none).
-
-        Every drawn supply arms a scheme's timing predictor, so its kind
-        and history bits matter whenever the scheme uses one.
-        """
-        config = spec.config or CoreConfig()
-        tep = make_scheme(spec.scheme).uses_tep
-        history = (spec.tep_config or TEPConfig()).history_bits
-        inventory = (config.n_simple_alu, config.n_complex_alu,
-                     config.n_mem_ports)
-        return {reason for reason, outside in (
-            (_SCRATCH,
-             config.width > MAX_WIDTH or config.iq_size > MAX_IQ),
-            ("criticality detection (CDS)", spec.scheme is SchemeKind.CDS),
-            ("store-set predictor", config.mem_dependence == "store_sets"),
-            ("flush-style replay mode", config.replay_mode == "flush"),
-            ("non-core1 functional unit inventory", inventory != (2, 1, 1)),
-            ("non-standard timing predictor",
-             tep and spec.predictor != "tep"),
-            ("history-indexed TEP keys vary per lane",
-             tep and spec.predictor == "tep" and history > 0),
-        ) if outside}
-
-    def _run(config=None, **fields):
-        """An example's ``RunSpec`` arguments: gcc/ABS/0.97 V, 1200 + 800
-        instructions, default records, unless ``fields`` say otherwise;
-        ``config`` overrides fields of the default core."""
+    def _run(config=None, outside=None, **fields):
+        """An example's ``(RunSpec arguments, OUTSIDE field)``: gcc/ABS/
+        0.97 V, 1200 + 800 instructions, default records, unless
+        ``fields`` say otherwise; ``config`` overrides fields of the
+        default core, and ``outside`` names the field drawn outside the
+        kernel's model."""
         run = dict(
             benchmark="gcc", scheme=SchemeKind.ABS, vdd=0.97,
             n_instructions=800, warmup=1200, seed=3, config=None,
@@ -631,7 +619,7 @@ if HAVE_HYPOTHESIS:
         if config is not None:
             run["config"] = CoreConfig(**config)
         run.update(fields)
-        return run
+        return run, outside
 
     @settings(
         derandomize=True, max_examples=25, deadline=None,
@@ -691,46 +679,48 @@ if HAVE_HYPOTHESIS:
     @example(run=_run(benchmark="astar", scheme=SchemeKind.EP,
                       config=dict(model_wrong_path=False)),
              mseeds=[1, 2, 3], store=False)
-    @example(run=_run(benchmark="bzip2", scheme=SchemeKind.FFS,
-                      config=dict(model_inorder_faults=True)),
-             mseeds=[1, 2, 3], store=False)
     # a one-instruction window that starts at cycle 25,094, past the
     # 20,400 cycles of its budget if that counted from cycle 0
     @example(run=_run(benchmark="mcf", seed=1, warmup=8000,
                       n_instructions=1), mseeds=[1, 2], store=False)
-    # outside the model: the batch falls back under build_plan's reason
-    @example(run=_run(predictor="mre"), mseeds=[1, 2], store=False)
-    @example(run=_run(scheme=SchemeKind.CDS), mseeds=[None], store=True)
+    # outside the model: batch-ineligible, so run_many runs them scalar
+    @example(run=_run(predictor="mre", outside=(RunSpec, "predictor")),
+             mseeds=[1, 2], store=False)
+    @example(run=_run(scheme=SchemeKind.CDS, outside=(RunSpec, "scheme")),
+             mseeds=[None], store=True)
     def test_generated_kernel_lanes_match_cold_scalar_runs(
         run, mseeds, store, kernel, snap_dir,
     ):
         """Every lane equals a cold scalar run of its spec.
 
-        A spec inside the kernel's model runs every lane on the kernel;
-        one with a field outside it falls back under the reason
-        ``build_plan`` names for that field. ``store`` hands the batch a
-        snapshot store. ``list(stats.fu_ops)`` is compared on its own
-        because ``as_dict()`` sorts ``fu_ops``, while the energy sum
-        follows the dict's order.
+        A spec is batch-eligible exactly when no field was drawn outside
+        the kernel's model. An eligible spec runs every lane on the
+        kernel; an ineligible one runs through ``run_many`` with lanes
+        on, which runs it scalar. ``store`` hands the runs a snapshot
+        store. ``list(stats.fu_ops)`` is compared on its own because
+        ``as_dict()`` sorts ``fu_ops``, while the energy sum follows the
+        dict's order.
         """
         from repro.harness.runner import run_one
-        from repro.snapshot.batch import BatchReport, run_batch
+        from repro.snapshot.batch import BatchReport, batch_eligible, run_batch
+
+        fields, outside = run
 
         def spec(mseed):
-            return RunSpec(**run, measurement_seed=mseed)
+            return RunSpec(**fields, measurement_seed=mseed)
 
         directory = str(snap_dir) if store else None
         lanes = [spec(m) for m in mseeds]
         for lane in lanes:
             lane.snapshot_dir = directory
-        report = BatchReport()
-        batched = run_batch(lanes, directory, report)
-        reasons = _fallback_reasons(lanes[0])
-        if reasons:
-            assert report.fallback_reason in reasons, report
-        else:
+        assert batch_eligible(lanes[0]) == (outside is None), outside
+        if outside is None:
+            report = BatchReport()
+            batched = run_batch(lanes, directory, report)
             assert report.fallback_reason is None, report
+        else:
+            batched = run_many(lanes, batch_lanes=16)
         for lane, (mseed, result) in enumerate(zip(mseeds, batched)):
             cold = run_one(spec(mseed))
-            assert _digest(result) == _digest(cold), (lane, report)
+            assert _digest(result) == _digest(cold), (lane, outside)
             assert list(result.stats.fu_ops) == list(cold.stats.fu_ops)
