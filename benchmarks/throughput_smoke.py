@@ -63,7 +63,8 @@ BATCH_LANE_SWEEP = (1, 4, 8, 16)
 BATCH_ROUNDS = 3
 
 #: the drivers' lane A/B grid: four benchmarks under every scheme a
-#: headline sweep runs (CDS stays scalar on both legs) at 0.97 V
+#: headline sweep runs (CDS windows too run as lanes on the lanes leg)
+#: at 0.97 V
 DRIVER_GRID = dict(
     benchmarks=("gcc", "mcf", "sjeng", "tonto"),
     schemes=(SchemeKind.FAULT_FREE, SchemeKind.EP, SchemeKind.ABS,

@@ -48,7 +48,7 @@ class SchedulingSweep:
     from — the on-disk result cache. Every driver in this module runs
     each eligible point as a lane of the compiled batch kernel
     (:data:`~repro.harness.parallel.DRIVER_LANES`), bit-identical to its
-    scalar run; CDS points and a missing compiler stay scalar.
+    scalar run; only a missing compiler keeps them scalar.
     """
 
     def __init__(self, vdd, n_instructions=10000, warmup=4000, seed=1,

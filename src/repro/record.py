@@ -30,6 +30,9 @@ class Record:
     """Mixin giving a ``FIELDS``-declared class its serialized forms."""
 
     FIELDS = ()
+    #: keys older writers emitted for fields since removed: they load,
+    #: and are dropped
+    RETIRED = ()
 
     def canonical(self):
         """Primitive ``(name, value)`` pairs in ``FIELDS`` order."""
@@ -41,7 +44,17 @@ class Record:
 
     @classmethod
     def from_dict(cls, data):
-        """Rebuild an instance; fields missing from ``data`` default."""
+        """Rebuild an instance; fields missing from ``data`` default.
+
+        A key that is neither in ``FIELDS`` nor in ``RETIRED`` raises
+        ``ValueError`` naming it: a misspelled field would otherwise run
+        with the default value and key the default simulation.
+        """
+        unknown = sorted(set(data) - set(cls.FIELDS) - set(cls.RETIRED))
+        if unknown:
+            raise ValueError(
+                f"{cls.__name__}: unknown field(s) {', '.join(unknown)}"
+            )
         return cls(**{k: data[k] for k in cls.FIELDS if k in data})
 
     @classmethod

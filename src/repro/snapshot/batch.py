@@ -86,9 +86,9 @@ def batch_eligible(spec):
     fields before any core is built. The measured window has no storm
     (it mutates the injector per cycle), telemetry (observers),
     ``verify`` or ``corruption`` (the checker must see every commit),
-    and the core is inside the kernel's model:
+    and the core is inside the kernel's model, which covers every scheme
+    (CDS's criticality detection included):
 
-    * the scheme does not detect criticality (CDS);
     * a scheme with a timing predictor uses the paper's TEP
       (``predictor == "tep"``) indexed by PC alone (``history_bits == 0``);
     * selective replay and conservative memory disambiguation;
@@ -105,9 +105,8 @@ def batch_eligible(spec):
     config = spec.config or CoreConfig.core1()
     history_bits = (spec.tep_config or TEPConfig()).history_bits
     return (
-        not scheme.detects_criticality
-        and (not scheme.uses_tep
-             or (spec.predictor == "tep" and not history_bits))
+        (not scheme.uses_tep
+         or (spec.predictor == "tep" and not history_bits))
         and config.replay_mode == "selective"
         and config.mem_dependence == "conservative"
         and config.fu_counts == batchkernel.FU_COUNTS

@@ -23,15 +23,17 @@ under that name. Adding per-lane state is one table entry.
 
 The kernel is a transliteration of ``OoOCore.run`` (pipeline.py) for
 the specs :func:`repro.snapshot.batch.batch_eligible` admits, which
-decides every model limit from the spec. Per-lane divergence that it
-does not cover — safety-net replays, watchdog hangs, running past the
-prepared stream — *evicts* the lane: it is marked dead and the caller
-re-runs that seed on the scalar path, so correctness never depends on
-the batch engine handling every corner. Data the kernel cannot take (a
-cache tag wider than :data:`TAG_DTYPE`, a trace that ends or has an
-instruction with more than two sources, an evicted warmup lane) raises
-:class:`~repro.uarch.batchstream.BatchFallback`, and the batch runs
-scalar lane by lane.
+decides every model limit from the spec. Each scheme's selection policy
+is a kernel select mode (:data:`~repro.uarch.batchkernel.SEL_MODE`), and
+CDS lanes count dependents at each result broadcast. Per-lane
+divergence that it does not cover — safety-net replays, watchdog hangs,
+running past the prepared stream — *evicts* the lane: it is marked dead
+and the caller re-runs that seed on the scalar path, so correctness
+never depends on the batch engine handling every corner. Data the
+kernel cannot take (a cache tag wider than :data:`TAG_DTYPE`, a trace
+that ends or has an instruction with more than two sources, an evicted
+warmup lane) raises :class:`~repro.uarch.batchstream.BatchFallback`,
+and the batch runs scalar lane by lane.
 
 EP stalls use a virtual-time trick: a whole-pipeline stall shifts every
 in-flight event by one cycle (``_shift_in_flight``), which means the
@@ -49,7 +51,9 @@ import itertools
 
 import numpy as np
 
-from repro.core.policies import FaultyFirstSelection
+from repro.core.policies import (
+    CriticalityDrivenSelection, FaultyFirstSelection,
+)
 from repro.core.vte import vte_effects
 from repro.isa.opcodes import (
     OP_FU_KIND, OP_LATENCY, UNPIPELINED_OPS, OpClass, PipeStage,
@@ -161,8 +165,15 @@ def build_plan(core, n_commits, margin=256):
     plan.uses_ep_stall = bool(scheme.uses_ep_stall)
     plan.tolerates = bool(scheme.tolerates_predicted_faults)
     plan.sel_mode = SEL_MODE[
-        "FFS" if isinstance(scheme.policy, FaultyFirstSelection) else "AGE"
+        "FFS" if isinstance(scheme.policy, FaultyFirstSelection)
+        else "CDS" if isinstance(scheme.policy, CriticalityDrivenSelection)
+        else "AGE"
     ]
+    # a CDS core marks only instructions that probed the TEP at fetch
+    plan.crit_threshold = (
+        cfg.criticality_threshold
+        if scheme.detects_criticality and plan.tep_probe else 0
+    )
     plan.hang_cycles = 20000
 
     # ---- per-slot static arrays --------------------------------------

@@ -1,8 +1,8 @@
 /* Compiled per-lane kernel for the batched lockstep engine.
  *
  * This is the batch engine's cycle loop: OoOCore.run transliterated
- * for the specs repro.snapshot.batch.batch_eligible admits (AGE or FFS
- * select, selective replay, no store sets, no telemetry, static TEP
+ * for the specs repro.snapshot.batch.batch_eligible admits (AGE, FFS or
+ * CDS select, selective replay, no store sets, no telemetry, static TEP
  * gate).  It operates IN PLACE on
  * repro.uarch.batchcore.BatchEngine's structure-of-arrays numpy state:
  * python builds the plan, tapes and (N,)-shaped state arrays, hands
@@ -122,6 +122,7 @@ static void train_tep(Ctx *c, int64_t slot, int64_t fmask, int64_t pr) {
             c->tep_tag[ti] = tg;
             c->tep_cnt[ti] = 1;
             c->tep_stage[ti] = stage;
+            c->tep_crit[ti] = 0;
         }
     } else if (pr >= 0) {
         c->false_predictions++;
@@ -271,6 +272,22 @@ static int issue_one(Ctx *c, int64_t v, int64_t slot, int64_t jj,
         c->wake[slot] = wakeup;
         c->broadcasts++;
         c->broadcast_occupancy += iq_len0 - (jj + 1);
+        /* CDS: count the waiting dependents (IssueQueue.count_dependents).
+         * This cycle's earlier issues are still listed, but none can
+         * match: each was ready while this slot's wake was K_INF. */
+        if (c->crit_threshold) {
+            int64_t deps = 0;
+            for (int64_t pos = 0; pos < iq_len0; pos++) {
+                int64_t s = c->iq_slot[pos];
+                deps += c->ws0[s] == slot || c->ws1[s] == slot;
+            }
+            int64_t ti = c->tepi[slot];
+            if (deps >= c->crit_threshold &&
+                c->tep_tag[ti] == c->tept[slot]) {
+                c->tep_crit[ti] = 1;
+                c->critical_marks_landed++;
+            }
+        }
     }
     /* functional-unit reservation + VTE freezing */
     int64_t ni = v + (c->op_unpipelined[o] ? exec_lat : 1);
@@ -361,7 +378,9 @@ static int select_issue_cycle(Ctx *c, int64_t v) {
             }
         }
         int64_t key = ((c->ts[slot] - head_ts) & TS_MASK) * c->iq_size + pos;
-        if (c->sel_mode == SEL_FFS && c->pred[slot] < 0)
+        int64_t pr = c->pred[slot];
+        if ((c->sel_mode == SEL_FFS && pr < 0) ||
+            (c->sel_mode == SEL_CDS && !(pr >= 0 && c->pcrit[slot])))
             key += (TS_MASK + 1) * c->iq_size;
         /* insertion into key-sorted order (keys are unique) */
         int i = nr++;
@@ -499,10 +518,13 @@ static int fetch_cycle(Ctx *c, int64_t v) {
         for (int64_t j = 0; j < gl; j++) {
             int64_t sl = gs + j;
             int64_t ti = c->tepi[sl];
-            if (c->tep_tag[ti] == c->tept[sl] && c->tep_cnt[ti] > 0)
+            if (c->tep_tag[ti] == c->tept[sl] && c->tep_cnt[ti] > 0) {
                 c->pred[sl] = (int8_t)c->tep_stage[ti];
-            else
+                c->pcrit[sl] = c->tep_crit[ti];
+            } else {
                 c->pred[sl] = -1;
+                c->pcrit[sl] = 0;
+            }
         }
     }
     if (c->g_has_miss[g]) {

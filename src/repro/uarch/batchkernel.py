@@ -64,8 +64,10 @@ EVICTIONS = (
 )
 #: VTE freeze kinds as the kernel's ``FRZ_<kind>`` codes
 FREEZE_CODE = {kind: code for code, kind in enumerate(FreezeKind)}
-#: selection-key modes as the kernel's ``SEL_<mode>`` codes
-SEL_MODE = {"AGE": 0, "FFS": 1}
+#: selection-key modes as the kernel's ``SEL_<mode>`` codes: age order
+#: (ABS), predicted-faulty first (FFS), predicted-faulty and critical
+#: first (CDS)
+SEL_MODE = {"AGE": 0, "FFS": 1, "CDS": 2}
 
 #: type of the per-lane cache tag arrays: a line address shifted by the
 #: line size. Synthetic programs stay far inside it; a plan whose tag
@@ -80,7 +82,7 @@ PARAMS = (
     "width", "depth", "iq_size", "rob_size", "lsq_size", "target",
     "redirect_penalty", "replay_recovery", "recovery_bubbles",
     "model_wrong_path", "tep_probe", "uses_vte", "uses_ep_stall",
-    "tolerates", "sel_mode", "max_cycles", "hang_cycles",
+    "tolerates", "sel_mode", "crit_threshold", "max_cycles", "hang_cycles",
     "tep_n", "tep_cmax",
     "l1d_shift", "l1d_mask", "l1d_assoc", "l1d_nsets",
     "l2_shift", "l2_mask", "l2_assoc", "l2_nsets",
@@ -134,6 +136,7 @@ ARRAYS = (
     # ---- engine: per-lane machine state (initial rows: plan.<name>0) ----
     ("tape", "int16", ("N", "NS")),
     ("pred", "int8", ("N", "NS")),
+    ("pcrit", "bool", ("N", "NS")),
     ("cec", "int64", ("N", "NS")),
     ("wake", "int64", ("N", "NW")),
     ("iq_slot", "int64", ("N", "iq_size")),
@@ -165,6 +168,7 @@ ARRAYS = (
     ("tep_tag", "int64", ("N", "tep_n")),
     ("tep_cnt", "int64", ("N", "tep_n")),
     ("tep_stage", "int64", ("N", "tep_n")),
+    ("tep_crit", "bool", ("N", "tep_n")),
     ("l1d_tags", TAG_DTYPE, ("N", "l1d_nsets", "l1d_assoc")),
     ("l1d_cnt", "int64", ("N", "l1d_nsets")),
     ("l2_tags", TAG_DTYPE, ("N", "l2_nsets", "l2_assoc")),
@@ -192,6 +196,7 @@ ARRAYS = (
     ("faults_total", "int64", ("N",)),
     ("faults_predicted", "int64", ("N",)),
     ("faults_unpredicted", "int64", ("N",)),
+    ("critical_marks_landed", "int64", ("N",)),
     ("stage_faults", "int64", ("N", 10)),
     ("fu_op_counts", "int64", ("N", 8)),
     ("fu_first", "int64", ("N", 8)),

@@ -18,6 +18,8 @@ class CoreConfig(Record):
               "recovery_bubbles", "replay_mode", "bp_history_bits",
               "bp_table_bits", "criticality_threshold", "mem_dependence",
               "model_wrong_path")
+    #: a knob nothing read; older bundles and manifests carry it
+    RETIRED = ("model_inorder_faults",)
 
     def __init__(
         self,

@@ -33,7 +33,8 @@ class SimStats:
         self.wrong_path_fetched = 0
         # CDS: criticality marks that landed on the broadcasting
         # instruction's TEP entry (a threshold hit on a PC with no
-        # resident entry marks nothing); 0 under every other scheme
+        # resident entry marks nothing); 0 under every other scheme.
+        # Kernel lanes count it too (batchkernel.c's result broadcast)
         self.critical_marks_landed = 0
         # robustness safety net (storm-mode wild faults, unpadded
         # predictions — see pipeline._issue) and storm bookkeeping

@@ -20,6 +20,8 @@ import json
 import shlex
 import tempfile
 
+import pytest
+
 from hypothesis import example, given, settings, strategies as st
 
 from repro.campaign.journal import write_manifest
@@ -214,6 +216,20 @@ def test_a_retired_config_field_still_loads():
     loaded, current = RunSpec.from_dict(old), RunSpec.from_dict(data)
     assert loaded.key() == current.key()
     assert loaded.warmup_key() == current.warmup_key()
+
+
+def test_a_misspelled_config_field_is_refused():
+    """A typo in a config dict must not run the default core."""
+    with pytest.raises(ValueError, match="iq_sise"):
+        RunSpec.from_dict({"benchmark": "gcc", "config": {"iq_sise": 8}})
+
+
+def test_a_misspelled_manifest_field_is_refused():
+    """A hand-edited manifest with a typo must not plan the defaults."""
+    data = CampaignSpec("typo", ["gcc"], ["ABS"]).to_dict()
+    data["max_seds"] = data.pop("max_seeds")
+    with pytest.raises(ValueError, match="max_seds"):
+        CampaignSpec.from_dict(data)
 
 
 #: ``(key(), warmup_key())`` of SchemeKind-built, default-config specs,

@@ -159,36 +159,36 @@ def kernel():
         pytest.skip("no compiled batch kernel")
 
 
-def test_cds_spec_runs_scalar_without_a_plan(kernel, monkeypatch):
-    """A spec outside the kernel's model never reaches the planner.
+#: bzip2 at CT = 2 lands criticality marks in the window, and CDS then
+#: issues in another order than ABS
+CDS_POINT = dict(benchmark="bzip2", vdd=0.97, n_instructions=800,
+                 warmup=1200, seed=3,
+                 config=CoreConfig(criticality_threshold=2))
 
-    CDS detects criticality, which the kernel does not model, so
-    ``batch_eligible`` turns it away before any core is built:
-    ``run_many`` with lanes on runs it as a scalar task that warms one
-    core, and the result equals ``run_one``. No cold core is built for a
-    plan, and no plan is drawn.
+
+def test_cds_lanes_land_critical_marks(kernel):
+    """CDS runs as kernel lanes that count dependents and mark the TEP.
+
+    Every lane equals ``run_one``, lands marks, and at least one lane
+    takes another number of cycles than ABS with the same seed: a kernel
+    that drops the dependent count or the CDS select key fails here.
     """
     from repro.harness.runner import run_one
-    from repro.snapshot import batch, fork
-    from repro.uarch import batchcore
+    from repro.snapshot.batch import BatchReport, run_batch
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a CDS spec was planned for the kernel")
+    def specs(scheme):
+        return [RunSpec(scheme=scheme, measurement_seed=m, **CDS_POINT)
+                for m in (1, 2, 3)]
 
-    spec = RunSpec(scheme=SchemeKind.CDS, vdd=0.97, **POINT)
-    warm_core, warmups = fork.warm_core, []
-
-    def counting(spec, core=None):
-        warmups.append(spec)
-        return warm_core(spec, core)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(batch, "cold_core", forbidden)
-        patch.setattr(batchcore, "build_plan", forbidden)
-        patch.setattr(fork, "warm_core", counting)
-        (result,) = run_many([spec], batch_lanes=16)
-    assert len(warmups) == 1
-    assert _digest(result) == _digest(run_one(spec))
+    cds = specs(SchemeKind.CDS)
+    report = BatchReport()
+    lanes = run_batch(cds, None, report)
+    assert report.vector_lanes == 3 and report.fallback_reason is None
+    for lane, spec in zip(lanes, cds):
+        assert _digest(lane) == _digest(run_one(spec))
+        assert lane.stats.critical_marks_landed > 0
+    abs_cycles = [run_one(spec).stats.cycles for spec in specs(SchemeKind.ABS)]
+    assert [lane.stats.cycles for lane in lanes] != abs_cycles
 
 
 def test_evicted_warmup_runs_every_lane_scalar(kernel, snap_dir, scalar_ref,
@@ -385,7 +385,8 @@ def test_campaign_runs_every_simulation_as_a_lane(draw_mode, snapshots,
 
     def spec():
         return CampaignSpec(
-            name="lanes", benchmarks=["gcc", "tonto"], schemes=["ABS", "EP"],
+            name="lanes", benchmarks=["gcc", "tonto"],
+            schemes=["ABS", "EP", "CDS"],
             vdds=[0.97], n_instructions=800, warmup=400, min_seeds=4,
             max_seeds=4, batch_size=4, draw_mode=draw_mode,
         )
@@ -502,7 +503,7 @@ if HAVE_HYPOTHESIS:
             "benchmark": st.sampled_from(profile_names()),
             "scheme": st.sampled_from((
                 SchemeKind.FAULT_FREE, SchemeKind.RAZOR, SchemeKind.EP,
-                SchemeKind.ABS, SchemeKind.FFS,
+                SchemeKind.ABS, SchemeKind.FFS, SchemeKind.CDS,
             )),
             "vdd": st.sampled_from((0.97, 1.0, 1.04)),
             "n_instructions": st.integers(min_value=200, max_value=2000),
@@ -531,7 +532,8 @@ if HAVE_HYPOTHESIS:
             "replay_mode": st.just("selective"),
             "bp_history_bits": st.integers(min_value=1, max_value=12),
             "bp_table_bits": st.integers(min_value=4, max_value=14),
-            "criticality_threshold": st.integers(min_value=0, max_value=16),
+            # a CDS core refuses 0, and no other scheme reads the field
+            "criticality_threshold": st.integers(min_value=1, max_value=16),
             "mem_dependence": st.just("conservative"),
             "model_wrong_path": st.booleans(),
         },
@@ -546,7 +548,6 @@ if HAVE_HYPOTHESIS:
     #: (record, field) -> values outside the kernel's model, which make a
     #: spec batch-ineligible
     OUTSIDE = {
-        (RunSpec, "scheme"): st.just(SchemeKind.CDS),
         (RunSpec, "predictor"): st.sampled_from(("mre", "tvp")),
         (CoreConfig, "width"): st.integers(min_value=MAX_WIDTH + 1,
                                            max_value=12),
@@ -563,7 +564,7 @@ if HAVE_HYPOTHESIS:
     #: the schemes drawn with them
     PREDICTOR_FIELDS = {(RunSpec, "predictor"), (TEPConfig, "history_bits")}
     PREDICTOR_SCHEMES = st.sampled_from(
-        (SchemeKind.EP, SchemeKind.ABS, SchemeKind.FFS)
+        (SchemeKind.EP, SchemeKind.ABS, SchemeKind.FFS, SchemeKind.CDS)
     )
 
     def _lane_fields(record):
@@ -686,7 +687,13 @@ if HAVE_HYPOTHESIS:
     # outside the model: batch-ineligible, so run_many runs them scalar
     @example(run=_run(predictor="mre", outside=(RunSpec, "predictor")),
              mseeds=[1, 2], store=False)
-    @example(run=_run(scheme=SchemeKind.CDS, outside=(RunSpec, "scheme")),
+    # CDS lanes that land criticality marks: at mseed 1 bzip2 lands 28
+    # and takes 620 cycles, against ABS's 631
+    @example(run=_run(benchmark="bzip2", scheme=SchemeKind.CDS,
+                      config=dict(criticality_threshold=2)),
+             mseeds=[1, 2, 3], store=False)
+    @example(run=_run(benchmark="mcf", scheme=SchemeKind.CDS, vdd=1.04,
+                      config=dict(criticality_threshold=4)),
              mseeds=[None], store=True)
     def test_generated_kernel_lanes_match_cold_scalar_runs(
         run, mseeds, store, kernel, snap_dir,

@@ -175,6 +175,7 @@ def test_lane_export_rows_are_pinned():
         "regreads", "regwrites", "broadcasts", "broadcast_occupancy",
         "iq_occupancy_accum", "lsq_searches", "store_forwards",
         "faults_total", "faults_predicted", "faults_unpredicted",
+        "critical_marks_landed",
     )
     assert batchcore._CACHE_ROWS == (
         "l1d_hits", "l1d_misses", "l2_hits", "l2_misses", "mem_accesses",
