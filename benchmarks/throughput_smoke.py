@@ -165,10 +165,12 @@ def measure_batch():
 
     Each sample times one :func:`repro.snapshot.batch.run_batch` call of
     N scheme-run lanes, the vector counterpart of the marginal scalar
-    draw. The call pays for its own plan and for one kernel warmup that
-    all its lanes share, while a marginal scalar draw forks a snapshot
-    built once beforehand; ``batch_lanes_speedup`` therefore charges the
-    warmup to the batch side only. Returns
+    draw. The sweep's draws share one stream, so the first call builds
+    the plan and every later call reuses the one the process kept, as
+    a campaign point's calls do. Every call pays for one kernel warmup
+    that all its lanes share, while a marginal scalar draw forks a
+    snapshot built once beforehand; ``batch_lanes_speedup`` therefore
+    charges the warmup to the batch side only. Returns
     ``(rates_by_n, vector_lanes_at_max)`` where the second element counts
     lanes the largest batch actually ran vectorized — 0 signals a silent
     whole-batch fallback to the scalar path.

@@ -37,9 +37,10 @@ _CACHE_FORMAT = 1
 
 #: the most lanes per kernel call that the paper's drivers
 #: (:mod:`repro.harness.experiments`, ``run_seeds``) ask of
-#: :func:`run_many`. A table or figure spec has a warmup key of its own,
-#: so each of their eligible windows is a one-lane call; fault-mode
-#: ``run_seeds`` draws share one and fill a call of up to this many.
+#: :func:`run_many`. The windows of one benchmark, seed and window share
+#: a stream key whatever their scheme and supply, so a table or figure
+#: runs one call per benchmark; fault-mode ``run_seeds`` draws fill a
+#: call of up to this many.
 DRIVER_LANES = 16
 
 #: file types under ``repro`` that the model executes
@@ -190,7 +191,7 @@ def _plan_tasks(todo, batch_lanes):
 
     With lanes on, each lane group of
     :func:`~repro.snapshot.batch.batch_groups` (up to ``batch_lanes``
-    eligible specs sharing one warmup key) becomes a ``("batch",
+    eligible specs sharing one stream key) becomes a ``("batch",
     group)`` task if the kernel loads. It is loaded here, in the parent,
     before any pool forks, so the compiler runs at most once per process
     tree. Every other spec, and every spec when lanes are off or no
@@ -331,8 +332,9 @@ def run_many(specs, jobs=1, cache=False, cache_dir=None, batch_lanes=None,
     ``REPRO_BATCH_LANES``; 0 or unset is off). Every cache-missing,
     batch-eligible spec then runs as a lane of the lockstep batch engine
     (:mod:`repro.snapshot.batch`), grouped with the specs sharing its
-    warmup key: campaign draws, their fault-free baselines and single
-    runs alike, with or without a snapshot dir. Results are
+    stream key (one plan, whatever their scheme, supply and clock):
+    campaign draws, their fault-free baselines and single runs alike,
+    with or without a snapshot dir. Results are
     bit-identical to the scalar path; ineligible specs run scalar as
     before. A kernel lane warms up in the kernel, so a parallel fan-out
     prewarms snapshots only for the specs that run scalar.

@@ -48,6 +48,18 @@ def _sorted_items(value):
     return tuple(sorted(value.items())) if value else None
 
 
+def _without(fields, names):
+    """The ``(name, encoder)`` pairs of ``fields`` not named in ``names``."""
+    return tuple(field for field in fields if field[0] not in names)
+
+
+def _unless_default(value, default):
+    """``value``, or None when it is a record equal to ``default``."""
+    if value is not None and value.canonical() == default.canonical():
+        return None
+    return value
+
+
 class RunSpec(Record):
     """Everything needed to reproduce one simulation run.
 
@@ -79,6 +91,16 @@ class RunSpec(Record):
         ("predictor", _same),
         ("overclock", repr),
     )
+    #: the warmup fields a batch-kernel lane holds as state of its own:
+    #: its scheme's mechanisms, its supply and its clock. Specs that
+    #: differ only in these and in measurement fields fetch the identical
+    #: instruction stream, so one batch plan serves them
+    #: (:meth:`stream_key`).
+    LANE_WARMUP_FIELDS = ("scheme", "vdd", "overclock")
+    #: ``(field, canonical encoder)`` of the warmup fields that decide
+    #: the instruction stream: :attr:`WARMUP_FIELDS` without
+    #: :attr:`LANE_WARMUP_FIELDS`
+    STREAM_FIELDS = _without(WARMUP_FIELDS, LANE_WARMUP_FIELDS)
     #: ``(field, canonical encoder)`` of everything that first takes
     #: effect at the warmup→measurement boundary: storm wrapping and
     #: fault-stream reseeding happen there, telemetry attaches there, and
@@ -103,8 +125,12 @@ class RunSpec(Record):
         self.n_instructions = n_instructions
         self.warmup = warmup
         self.seed = seed
-        self.config = CoreConfig.load(config)
-        self.tep_config = TEPConfig.load(tep_config)
+        # an explicit default record is stored as None, so it keys,
+        # caches and batches with the spec that left it out
+        self.config = _unless_default(CoreConfig.load(config),
+                                      CoreConfig.core1())
+        self.tep_config = _unless_default(TEPConfig.load(tep_config),
+                                          TEPConfig())
         #: which timing-violation predictor design drives the scheme:
         #: "tep" (the paper's), "mre" (Xin/Joseph) or "tvp" (Roy et al.)
         self.predictor = predictor
@@ -193,6 +219,20 @@ class RunSpec(Record):
 
         return hashlib.sha256(
             repr(self.warmup_canonical()).encode()
+        ).hexdigest()
+
+    def stream_key(self):
+        """Content hash of :attr:`STREAM_FIELDS`: the batch-plan address.
+
+        Every spec sharing this key fetches the identical instruction
+        stream through warmup and window, whatever its scheme, supply or
+        clock, so one batch plan serves all of them (see
+        :mod:`repro.snapshot.batch`).
+        """
+        import hashlib
+
+        return hashlib.sha256(
+            repr(self._encode(self.STREAM_FIELDS)).encode()
         ).hexdigest()
 
     def __repr__(self):
@@ -338,6 +378,9 @@ def build_core(spec):
         injector=injector, tep=tep, sensor=sensor, vdd=spec.vdd,
     )
     core.program = program  # kept for cache priming and diagnostics
+    # the stream's TEP geometry whatever the scheme: a batch plan keys
+    # every slot with it for the lanes whose scheme probes
+    core.tep_config = spec.tep_config or TEPConfig()
     return core
 
 

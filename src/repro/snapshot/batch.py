@@ -1,18 +1,21 @@
-"""Batched measurement: N measured windows per shared warmup.
+"""Batched measurement: N measured windows per instruction stream.
 
-Specs sharing one warmup key reach bit-identical post-warmup state and
-fetch the *identical* instruction stream — they differ only in
-measurement-window fields such as ``measurement_seed``, which reseeds
-the fault injector at the warmup→measurement boundary. The batch path
-exploits this: the cold core (:func:`~repro.harness.runner.cold_core`)
-supplies the lane-invariant plan over warmup and window
-(:func:`repro.uarch.batchcore.build_plan`), the compiled kernel runs the
-warmup on one lane, every lane starts the window from that lane's
-state, and each seeded lane's fault tape is redrawn from the first
-instruction fetched after the boundary
-(:func:`repro.uarch.batchstream.build_tapes`). No kernel lane is warmed
-on the scalar core, forked or captured: the snapshot store serves only
-scalar runs. A batch may have one lane.
+Specs sharing one stream key (:meth:`~repro.harness.runner.RunSpec.
+stream_key`, the warmup key without scheme, supply and clock) fetch the
+*identical* instruction stream through warmup and window. They differ in
+what their scheme, supply and clock decide — the scheme's mechanisms and
+the fault injector — and in measurement-window fields such as
+``measurement_seed``, which reseeds the injector at the
+warmup→measurement boundary. The batch path exploits this: one cold core
+(:func:`~repro.harness.runner.cold_core`) supplies the lane-invariant
+plan over warmup and window (:func:`repro.uarch.batchcore.build_plan`),
+which the process keeps for the next call on the same stream; the
+compiled kernel runs one warmup lane per warmup key, every lane starts
+the window from its own warmup lane's state, and each seeded lane's
+fault tape is redrawn from the first instruction that warmup lane had
+not fetched (:func:`repro.uarch.batchstream.build_tapes`). No kernel
+lane is warmed on the scalar core, forked or captured: the snapshot
+store serves only scalar runs. A batch may have one lane.
 
 Correctness never depends on the batch path handling every corner:
 
@@ -32,13 +35,26 @@ CI ``batch-smoke`` gate use it to detect a silently all-scalar batch.
 
 import os
 
+import numpy as np
+
 from repro.core.schemes import make_scheme
 from repro.core.tep import TEPConfig
-from repro.harness.runner import cold_core, measure, measured_result
+from repro.harness.runner import (
+    build_core, cold_core, measure, measured_result,
+)
 from repro.snapshot.fork import warmed_core
 from repro.uarch import batchkernel
 from repro.uarch.batchstream import BatchFallback, build_tapes
 from repro.uarch.config import CoreConfig
+
+#: the fallback reason of a warmup lane that fetched past the slots its
+#: seedless tape was drawn over (:func:`warmup_reach`)
+SHORT_TAPE = "warmup lane fetched past its seedless tape"
+
+#: the plan this process built last, under its stream key: a campaign
+#: point's scheme batches and baseline, or one benchmark's schemes, reach
+#: :func:`run_batch` one call after another on one stream
+_plans = {}
 
 
 class BatchReport:
@@ -119,15 +135,15 @@ def batch_groups(specs, max_lanes):
     """Partition ``specs`` into (lane groups, scalar rest).
 
     Every :func:`batch_eligible` spec joins a group of 1..``max_lanes``
-    specs sharing its warmup key (one warmup, one plan); ``rest``
-    collects the ineligible specs. Input order is preserved within each
-    list.
+    specs sharing its stream key (one plan, whatever their schemes,
+    supplies and clocks); ``rest`` collects the ineligible specs. Input
+    order is preserved within each list.
     """
     groups = {}
     rest = []
     for spec in specs:
         if batch_eligible(spec):
-            groups.setdefault(spec.warmup_key(), []).append(spec)
+            groups.setdefault(spec.stream_key(), []).append(spec)
         else:
             rest.append(spec)
     out = [
@@ -138,19 +154,80 @@ def batch_groups(specs, max_lanes):
     return out, rest
 
 
+def warmup_reach(plan, warmup):
+    """How many slots a lane may have fetched once ``warmup`` commits landed.
+
+    Its ROB, its front-end conveyor and one commit group past the
+    target: a seedless tape drawn this far covers every slot a warmup
+    lane fetches.
+    """
+    return warmup + plan.rob_size + (plan.depth + 1) * plan.width
+
+
+def _stream_plan(spec):
+    """The batch plan of ``spec``'s stream, and a new one's warmup lane.
+
+    Returns ``(plan, lane)``: the kept plan and None, or a new plan and
+    the :class:`_WarmupLane` of ``spec`` read off the cold core the plan
+    was built from (the core is gone when this returns). The process
+    keeps one plan, the last: the old one is dropped before the next is
+    built, so two are never alive at once. Lanes only read a plan (the
+    kernel's plan fields are ``const``), so a kept plan serves every
+    later call unchanged.
+    """
+    from repro.uarch import batchcore
+
+    key = spec.stream_key()
+    if key in _plans:
+        return _plans[key], None
+    _plans.clear()
+    core = cold_core(spec)
+    _plans[key] = batchcore.build_plan(core,
+                                       spec.warmup + spec.n_instructions)
+    return _plans[key], _WarmupLane(spec, core)
+
+
+class _WarmupLane:
+    """What one warmup key brings to a call: its warmup lane's scheme
+    scalars, and its fault injector for the lanes' tapes.
+
+    Read off a core of the key's first spec: ``core`` when one was built
+    already (planning a stream walks a core's trace, branch predictor
+    and caches, none of which is read here), else a fresh one. The core
+    is not kept: a call keeps injectors (kilobytes each), not cores
+    (megabytes).
+    """
+
+    def __init__(self, spec, core=None):
+        from repro.uarch.batchcore import scheme_scalars
+
+        if core is None:
+            core = build_core(spec)
+        self.scalars = scheme_scalars(core)
+        self.injector = core.injector
+        self.program = core.program
+        self.vdd = spec.vdd
+
+    def tapes(self, pcs, measurement_seeds):
+        """Tapes over the stream positions of ``pcs``, one per seed."""
+        return build_tapes(self.injector, self.program, pcs,
+                           measurement_seeds, self.vdd)
+
+
 def run_batch(specs, snapshot_dir, report=None, force_evict=None):
     """Run ``specs`` (lanes of one batch) and return their SimResults.
 
-    All specs must share one warmup key and be :func:`batch_eligible`;
+    All specs must share one stream key and be :func:`batch_eligible`;
     violations raise ``ValueError`` (they indicate a grouping bug, not a
-    modeling limit). The kernel runs ``specs[0]``'s warmup on one lane
-    and then the window on every lane. A missing compiled kernel, data
-    the planner rejects (:class:`BatchFallback`), an evicted warmup and
-    per-lane evictions all degrade to the scalar path transparently:
-    such a lane measures on ``warmed_core(spec, snapshot_dir)``, and
-    with no kernel nothing is planned for the batch. Kernel lanes go
-    through the same :func:`~repro.harness.runner.measured_result` as
-    every scalar window.
+    modeling limit). The kernel runs one warmup lane per warmup key
+    among ``specs`` and then the window on every lane. A missing
+    compiled kernel, data the planner rejects (:class:`BatchFallback`),
+    an evicted warmup lane and per-lane evictions all degrade to the
+    scalar path transparently: such a lane measures on
+    ``warmed_core(spec, snapshot_dir)``, and with no kernel nothing is
+    planned for the batch. Kernel lanes go through the same
+    :func:`~repro.harness.runner.measured_result` as every scalar
+    window.
 
     ``force_evict`` (lane index → cycle of the window) is a test hook
     forcing divergence-path coverage at arbitrary points.
@@ -163,39 +240,14 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
     for spec in specs:
         if not batch_eligible(spec):
             raise ValueError(f"spec not batch-eligible: {spec!r}")
-    ref = specs[0]
-    key = ref.warmup_key()
-    if any(s.warmup_key() != key for s in specs[1:]):
-        raise ValueError("mixed warmup keys in one batch")
+    key = specs[0].stream_key()
+    if any(s.stream_key() != key for s in specs[1:]):
+        raise ValueError("mixed stream keys in one batch")
 
     try:
-        from repro.uarch.batchcore import (
-            WARMUP_EVICTED, BatchEngine, build_plan,
-        )
-
         if batchkernel.load_kernel() is None:
             raise BatchFallback("compiled batch kernel unavailable")
-        core = cold_core(ref)
-        plan = build_plan(core, ref.warmup + ref.n_instructions)
-        # one lane on the cold injector's stream runs the warmup
-        engine = BatchEngine(
-            plan, build_tapes(core, plan.stream, [None], ref.vdd)
-        )
-        if ref.warmup:
-            (warm,) = engine.run(ref.warmup)
-            if warm is None:
-                raise BatchFallback(
-                    f"{WARMUP_EVICTED}: {engine.evicted_reason[0]}"
-                )
-        seeded = {lane: spec.measurement_seed
-                  for lane, spec in enumerate(specs)
-                  if spec.measurement_seed is not None}
-        tails = build_tapes(
-            core, plan.stream, list(seeded.values()), ref.vdd,
-            start=engine.first_unfetched,
-        ) if seeded else []
-        engine.fork(len(specs), dict(zip(seeded, tails)))
-        lanes = engine.run(ref.n_instructions, force_evict)
+        lanes, evicted = _run_lanes(specs, force_evict)
     except BatchFallback as exc:
         report.fallback_reason = str(exc)
         lanes = [None] * len(specs)
@@ -207,7 +259,60 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
             results.append(measured_result(spec, *counters))
             continue
         if report.fallback_reason is None:
-            report.evictions[lane] = engine.evicted_reason[lane]
+            report.evictions[lane] = evicted[lane]
         report.scalar_lanes += 1
         results.append(measure(warmed_core(spec, snapshot_dir), spec))
     return results
+
+
+def _run_lanes(specs, force_evict):
+    """Run ``specs``' windows on the kernel, warmups first.
+
+    Returns ``(per lane: counters or None, per lane: eviction reason)``.
+    Raises :class:`BatchFallback` for an evicted warmup lane, and for
+    one that fetched past its seedless tape (:data:`SHORT_TAPE`).
+    """
+    from repro.uarch.batchcore import WARMUP_EVICTED, BatchEngine
+
+    ref = specs[0]
+    plan, first_lane = _stream_plan(ref)
+    pcs = plan.stream.pc
+    # lane -> its warmup lane: one per warmup key, in order of appearance
+    index = {}
+    sources = [index.setdefault(spec.warmup_key(), len(index))
+               for spec in specs]
+    warm = [first_lane or _WarmupLane(ref)] + [
+        _WarmupLane(specs[sources.index(w)]) for w in range(1, len(index))
+    ]
+    # a warmup lane whose lanes all reseed needs its seedless tape only
+    # as far as its warmup fetches
+    unseeded = {w for w, spec in zip(sources, specs)
+                if spec.measurement_seed is None}
+    reach = np.array([
+        plan.NS if w in unseeded
+        else min(plan.NS, warmup_reach(plan, ref.warmup))
+        for w in range(len(warm))
+    ])
+    tapes = np.zeros((len(warm), plan.NS), dtype=np.int16)
+    for w, lane in enumerate(warm):
+        tapes[w, :reach[w]] = lane.tapes(pcs[:reach[w]], [None])[0]
+    engine = BatchEngine(plan, tapes, [lane.scalars for lane in warm])
+    if ref.warmup:
+        for w, counters in enumerate(engine.run(ref.warmup)):
+            if counters is None:
+                raise BatchFallback(
+                    f"{WARMUP_EVICTED}: {engine.evicted_reason[w]}"
+                )
+    first = engine.first_unfetched
+    if (first > reach).any():
+        raise BatchFallback(SHORT_TAPE)
+    tails = {}
+    for w, lane in enumerate(warm):
+        draws = [i for i, (source, spec) in enumerate(zip(sources, specs))
+                 if source == w and spec.measurement_seed is not None]
+        if draws:
+            rows = lane.tapes(pcs[first[w]:],
+                              [specs[i].measurement_seed for i in draws])
+            tails.update(zip(draws, rows))
+    engine.fork(sources, tails)
+    return engine.run(ref.n_instructions, force_evict), engine.evicted_reason

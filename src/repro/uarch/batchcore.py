@@ -1,25 +1,28 @@
 """Structure-of-arrays lockstep engine: N campaign draws per dispatch.
 
-All lanes of a batch share one warmup key: they build the same cold
-core, warm it up identically and fetch the identical instruction
-stream; only the fault realization of the measured window differs per
-measurement seed. This module exploits that: :func:`build_plan`
-flattens the cold core's configuration, primed caches and its whole
-future stream (warmup and window, :mod:`repro.uarch.batchstream`) into
-plain arrays, and :class:`BatchEngine` lays out one row of machine state
+All lanes of a batch share one stream key: they fetch the identical
+instruction stream from the same primed caches, whatever their scheme,
+supply or clock; their schemes' mechanisms and their fault realizations
+differ. This module exploits that: :func:`build_plan` flattens the cold
+core's configuration, primed caches and its whole future stream (warmup
+and window, :mod:`repro.uarch.batchstream`) into plain arrays that read
+no scheme, and :class:`BatchEngine` lays out one row of machine state
 per lane and hands the batch to the compiled kernel
 (``batchkernel.c``, bound by :mod:`repro.uarch.batchkernel`), which
-advances lanes in place. A batch runs its warmup on one lane, copies
-that lane to every lane at the warmup boundary (:meth:`BatchEngine.fork`,
-the kernel-side ``begin_measurement``) and runs the window on all of
-them, so no lane is warmed on the scalar core or forked from a snapshot.
+advances lanes in place. A lane's scheme is lane state
+(:func:`scheme_scalars`). A batch runs one warmup lane per warmup key,
+gives every lane the state of its own warmup lane at the warmup
+boundary (:meth:`BatchEngine.fork`, the kernel-side
+``begin_measurement``) and runs the window on all of them, so no lane is
+warmed on the scalar core or forked from a snapshot.
 
 The layout is driven by the kernel's ABI table
 (:data:`~repro.uarch.batchkernel.ARRAYS`): every per-lane array starts as
-the plan's ``<name>0`` row (or scalar) broadcast to all lanes, or as
-zeros when the plan has none, and every lane scalar named after a
-``SimStats`` counter or a ``MemoryHierarchy.stats()`` key is exported
-under that name. Adding per-lane state is one table entry.
+its lane's :func:`scheme_scalars` value, as the plan's ``<name>0`` row
+(or scalar) broadcast to all lanes, or as zeros when neither has it, and
+every lane scalar named after a ``SimStats`` counter or a
+``MemoryHierarchy.stats()`` key is exported under that name. Adding
+per-lane state is one table entry.
 
 The kernel is a transliteration of ``OoOCore.run`` (pipeline.py) for
 the specs :func:`repro.snapshot.batch.batch_eligible` admits, which
@@ -54,6 +57,7 @@ import numpy as np
 from repro.core.policies import (
     CriticalityDrivenSelection, FaultyFirstSelection,
 )
+from repro.core.tep import TimingErrorPredictor
 from repro.core.vte import vte_effects
 from repro.isa.opcodes import (
     OP_FU_KIND, OP_LATENCY, UNPIPELINED_OPS, OpClass, PipeStage,
@@ -115,7 +119,8 @@ class BatchPlan:
     Slots are the engine's global instruction space: slot ``s`` is the
     ``s``-th instruction the core fetches from cycle 0 on, through the
     warmup and the window. Lanes index every per-slot array with their
-    own commit/dispatch pointers.
+    own commit/dispatch pointers. A plan reads no scheme, supply or
+    clock, so every spec of one stream key may run on it.
     """
 
     # plain attribute bag; built only by build_plan
@@ -128,7 +133,10 @@ def build_plan(core, n_commits, margin=256):
     ``core`` is the cold core of a
     :func:`~repro.snapshot.batch.batch_eligible` spec, so its
     configuration is inside the kernel's model. ``n_commits`` is the
-    commit budget of the whole trajectory, warmup plus window. Raises
+    commit budget of the whole trajectory, warmup plus window. The TEP
+    lookup keys follow ``core.tep_config`` (set by
+    :func:`~repro.harness.runner.build_core`; the default geometry when
+    absent) whether or not ``core``'s scheme probes. Raises
     :class:`~repro.uarch.batchstream.BatchFallback` only for data outside
     the model (:data:`TAG_OVERFLOW`, or the trace limits of
     :func:`~repro.uarch.batchstream.build_stream`), and ``ValueError``
@@ -138,7 +146,6 @@ def build_plan(core, n_commits, margin=256):
         raise ValueError(f"build_plan needs a cold core, not one at cycle "
                          f"{core.cycle}")
     cfg = core.config
-    scheme = core.scheme
 
     NS = int(n_commits) + int(margin)
     stream = build_stream(core, NS, cfg.width)
@@ -160,20 +167,6 @@ def build_plan(core, n_commits, margin=256):
     plan.replay_recovery = cfg.replay_recovery
     plan.recovery_bubbles = cfg.recovery_bubbles
     plan.model_wrong_path = bool(cfg.model_wrong_path)
-    plan.tep_probe = bool(scheme.uses_tep and core._tep_gate == 0)
-    plan.uses_vte = bool(scheme.uses_vte)
-    plan.uses_ep_stall = bool(scheme.uses_ep_stall)
-    plan.tolerates = bool(scheme.tolerates_predicted_faults)
-    plan.sel_mode = SEL_MODE[
-        "FFS" if isinstance(scheme.policy, FaultyFirstSelection)
-        else "CDS" if isinstance(scheme.policy, CriticalityDrivenSelection)
-        else "AGE"
-    ]
-    # a CDS core marks only instructions that probed the TEP at fetch
-    plan.crit_threshold = (
-        cfg.criticality_threshold
-        if scheme.detects_criticality and plan.tep_probe else 0
-    )
     plan.hang_cycles = 20000
 
     # ---- per-slot static arrays --------------------------------------
@@ -218,18 +211,15 @@ def build_plan(core, n_commits, margin=256):
     plan.st_addr8 = plan.addr8[store_slots]
     plan.store_resolve0 = np.full(plan.nst_alloc, INF, dtype=np.int64)
 
-    # TEP lookup keys for every slot (pure PC hash: history_bits == 0);
-    # a cold entry has no tag and no stage
-    if core._tep_gate == 0:
-        word = stream.pc >> 2
-        plan.tepi = word & core.tep._index_mask
-        plan.tept = (word >> 10) & core.tep._tag_mask
-        plan.tep_n = core.tep.config.n_entries
-        plan.tep_cmax = core.tep.config.counter_max
-    else:
-        plan.tepi = np.zeros(NS, dtype=np.int64)
-        plan.tept = np.zeros(NS, dtype=np.int64)
-        plan.tep_n = plan.tep_cmax = 0
+    # TEP lookup keys for every slot (pure PC hash: history_bits == 0),
+    # read only by the lanes whose scheme probes; a cold entry has no tag
+    # and no stage
+    tep = TimingErrorPredictor(getattr(core, "tep_config", None))
+    word = stream.pc >> 2
+    plan.tepi = word & tep._index_mask
+    plan.tept = (word >> 10) & tep._tag_mask
+    plan.tep_n = tep.config.n_entries
+    plan.tep_cmax = tep.config.counter_max
     plan.tep_tag0 = plan.tep_stage0 = np.full(plan.tep_n, -1, dtype=np.int64)
     (plan.T_RR, plan.T_EX, plan.T_MEM, plan.T_WB,
      plan.T_FRZ, plan.T_HAS) = _vte_tables()
@@ -326,6 +316,34 @@ def _plan_caches(plan, hier):
     plan.lat_mem = hier._lat_mem
 
 
+def scheme_scalars(core):
+    """The lane scalars that ``core``'s scheme, supply and clock decide.
+
+    ``core`` is a cold core of the lane's own spec. A scheme with a
+    timing predictor probes the TEP when the core's sensor gate is
+    statically armed (which follows the supply and the clock), and a
+    CDS core marks only instructions that probed it at fetch.
+    """
+    scheme = core.scheme
+    tep_probe = bool(scheme.uses_tep and core._tep_gate == 0)
+    return {
+        "tep_probe": tep_probe,
+        "uses_vte": bool(scheme.uses_vte),
+        "uses_ep_stall": bool(scheme.uses_ep_stall),
+        "tolerates": bool(scheme.tolerates_predicted_faults),
+        "sel_mode": SEL_MODE[
+            "FFS" if isinstance(scheme.policy, FaultyFirstSelection)
+            else "CDS" if isinstance(scheme.policy,
+                                     CriticalityDrivenSelection)
+            else "AGE"
+        ],
+        "crit_threshold": (
+            core.config.criticality_threshold
+            if scheme.detects_criticality and tep_probe else 0
+        ),
+    }
+
+
 def _lane_scalars_named(names):
     return tuple(name for name in by_role("scalar") if name in names)
 
@@ -345,28 +363,34 @@ _MEASURED = _STATS_ROWS + _CACHE_ROWS + (
 class BatchEngine:
     """Fault-tape lanes over one plan, advanced by the compiled kernel.
 
-    All lanes share the plan's slot space and fetch-group schedule; only
-    fault tapes (and everything downstream of them: timing, TEP state,
-    d-side cache contents) differ. Every per-lane row is an attribute
-    named after its entry in :data:`repro.uarch.batchkernel.ARRAYS`.
-    A batch warms one lane up (:meth:`run`), gives every lane its state
-    at the warmup boundary (:meth:`fork`) and runs the window. A lane
-    leaves the convoy only by *eviction* — the caller re-runs that seed
-    on the scalar path.
+    All lanes share the plan's slot space and fetch-group schedule; their
+    schemes (:func:`scheme_scalars`) and fault tapes (and everything
+    downstream of them: timing, TEP state, d-side cache contents)
+    differ. Every per-lane row is an attribute named after its entry in
+    :data:`repro.uarch.batchkernel.ARRAYS`. A batch warms one lane per
+    warmup key (:meth:`run`), gives every lane the state of its own
+    warmup lane at the boundary (:meth:`fork`) and runs the window. A
+    lane leaves the convoy only by *eviction* — the caller re-runs that
+    seed on the scalar path.
     """
 
-    def __init__(self, plan, tapes):
-        """One lane per row of ``tapes`` (lanes x slots), at cycle 0."""
+    def __init__(self, plan, tapes, lanes):
+        """One lane per row of ``tapes`` (lanes x slots), at cycle 0.
+
+        ``lanes[i]`` holds lane ``i``'s :func:`scheme_scalars`.
+        """
         self.plan = plan
         N = self.N = tapes.shape[0]
         self.params = {n: getattr(plan, n) for n in PARAMS
-                       if n not in ("N", "target", "max_cycles")}
+                       if n not in ("N", "target")}
         self.params["N"] = N
         for name, dtype, shape in ARRAYS:
             if role(shape) == "plan" or name == "tape":
                 continue
             row = getattr(plan, f"{name}0", None)
-            if row is None:
+            if name in lanes[0]:
+                value = np.array([lane[name] for lane in lanes], dtype=dtype)
+            elif row is None:
                 extents = [batchkernel._extent(d, self.params) for d in shape]
                 value = np.zeros(extents, dtype=dtype)
             elif role(shape) == "scalar":
@@ -376,9 +400,9 @@ class BatchEngine:
             setattr(self, name, value)
         self.tape = tapes
         self.evicted_reason = [None] * N
-        #: virtual cycle, burned stall cycles and fetch group at which
-        #: the counters were last zeroed
-        self._start = (0, 0, 0)
+        #: per lane, the virtual cycle, burned stall cycles and fetch
+        #: group at which its counters were last zeroed
+        self._start = (np.zeros(N, dtype=np.int64),) * 3
 
     # ------------------------------------------------------------------
     def _evict(self, lane, reason):
@@ -408,10 +432,9 @@ class BatchEngine:
         for lane, at in (force_evict or {}).items():
             self.force_at[lane] = self.v_end[lane] + at
         # the scalar core's cycle budget, counted from the real cycle
-        # every live lane starts this call at
-        start = int(self.v_end[0]) + int(self.burned[0])
-        self.params.update(target=target,
-                           max_cycles=start + 400 * target + 20000)
+        # each lane starts this call at
+        self.max_cycles[:] = self.v_end + self.burned + 400 * target + 20000
+        self.params["target"] = target
         arrays = {
             name: getattr(self.plan if role(shape) == "plan" else self, name)
             for name, _, shape in ARRAYS
@@ -424,31 +447,37 @@ class BatchEngine:
     # ------------------------------------------------------------------
     @property
     def first_unfetched(self):
-        """Lane 0's next slot to fetch: where a reseeded stream starts."""
-        g = int(self.g_ptr[0])
-        return int(self.plan.g_start[g]) if g < self.plan.NG else self.plan.NS
+        """Each lane's next slot to fetch: where a reseeded stream starts."""
+        return np.append(self.plan.g_start, self.plan.NS)[self.g_ptr]
 
-    def fork(self, n_lanes, tails):
-        """Continue as ``n_lanes`` lanes, each at lane 0's state.
+    def fork(self, sources, tails):
+        """Continue as ``len(sources)`` lanes, lane ``i`` from ``sources[i]``.
 
         This is the warmup boundary: every lane row and lane scalar is
-        copied from lane 0, and the counters ``begin_measurement`` resets
-        (:data:`_MEASURED`) start again from zero. ``tails`` maps a lane
-        to the tape it fetches from :attr:`first_unfetched` on, drawn
-        from its own fault stream; every other lane keeps lane 0's tape.
+        copied from the lane's source, and the counters
+        ``begin_measurement`` resets (:data:`_MEASURED`) start again from
+        zero. ``tails`` maps a new lane to the tape it fetches from its
+        source's :attr:`first_unfetched` on, drawn from its own fault
+        stream; every other lane keeps its source's tape.
         """
-        first = self.first_unfetched
-        self.N = self.params["N"] = n_lanes
+        sources = np.asarray(sources, dtype=np.int64)
+        first = self.first_unfetched[sources]
+        # lanes that continue their own warmup lanes keep its arrays: a
+        # copy would double the engine's largest rows for a moment
+        moved = not np.array_equal(sources, np.arange(self.N))
+        self.N = self.params["N"] = len(sources)
         for name in by_role("row") + by_role("scalar"):
-            lane0 = getattr(self, name)[:1]
+            value = getattr(self, name)
+            if moved:
+                value = value[sources]
             if name in _MEASURED:
-                lane0 = np.zeros_like(lane0)
-            setattr(self, name, np.repeat(lane0, n_lanes, axis=0))
+                value = np.zeros_like(value)
+            setattr(self, name, value)
         for lane, tail in tails.items():
-            self.tape[lane, first:] = tail
-        self.evicted_reason = [None] * n_lanes
-        self._start = (int(self.v_end[0]), int(self.burned[0]),
-                       int(self.g_ptr[0]))
+            self.tape[lane, first[lane]:] = tail
+        self.evicted_reason = [None] * self.N
+        self._start = (self.v_end.copy(), self.burned.copy(),
+                       self.g_ptr.copy())
 
     # ------------------------------------------------------------------
     def _export(self):
@@ -464,12 +493,12 @@ class BatchEngine:
         kernel does not model keeps its ``SimStats`` zero.
         """
         p = self.plan
-        v0, burned0, g0 = self._start
         out = []
         for lane in range(self.N):
             if self.evicted_reason[lane] is not None:
                 out.append(None)
                 continue
+            v0, burned0, g0 = (int(start[lane]) for start in self._start)
             stats = SimStats()
             for name in _STATS_ROWS:
                 setattr(stats, name, int(getattr(self, name)[lane]))

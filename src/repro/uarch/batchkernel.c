@@ -9,8 +9,12 @@
  * their pointers here, and BatchEngine._export fills each finished
  * lane's SimStats from the same arrays, which
  * repro.harness.runner.measured_result packages like any scalar run.
- * Every lane starts from a cold core; a batch runs its warmup as one
- * lane, then its window on every lane, in two calls.
+ * Every lane starts from a cold core.  The lanes of a batch share one
+ * instruction stream (the plan); each carries its own scheme's mode
+ * (tep_probe, uses_vte, uses_ep_stall, tolerates, sel_mode,
+ * crit_threshold) and cycle budget as lane scalars.  A batch runs one
+ * warmup lane per warmup key, then its window on every lane, each lane
+ * forked from its own warmup lane, in two calls.
  * Facts about op classes (latency, unit kind, unpipelined units) come
  * from the plan, so this file holds no op-class number.  Bit-identity
  * against the scalar core is asserted by
@@ -38,7 +42,8 @@
 #define K_RMASK (K_RING - 1)
 
 /* One lane's view: plan arrays and params shared by every lane, its own
- * rows, and its scalars (counters, cursors and outputs) by value. */
+ * rows, and its scalars (mode, budget, counters, cursors and outputs)
+ * by value. */
 #define PLAN_FIELD(name, type) const type *name;
 #define ROW_FIELD(name, type, stride) type *name;
 #define SCALAR_FIELD(name, type) type name;

@@ -81,9 +81,7 @@ PARAMS = (
     "N", "NS", "NW", "NG", "n_stores", "nst_alloc", "n_miss",
     "width", "depth", "iq_size", "rob_size", "lsq_size", "target",
     "redirect_penalty", "replay_recovery", "recovery_bubbles",
-    "model_wrong_path", "tep_probe", "uses_vte", "uses_ep_stall",
-    "tolerates", "sel_mode", "crit_threshold", "max_cycles", "hang_cycles",
-    "tep_n", "tep_cmax",
+    "model_wrong_path", "hang_cycles", "tep_n", "tep_cmax",
     "l1d_shift", "l1d_mask", "l1d_assoc", "l1d_nsets",
     "l2_shift", "l2_mask", "l2_assoc", "l2_nsets",
     "lat_l1", "lat_l2", "lat_mem",
@@ -133,6 +131,15 @@ ARRAYS = (
     ("T_HAS", "int64", (11, 8)),
     # ---- plan: per-op facts --------------------------------------------
     ("op_unpipelined", "bool", (8,)),
+    # ---- engine: per-lane mode, from the lane's own scheme and supply
+    # (batchcore.scheme_scalars) and its cycle budget ---------------------
+    ("tep_probe", "int64", ("N",)),
+    ("uses_vte", "int64", ("N",)),
+    ("uses_ep_stall", "int64", ("N",)),
+    ("tolerates", "int64", ("N",)),
+    ("sel_mode", "int64", ("N",)),
+    ("crit_threshold", "int64", ("N",)),
+    ("max_cycles", "int64", ("N",)),
     # ---- engine: per-lane machine state (initial rows: plan.<name>0) ----
     ("tape", "int16", ("N", "NS")),
     ("pred", "int8", ("N", "NS")),

@@ -1,22 +1,24 @@
 """Shared-stream extraction for the batched lockstep engine.
 
-Every run of one warmup key fetches the *identical* dynamic instruction
-stream, through the warmup and the window: the trace generator's RNG is
-warmup-side state and nothing on the measurement side reseeds it. The
-branch predictor, the L1 instruction cache, and the fetch-group
-partition are equally lane-invariant — they are driven only by that
-stream. This module walks those structures of the cold core once per
-batch, consuming them (the planned core never runs), and flattens the
-result into plain arrays (:class:`StreamPlan`) that the vector engine
-(:mod:`repro.uarch.batchcore`) indexes per cycle. The stream reads no
-fault injector: it depends only on the program, the seed, the window
-and the core configuration.
+Every run of one stream key (:meth:`~repro.harness.runner.RunSpec.
+stream_key`) fetches the *identical* dynamic instruction stream, through
+the warmup and the window, whatever its scheme, supply or clock: the
+trace generator's RNG is warmup-side state and nothing on the
+measurement side reseeds it. The branch predictor, the L1 instruction
+cache, and the fetch-group partition are equally lane-invariant — they
+are driven only by that stream. This module walks those structures of
+the cold core once per plan, consuming them (the planned core never
+runs), and flattens the result into plain arrays (:class:`StreamPlan`)
+that the vector engine (:mod:`repro.uarch.batchcore`) indexes per cycle.
+The stream reads no fault injector: it depends only on the program, the
+seed, the window and the core configuration.
 
-What *does* differ per lane is the fault realization of the window:
-each campaign draw reseeds the injector's per-instance RNG from its
-``measurement_seed`` at the first instruction fetched after the warmup,
-and a lane without one continues the warmup stream.
-:func:`build_tapes` replays that stream per lane — the real
+What *does* differ per lane is the fault realization: each warmup key
+has an injector of its own (its scheme, supply and clock decide whether
+and how often a PC faults), each campaign draw reseeds its injector's
+per-instance RNG from its ``measurement_seed`` at the first instruction
+fetched after the warmup, and a lane without one continues the warmup
+stream. :func:`build_tapes` replays such a stream per lane — the real
 :meth:`~repro.faults.injector.FaultInjector.resolve` for critical PCs, a
 short-circuit for SAFE PCs (which consume exactly one background draw) —
 producing a dense (lanes x instructions) fault-stage-mask tape.
@@ -60,8 +62,7 @@ def build_stream(core, n_insts, width):
     """Walk ``n_insts`` instructions of ``core``'s future stream.
 
     The walk consumes ``core``'s own trace, branch predictor and L1I, so
-    ``core`` must be a cold core that never runs: afterwards
-    :func:`build_tapes` reads only its injector and program. Raises
+    ``core`` must be a cold core that never runs. Raises
     :class:`BatchFallback` when the trace ends inside the batch or an
     instruction has more than two sources.
     """
@@ -171,15 +172,17 @@ def build_stream(core, n_insts, width):
     return plan
 
 
-def build_tapes(core, plan, measurement_seeds, vdd, start=0):
-    """Per-lane fault tapes over ``plan``'s stream from position ``start``.
+def build_tapes(injector, program, pcs, measurement_seeds, vdd):
+    """Per-lane fault tapes over the stream positions whose PCs are ``pcs``.
 
-    Returns an ``(n_lanes, plan.n - start)`` int16 array of fault-stage
-    bitmasks, exactly what the scalar run's ``injector.resolve`` would
-    stamp on each dynamic instance from ``start`` on: reseeded from
-    ``measurement_seed + 301`` (as ``begin_measurement`` does), or, for a
-    ``None`` seed, on a copy of ``core``'s injector stream (on a cold
-    core, the stream the warmup starts with).
+    Returns an ``(n_lanes, len(pcs))`` int16 array of fault-stage
+    bitmasks, exactly what a scalar run's ``injector.resolve`` at supply
+    ``vdd`` would stamp on each dynamic instance of that stretch of the
+    stream: reseeded from ``measurement_seed + 301`` (as
+    ``begin_measurement`` does), or, for a ``None`` seed, on a copy of
+    ``injector``'s stream (on a cold core's injector, the stream the
+    warmup starts with). ``injector`` belongs to a core of ``program``;
+    with none, or a disabled one, every tape is clean.
 
     SAFE PCs take a short-circuit that consumes one RNG draw (the
     background-fault check) — bit-exact with ``resolve``, which skips the
@@ -187,19 +190,16 @@ def build_tapes(core, plan, measurement_seeds, vdd, start=0):
     go through the real ``resolve`` on a scratch instance so the timing
     model's decision chain is shared, not re-implemented.
     """
-    n_lanes = len(measurement_seeds)
-    tapes = np.zeros((n_lanes, plan.n - start), dtype=np.int16)
-    injector = core.injector
+    tapes = np.zeros((len(measurement_seeds), len(pcs)), dtype=np.int16)
     if injector is None or not injector.enabled:
         return tapes
-    program = core.program
     # a PC is critical when the injector assigned it a timing class
     timing = injector._pc_timing
     by_pc = {si.pc: (si.pc in timing, si) for si in program.static_insts}
     scratch = DynInst(0, program.static_insts[0])
     bg = injector._background_prob(vdd)
     # one (is_critical, static) pair per stream position, walked per lane
-    walk = [by_pc[p] for p in plan.pc[start:].tolist()]
+    walk = [by_pc[p] for p in pcs.tolist()]
     saved_rng = injector._rng
     resolve = injector.resolve
     pick_stage = injector._pick_stage

@@ -41,6 +41,20 @@ def make_linear_program(n_blocks=4, block_len=5, loop=True):
     return Program(blocks, name="linear")
 
 
+@pytest.fixture(autouse=True)
+def _no_kept_plan():
+    """Start every test without the batch plan an earlier test kept.
+
+    A test that patches ``cold_core`` or ``batchcore.build_plan`` then
+    gets its own plan, and leaves none behind for the next test.
+    """
+    from repro.snapshot import batch
+
+    batch._plans.clear()
+    yield
+    batch._plans.clear()
+
+
 @pytest.fixture
 def linear_program():
     return make_linear_program()

@@ -42,7 +42,7 @@ MUTATIONS = {
     "n_instructions": (5000, "warmup"),
     "warmup": (1000, "warmup"),
     "seed": (4, "warmup"),
-    "config": (CoreConfig.core1(), "warmup"),
+    "config": (CoreConfig.core1(rob_size=64), "warmup"),
     "tep_config": ("_tep_", "warmup"),
     "predictor": ("mre", "warmup"),
     "overclock": (1.1, "warmup"),
@@ -142,6 +142,33 @@ def test_keys_follow_the_partition():
             assert spec.warmup_key() != base.warmup_key(), field
         else:
             assert spec.warmup_key() == base.warmup_key(), field
+
+
+def test_the_stream_key_is_the_warmup_key_less_the_lane_fields():
+    """Scheme, supply and clock are lane state of a batch: they leave the
+    stream key, and every other warmup field moves it."""
+    base = _base()
+    for field, (value, half) in MUTATIONS.items():
+        spec = _mutated(field, value)
+        assert (spec.stream_key() != base.stream_key()) == (
+            half == "warmup"
+            and field not in RunSpec.LANE_WARMUP_FIELDS), field
+
+
+def test_an_explicit_default_record_keys_as_none():
+    """``config=CoreConfig.core1()`` is the default core, and
+    ``tep_config=TEPConfig()`` the default TEP: such a spec shares every
+    key, and so every cache entry and kernel call, with the spec that
+    leaves the record out."""
+    for spec in (_base(config=CoreConfig.core1()),
+                 _base(tep_config=TEPConfig()),
+                 _base(config=CoreConfig.core1().to_dict(),
+                       tep_config=TEPConfig().to_dict())):
+        assert spec.key() == _base().key()
+        assert spec.warmup_key() == _base().warmup_key()
+        assert spec.stream_key() == _base().stream_key()
+    assert (_base(config=CoreConfig.core1(rob_size=64)).key()
+            != _base().key())
 
 
 def test_execution_details_touch_neither_half():

@@ -11,8 +11,9 @@ and no kernel at all, where every batch must fall back to the scalar
 path lane by lane and say so in its report. A hypothesis test pins that
 forcing lane evictions at arbitrary points (the mid-window divergence
 path) cannot change any result, on both paths too. A generated test
-draws every warmup field of a spec, every ``CoreConfig`` and
-``TEPConfig`` field, seeds (or one seedless lane) and lane count, and
+draws a stream (every stream field of a spec, every ``CoreConfig`` and
+``TEPConfig`` field) and then lanes of it, each with its own scheme,
+supply, clock and measurement seed, runs them as one batch and
 compares every lane with a cold scalar run of its spec; a spec with a
 field outside the kernel's model must be turned away by
 ``batch_eligible`` and still equal its scalar run through ``run_many``.
@@ -494,10 +495,12 @@ if HAVE_HYPOTHESIS:
 
     #: per record, one strategy per field, drawing values inside the
     #: kernel's model; a record class stands for "the default (None) or
-    #: every field of that record drawn". ``RunSpec``'s measurement fields
-    #: are not lane fields: ``measurement_seed`` is drawn per lane, and a
-    #: storm, telemetry, ``verify`` or ``corruption`` makes a spec
-    #: batch-ineligible.
+    #: every field of that record drawn". ``RunSpec``'s warmup fields
+    #: split in two: its stream fields are drawn once per batch, its lane
+    #: fields (``RunSpec.LANE_WARMUP_FIELDS``) once per lane. Its
+    #: measurement fields are not lane fields: ``measurement_seed`` is
+    #: drawn per lane, and a storm, telemetry, ``verify`` or
+    #: ``corruption`` makes a spec batch-ineligible.
     LANE_FIELDS = {
         RunSpec: {
             "benchmark": st.sampled_from(profile_names()),
@@ -544,6 +547,8 @@ if HAVE_HYPOTHESIS:
             "history_bits": st.just(0),
         },
     }
+    #: a lane without a measurement seed continues the warmup stream
+    MSEEDS = st.none() | st.integers(min_value=1, max_value=10 ** 6)
 
     #: (record, field) -> values outside the kernel's model, which make a
     #: spec batch-ineligible
@@ -576,134 +581,171 @@ if HAVE_HYPOTHESIS:
     def test_lane_strategies_cover_every_field():
         for record, strategies in LANE_FIELDS.items():
             assert sorted(strategies) == sorted(_lane_fields(record)), record
+        # RunSpec's strategies split exactly into the stream's fields,
+        # drawn once per batch, and the lanes' own, drawn per lane
+        stream = [name for name, _ in RunSpec.STREAM_FIELDS]
+        lane = list(RunSpec.LANE_WARMUP_FIELDS)
+        assert not set(stream) & set(lane)
+        assert sorted(LANE_FIELDS[RunSpec]) == sorted(stream + lane)
         for record, name in OUTSIDE:
             assert name in LANE_FIELDS[record], (record, name)
+            # a field outside the model is a stream field: it turns away
+            # every lane of the batch
+            assert record is not RunSpec or (
+                name not in RunSpec.LANE_WARMUP_FIELDS)
 
     @st.composite
     def _lane_runs(draw):
-        """``(RunSpec keyword arguments, the OUTSIDE field or None)``:
-        every warmup field drawn from its strategy, and at most one field
-        outside the kernel's model."""
+        """``(stream fields, lanes, the OUTSIDE field or None)``: every
+        stream field of ``RunSpec`` drawn once, at most one field outside
+        the kernel's model, and 1-6 lanes, each with its own scheme,
+        supply, clock and measurement seed (or the previous lane's
+        scheme, supply and clock, so warmup keys hold several lanes)."""
         outside = draw(st.none() | st.sampled_from(list(OUTSIDE)))
 
-        def fields(record):
-            values = {}
-            for name, strategy in LANE_FIELDS[record].items():
-                if (record, name) == outside:
-                    values[name] = draw(OUTSIDE[outside])
-                elif (name == "scheme" and record is RunSpec
-                      and outside in PREDICTOR_FIELDS):
-                    values[name] = draw(PREDICTOR_SCHEMES)
-                elif isinstance(strategy, type):
-                    nested = outside is not None and outside[0] is strategy
-                    values[name] = (
-                        strategy(**fields(strategy))
-                        if nested or draw(st.booleans()) else None
-                    )
-                else:
-                    values[name] = draw(strategy)
-            return values
+        def value(record, name, strategy):
+            if (record, name) == outside:
+                return draw(OUTSIDE[outside])
+            if (name == "scheme" and record is RunSpec
+                    and outside in PREDICTOR_FIELDS):
+                return draw(PREDICTOR_SCHEMES)
+            if isinstance(strategy, type):
+                nested = outside is not None and outside[0] is strategy
+                return (strategy(**fields(strategy))
+                        if nested or draw(st.booleans()) else None)
+            return draw(strategy)
 
-        return fields(RunSpec), outside
+        def fields(record, names=None):
+            return {
+                name: value(record, name, strategy)
+                for name, strategy in LANE_FIELDS[record].items()
+                if names is None or name in names
+            }
 
-    def _run(config=None, outside=None, **fields):
-        """An example's ``(RunSpec arguments, OUTSIDE field)``: gcc/ABS/
-        0.97 V, 1200 + 800 instructions, default records, unless
-        ``fields`` say otherwise; ``config`` overrides fields of the
-        default core, and ``outside`` names the field drawn outside the
-        kernel's model."""
-        run = dict(
-            benchmark="gcc", scheme=SchemeKind.ABS, vdd=0.97,
-            n_instructions=800, warmup=1200, seed=3, config=None,
-            tep_config=None, predictor="tep", overclock=1.0,
+        stream = fields(RunSpec, [name for name, _ in RunSpec.STREAM_FIELDS])
+        lanes = []
+        for _ in range(draw(st.integers(min_value=1, max_value=6))):
+            if lanes and draw(st.booleans()):
+                lane = {name: lanes[-1][name]
+                        for name in RunSpec.LANE_WARMUP_FIELDS}
+            else:
+                lane = fields(RunSpec, RunSpec.LANE_WARMUP_FIELDS)
+            lanes.append(dict(lane, measurement_seed=draw(MSEEDS)))
+        return stream, lanes, outside
+
+    def _run(config=None, outside=None, mseeds=(None,), lanes=None,
+             **fields):
+        """An example's ``(stream fields, lanes, OUTSIDE field)``: gcc,
+        1200 + 800 instructions, default records, and one ABS lane at
+        0.97 V per entry of ``mseeds``, unless ``fields`` say otherwise.
+        ``lanes`` lists each lane's own fields instead; ``config``
+        overrides fields of the default core, and ``outside`` names the
+        field drawn outside the kernel's model."""
+        stream = dict(
+            benchmark="gcc", n_instructions=800, warmup=1200, seed=3,
+            config=None, tep_config=None, predictor="tep",
         )
         if config is not None:
-            run["config"] = CoreConfig(**config)
-        run.update(fields)
-        return run, outside
+            stream["config"] = CoreConfig(**config)
+        lane = dict(scheme=SchemeKind.ABS, vdd=0.97, overclock=1.0)
+        for name, value in fields.items():
+            (lane if name in lane else stream)[name] = value
+        if lanes is None:
+            lanes = [dict(measurement_seed=m) for m in mseeds]
+        return stream, [dict(lane, **own) for own in lanes], outside
+
+    #: every scheme at both supplies on one stream: twelve warmup lanes,
+    #: the seeded ones reseeding at their own warmup lane's boundary
+    MIXED_LANES = [
+        dict(scheme=scheme, vdd=vdd,
+             measurement_seed=k + 1 if vdd == 1.04 else None)
+        for vdd in (0.97, 1.04)
+        for k, scheme in enumerate((
+            SchemeKind.FAULT_FREE, SchemeKind.RAZOR, SchemeKind.EP,
+            SchemeKind.ABS, SchemeKind.FFS, SchemeKind.CDS,
+        ))
+    ]
 
     @settings(
         derandomize=True, max_examples=25, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(
-        run=_lane_runs(),
-        # a lane without a measurement seed continues the warmup stream
-        mseeds=st.one_of(
-            st.just([None]),
-            st.lists(
-                st.integers(min_value=1, max_value=10 ** 6),
-                min_size=1, max_size=6, unique=True,
-            ),
-        ),
-        store=st.booleans(),
-    )
+    @given(run=_lane_runs(), store=st.booleans())
     # sjeng keys fu_ops in a non-sorted first-issue order; povray issues
     # FPU ops, which must not hold the complex unit for their latency
     @example(run=_run(benchmark="sjeng", scheme=SchemeKind.EP, vdd=1.04,
-                      seed=1, warmup=3000, n_instructions=6000),
-             mseeds=[1, 2, 3, 4], store=True)
+                      seed=1, warmup=3000, n_instructions=6000,
+                      mseeds=[1, 2, 3, 4]), store=True)
     @example(run=_run(benchmark="povray", scheme=SchemeKind.FAULT_FREE,
-                      seed=1, warmup=300, n_instructions=600),
-             mseeds=[1, 2], store=True)
-    @example(run=_run(warmup=0, n_instructions=600), mseeds=[None],
-             store=False)
+                      seed=1, warmup=300, n_instructions=600,
+                      mseeds=[1, 2]), store=True)
+    @example(run=_run(warmup=0, n_instructions=600), store=False)
     # warmups that end with the pipeline busy: pending EP stalls and a
     # full conveyor (seed 1), a blocking branch and conveyor residents
     # (seed 5)
     @example(run=_run(benchmark="sjeng", scheme=SchemeKind.EP, seed=1,
-                      warmup=700, n_instructions=900),
-             mseeds=[1, 2, 3], store=False)
+                      warmup=700, n_instructions=900, mseeds=[1, 2, 3]),
+             store=False)
     @example(run=_run(benchmark="sjeng", scheme=SchemeKind.EP, seed=5,
-                      warmup=700, n_instructions=900),
-             mseeds=[None], store=True)
+                      warmup=700, n_instructions=900), store=True)
     # the values of the field probe: each equalled scalar on the kernel
     @example(run=_run(benchmark="astar", scheme=SchemeKind.FFS, vdd=1.04,
-                      overclock=1.08), mseeds=[1, 2, 3], store=False)
+                      overclock=1.08, mseeds=[1, 2, 3]), store=False)
     @example(run=_run(benchmark="mcf", scheme=SchemeKind.EP,
-                      overclock=1.15), mseeds=[1, 2, 3], store=False)
-    @example(run=_run(config=dict(frontend_depth=9)), mseeds=[1, 2, 3],
+                      overclock=1.15, mseeds=[1, 2, 3]), store=False)
+    @example(run=_run(config=dict(frontend_depth=9), mseeds=[1, 2, 3]),
              store=False)
     @example(run=_run(benchmark="bzip2", scheme=SchemeKind.RAZOR,
-                      config=dict(redirect_penalty=5)),
-             mseeds=[1, 2, 3], store=False)
+                      config=dict(redirect_penalty=5), mseeds=[1, 2, 3]),
+             store=False)
     @example(run=_run(benchmark="sjeng", scheme=SchemeKind.RAZOR,
-                      config=dict(replay_recovery=6)),
-             mseeds=[1, 2, 3], store=False)
-    @example(run=_run(benchmark="tonto", config=dict(recovery_bubbles=1)),
-             mseeds=[1, 2, 3], store=False)
+                      config=dict(replay_recovery=6), mseeds=[1, 2, 3]),
+             store=False)
+    @example(run=_run(benchmark="tonto", config=dict(recovery_bubbles=1),
+                      mseeds=[1, 2, 3]), store=False)
     @example(run=_run(scheme=SchemeKind.FFS,
-                      config=dict(bp_history_bits=6, bp_table_bits=8)),
-             mseeds=[1, 2, 3], store=False)
-    @example(run=_run(benchmark="mcf", config=dict(n_phys_regs=48)),
-             mseeds=[1, 2, 3], store=False)
+                      config=dict(bp_history_bits=6, bp_table_bits=8),
+                      mseeds=[1, 2, 3]), store=False)
+    @example(run=_run(benchmark="mcf", config=dict(n_phys_regs=48),
+                      mseeds=[1, 2, 3]), store=False)
     @example(run=_run(benchmark="astar", scheme=SchemeKind.EP,
-                      config=dict(model_wrong_path=False)),
-             mseeds=[1, 2, 3], store=False)
+                      config=dict(model_wrong_path=False), mseeds=[1, 2, 3]),
+             store=False)
     # a one-instruction window that starts at cycle 25,094, past the
     # 20,400 cycles of its budget if that counted from cycle 0
     @example(run=_run(benchmark="mcf", seed=1, warmup=8000,
-                      n_instructions=1), mseeds=[1, 2], store=False)
+                      n_instructions=1, mseeds=[1, 2]), store=False)
     # outside the model: batch-ineligible, so run_many runs them scalar
-    @example(run=_run(predictor="mre", outside=(RunSpec, "predictor")),
-             mseeds=[1, 2], store=False)
+    @example(run=_run(predictor="mre", outside=(RunSpec, "predictor"),
+                      mseeds=[1, 2]), store=False)
     # CDS lanes that land criticality marks: at mseed 1 bzip2 lands 28
     # and takes 620 cycles, against ABS's 631
     @example(run=_run(benchmark="bzip2", scheme=SchemeKind.CDS,
-                      config=dict(criticality_threshold=2)),
-             mseeds=[1, 2, 3], store=False)
+                      config=dict(criticality_threshold=2),
+                      mseeds=[1, 2, 3]), store=False)
     @example(run=_run(benchmark="mcf", scheme=SchemeKind.CDS, vdd=1.04,
-                      config=dict(criticality_threshold=4)),
-             mseeds=[None], store=True)
+                      config=dict(criticality_threshold=4)), store=True)
+    # one stream under every scheme at both supplies, and lanes of one
+    # scheme at three clocks, one of them twice
+    @example(run=_run(benchmark="bzip2", config=dict(criticality_threshold=2),
+                      lanes=MIXED_LANES), store=False)
+    @example(run=_run(benchmark="astar", scheme=SchemeKind.FFS, lanes=[
+        dict(overclock=1.0, measurement_seed=1),
+        dict(overclock=1.08, measurement_seed=2),
+        dict(overclock=1.15, measurement_seed=None),
+        dict(overclock=1.08, measurement_seed=3),
+    ]), store=True)
     def test_generated_kernel_lanes_match_cold_scalar_runs(
-        run, mseeds, store, kernel, snap_dir,
+        run, store, kernel, snap_dir,
     ):
-        """Every lane equals a cold scalar run of its spec.
+        """Every lane of one stream equals a cold scalar run of its spec.
 
-        A spec is batch-eligible exactly when no field was drawn outside
-        the kernel's model. An eligible spec runs every lane on the
-        kernel; an ineligible one runs through ``run_many`` with lanes
-        on, which runs it scalar. ``store`` hands the runs a snapshot
+        The lanes share the stream's fields and draw their scheme, supply,
+        clock and measurement seed each, into one ``run_batch`` call. A
+        spec is batch-eligible exactly when no field was drawn outside
+        the kernel's model. Eligible lanes run on the kernel with no
+        fallback; ineligible ones run through ``run_many`` with lanes on,
+        which runs them scalar. ``store`` hands the runs a snapshot
         store. ``list(stats.fu_ops)`` is compared on its own because
         ``as_dict()`` sorts ``fu_ops``, while the energy sum follows the
         dict's order.
@@ -711,23 +753,20 @@ if HAVE_HYPOTHESIS:
         from repro.harness.runner import run_one
         from repro.snapshot.batch import BatchReport, batch_eligible, run_batch
 
-        fields, outside = run
-
-        def spec(mseed):
-            return RunSpec(**fields, measurement_seed=mseed)
-
+        stream, lanes, outside = run
         directory = str(snap_dir) if store else None
-        lanes = [spec(m) for m in mseeds]
-        for lane in lanes:
-            lane.snapshot_dir = directory
-        assert batch_eligible(lanes[0]) == (outside is None), outside
+        specs = [RunSpec(**stream, **lane) for lane in lanes]
+        for spec in specs:
+            spec.snapshot_dir = directory
+        assert all(batch_eligible(spec) == (outside is None)
+                   for spec in specs), outside
         if outside is None:
             report = BatchReport()
-            batched = run_batch(lanes, directory, report)
+            batched = run_batch(specs, directory, report)
             assert report.fallback_reason is None, report
         else:
-            batched = run_many(lanes, batch_lanes=16)
-        for lane, (mseed, result) in enumerate(zip(mseeds, batched)):
-            cold = run_one(spec(mseed))
-            assert _digest(result) == _digest(cold), (lane, outside)
+            batched = run_many(specs, batch_lanes=16)
+        for i, (lane, result) in enumerate(zip(lanes, batched)):
+            cold = run_one(RunSpec(**stream, **lane))
+            assert _digest(result) == _digest(cold), (i, lane, outside)
             assert list(result.stats.fu_ops) == list(cold.stats.fu_ops)

@@ -56,9 +56,13 @@ def _records(span):
 
 
 def _core(records, warmup=0):
-    """A core fetching ``records``, run through ``warmup`` commits."""
+    """A core fetching ``records``, run through ``warmup`` commits.
+
+    It has no program (nothing fault-free reads one) and no injector.
+    """
     core = OoOCore(CoreConfig.core1(), FileTrace(records), MemoryHierarchy(),
                    make_scheme(SchemeKind.FAULT_FREE))
+    core.program = None
     if warmup:
         core.run(warmup)
     return core
