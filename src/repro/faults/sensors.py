@@ -57,11 +57,18 @@ class VoltageSensor:
         #: running above nominal frequency also consumes the guardband
         self.overclocked = overclocked
 
+    def statically_armed(self):
+        """True when the run's clock or supply alone arms the sensor.
+
+        Both are fixed for a whole run, so an armed sensor stays armed:
+        the pipeline latches this once, and a batch-kernel lane reads it
+        from its spec.
+        """
+        return self.overclocked or self.vdd <= self.v_threshold
+
     def favorable(self):
         """True when timing violations are plausible under current conditions."""
-        if self.overclocked:
-            return True
-        if self.vdd <= self.v_threshold:
+        if self.statically_armed():
             return True
         if self.thermal is not None:
             return self.thermal.temperature >= self.t_threshold

@@ -7,7 +7,9 @@ suite are thin wrappers over these.
 The scheduling experiments share simulation runs through a
 :class:`SchedulingSweep`, which runs (benchmark x scheme) at one supply
 voltage and caches the results — Figure 4 and 5 (and 8 and 9) use the same
-sweep.
+sweep. :func:`prefetch` fills several sweeps with one
+:func:`~repro.harness.parallel.run_many`, so a benchmark's windows at
+every supply share one kernel call.
 """
 
 from repro.core.schemes import SchemeKind
@@ -19,6 +21,8 @@ from repro.harness.tables import format_bar_series, format_table
 from repro.workloads.profiles import profile_names
 
 _PROPOSED = (SchemeKind.ABS, SchemeKind.FFS, SchemeKind.CDS)
+#: a figure's schemes: the fault-free baseline, EP and the proposed three
+_FIGURE_SCHEMES = (SchemeKind.FAULT_FREE, SchemeKind.EP) + _PROPOSED
 
 
 class ExperimentResult:
@@ -42,13 +46,17 @@ class SchedulingSweep:
 
     ``jobs``/``cache``/``cache_dir`` configure the batch engine
     (:func:`repro.harness.parallel.run_many`) used to fill the sweep:
-    points requested in bulk (:meth:`prefetch`, or implicitly by
+    points requested in bulk (:func:`prefetch` over several sweeps,
+    :meth:`prefetch` over this one, or implicitly
     :meth:`relative_overheads`) fan out over ``jobs`` worker processes,
     and with ``cache`` enabled every point is persisted to — and replayed
     from — the on-disk result cache. Every driver in this module runs
     each eligible point as a lane of the compiled batch kernel
     (:data:`~repro.harness.parallel.DRIVER_LANES`), bit-identical to its
-    scalar run; only a missing compiler keeps them scalar.
+    scalar run; only a missing compiler keeps them scalar. The windows of
+    one benchmark share a stream whatever their scheme and supply, so a
+    driver that fills its sweeps together runs one kernel call per
+    benchmark.
     """
 
     def __init__(self, vdd, n_instructions=10000, warmup=4000, seed=1,
@@ -78,16 +86,7 @@ class SchedulingSweep:
 
     def prefetch(self, schemes):
         """Fill the (benchmark x scheme) grid through the batch engine."""
-        pairs = [
-            (benchmark, scheme)
-            for benchmark in self.benchmarks
-            for scheme in schemes
-            if (benchmark, scheme) not in self._cache
-        ]
-        if not pairs:
-            return
-        results = self._run_many([self.spec(b, s) for b, s in pairs])
-        self._cache.update(zip(pairs, results))
+        prefetch([(self, schemes)])
 
     def result(self, benchmark, scheme):
         """Run (or fetch) one simulation point."""
@@ -119,7 +118,7 @@ class SchedulingSweep:
         low fault rates with measurement noise) are skipped — a ratio to a
         <=0 denominator is meaningless.
         """
-        self.prefetch((SchemeKind.FAULT_FREE, SchemeKind.EP) + _PROPOSED)
+        self.prefetch(_FIGURE_SCHEMES)
         fn = self.perf_overhead if metric == "perf" else self.ed_overhead
         series = {s.name: {} for s in _PROPOSED}
         for benchmark in self.benchmarks:
@@ -131,6 +130,29 @@ class SchedulingSweep:
                     fn(benchmark, scheme), 0.0
                 ) / ep
         return series
+
+
+def prefetch(grids):
+    """Fill several sweeps' grids with one :func:`run_many`.
+
+    ``grids`` holds ``(sweep, schemes)`` pairs; every (benchmark x
+    scheme) point of each sweep's grid not yet cached runs, with the
+    first sweep's engine settings. Points of one benchmark at several
+    supplies share a stream, so they share a kernel call.
+    """
+    missing = [
+        (sweep, (benchmark, scheme))
+        for sweep, schemes in grids
+        for benchmark in sweep.benchmarks
+        for scheme in schemes
+        if (benchmark, scheme) not in sweep._cache
+    ]
+    if not missing:
+        return
+    results = missing[0][0]._run_many(
+        [sweep.spec(*point) for sweep, point in missing])
+    for (sweep, point), result in zip(missing, results):
+        sweep._cache[point] = result
 
 
 # ----------------------------------------------------------------------
@@ -154,21 +176,16 @@ def table1(n_instructions=10000, warmup=4000, seed=1, benchmarks=None,
                                  cache_dir=cache_dir)
             for vdd in (VDD_HIGH_FAULT, VDD_LOW_FAULT)
         }
-    for sweep in sweeps.values():
-        sweep.prefetch(
-            (SchemeKind.FAULT_FREE, SchemeKind.RAZOR, SchemeKind.EP)
-        )
-    nominal = run_many(
-        [
-            RunSpec(benchmark, SchemeKind.FAULT_FREE, VDD_NOMINAL,
-                    n_instructions, warmup, seed)
-            for benchmark in benchmarks
-        ],
-        jobs=jobs, cache=cache, cache_dir=cache_dir,
-        batch_lanes=DRIVER_LANES,
-    )
-    for benchmark, nominal_result in zip(benchmarks, nominal):
-        ipc = nominal_result.ipc
+    # the fault-free IPC column runs at the nominal supply, on the same
+    # streams as the sweeps: one kernel call per benchmark fills all three
+    nominal = SchedulingSweep(VDD_NOMINAL, n_instructions, warmup, seed,
+                              benchmarks, jobs=jobs, cache=cache,
+                              cache_dir=cache_dir)
+    table1_schemes = (SchemeKind.FAULT_FREE, SchemeKind.RAZOR, SchemeKind.EP)
+    prefetch([(sweep, table1_schemes) for sweep in sweeps.values()]
+             + [(nominal, (SchemeKind.FAULT_FREE,))])
+    for benchmark in benchmarks:
+        ipc = nominal.baseline(benchmark).ipc
         entry = {"ipc": ipc}
         row = [benchmark, round(ipc, 2)]
         for vdd in (VDD_HIGH_FAULT, VDD_LOW_FAULT):
@@ -404,6 +421,8 @@ def headline(n_instructions=10000, warmup=4000, seed=1, benchmarks=None,
     sweeps = {vdd: (sweeps or {}).get(vdd) or _sweep(
         vdd, n_instructions, warmup, seed, benchmarks, jobs, cache,
         cache_dir) for vdd in (VDD_LOW_FAULT, VDD_HIGH_FAULT)}
+    # both supplies in one run_many: a benchmark's windows share a call
+    prefetch([(sweep, _FIGURE_SCHEMES) for sweep in sweeps.values()])
     results = {}
     for name, fig_fn, claim_key, vdd in (
         ("perf@1.04V", fig4, "perf_reduction_low_fr", VDD_LOW_FAULT),

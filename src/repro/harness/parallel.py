@@ -38,9 +38,10 @@ _CACHE_FORMAT = 1
 #: the most lanes per kernel call that the paper's drivers
 #: (:mod:`repro.harness.experiments`, ``run_seeds``) ask of
 #: :func:`run_many`. The windows of one benchmark, seed and window share
-#: a stream key whatever their scheme and supply, so a table or figure
-#: runs one call per benchmark; fault-mode ``run_seeds`` draws fill a
-#: call of up to this many.
+#: a stream key whatever their scheme and supply, and each driver fills
+#: all its supplies with one :func:`run_many`, so a table or figure runs
+#: one call per benchmark (the headline's ten windows, Table 1's seven);
+#: fault-mode ``run_seeds`` draws fill a call of up to this many.
 DRIVER_LANES = 16
 
 #: file types under ``repro`` that the model executes

@@ -314,7 +314,33 @@ def _cached_program(profile, seed):
     return program
 
 
-def _build_injector(profile, program, spec, timing_model):
+def injects_faults(spec):
+    """True when ``spec``'s core has a fault injector.
+
+    Its scheme must fault (not FAULT_FREE) and its run must be stressed:
+    a supply below nominal or a clock above it. The TEP's sensor has a
+    rule of its own (:meth:`~repro.faults.sensors.VoltageSensor.
+    statically_armed`), which differs within 1e-9 V of nominal.
+    """
+    return scheme_kind(spec.scheme) is not SchemeKind.FAULT_FREE and (
+        spec.vdd < VDD_NOMINAL or spec.overclock > 1.0)
+
+
+def build_injector(spec):
+    """The fault injector of ``spec``'s core, or None when it has none.
+
+    It reads the stream fields and the clock, never the scheme or the
+    supply: the supply enters only per instance
+    (:meth:`~repro.faults.injector.FaultInjector.resolve`, whose caches
+    are keyed by it), so every faulting lane of one stream and clock may
+    draw its tapes from one injector.
+    """
+    if not injects_faults(spec):
+        return None
+    profile = get_profile(spec.benchmark)
+    program = _cached_program(profile, spec.seed)
+    timing_model = StageTimingModel(
+        VoltageScaling(), ProcessVariationModel(seed=spec.seed + 201))
     injector = FaultInjector(timing_model, seed=spec.seed + 301)
     # estimate frequencies over the same CFG walk (same seed) and exactly
     # the measured window, so the dynamic fault-rate targets refer to PCs
@@ -337,6 +363,7 @@ def _build_injector(profile, program, spec, timing_model):
     injector.assign(
         program.static_insts, pc_freq, profile.fr_low, profile.fr_high
     )
+    injector.frequency_factor = spec.overclock
     return injector
 
 
@@ -354,14 +381,7 @@ def build_core(spec):
     trace = TraceGenerator(program, seed=spec.seed + 101)
     hierarchy = MemoryHierarchy()
     scheme = make_scheme(spec.scheme)
-    injector = None
-    stressed = spec.vdd < VDD_NOMINAL or spec.overclock > 1.0
-    if scheme.kind is not SchemeKind.FAULT_FREE and stressed:
-        scaling = VoltageScaling()
-        variation = ProcessVariationModel(seed=spec.seed + 201)
-        timing_model = StageTimingModel(scaling, variation)
-        injector = _build_injector(profile, program, spec, timing_model)
-        injector.frequency_factor = spec.overclock
+    injector = build_injector(spec)
     tep = None
     if scheme.uses_tep:
         if spec.predictor == "tep":

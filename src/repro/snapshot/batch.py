@@ -4,18 +4,23 @@ Specs sharing one stream key (:meth:`~repro.harness.runner.RunSpec.
 stream_key`, the warmup key without scheme, supply and clock) fetch the
 *identical* instruction stream through warmup and window. They differ in
 what their scheme, supply and clock decide — the scheme's mechanisms and
-the fault injector — and in measurement-window fields such as
+the fault draws — and in measurement-window fields such as
 ``measurement_seed``, which reseeds the injector at the
 warmup→measurement boundary. The batch path exploits this: one cold core
 (:func:`~repro.harness.runner.cold_core`) supplies the lane-invariant
 plan over warmup and window (:func:`repro.uarch.batchcore.build_plan`),
-which the process keeps for the next call on the same stream; the
-compiled kernel runs one warmup lane per warmup key, every lane starts
-the window from its own warmup lane's state, and each seeded lane's
-fault tape is redrawn from the first instruction that warmup lane had
-not fetched (:func:`repro.uarch.batchstream.build_tapes`). No kernel
-lane is warmed on the scalar core, forked or captured: the snapshot
-store serves only scalar runs. A batch may have one lane.
+which the process keeps for the next call on the same stream. A lane
+needs its spec, not a core: its scheme scalars come from the spec
+(:func:`repro.uarch.batchcore.scheme_scalars`), and its faults from the
+one injector of its clock (:func:`~repro.harness.runner.build_injector`,
+which reads no scheme or supply) and the one seedless tape of its clock
+and supply (:func:`repro.uarch.batchstream.build_tapes`). Each warmup
+key runs as its own small engine: its warmup lane warms in the kernel,
+every lane of the key starts the window from that lane's state, and each
+seeded lane's fault tape is redrawn from the first instruction that
+warmup lane had not fetched. No kernel lane is warmed on the scalar
+core, forked or captured: the snapshot store serves only scalar runs. A
+batch may have one lane.
 
 Correctness never depends on the batch path handling every corner:
 
@@ -40,7 +45,7 @@ import numpy as np
 from repro.core.schemes import make_scheme
 from repro.core.tep import TEPConfig
 from repro.harness.runner import (
-    build_core, cold_core, measure, measured_result,
+    build_injector, cold_core, injects_faults, measure, measured_result,
 )
 from repro.snapshot.fork import warmed_core
 from repro.uarch import batchkernel
@@ -165,14 +170,14 @@ def warmup_reach(plan, warmup):
 
 
 def _stream_plan(spec):
-    """The batch plan of ``spec``'s stream, and a new one's warmup lane.
+    """The batch plan of ``spec``'s stream, and a new plan's injector.
 
-    Returns ``(plan, lane)``: the kept plan and None, or a new plan and
-    the :class:`_WarmupLane` of ``spec`` read off the cold core the plan
-    was built from (the core is gone when this returns). The process
-    keeps one plan, the last: the old one is dropped before the next is
-    built, so two are never alive at once. Lanes only read a plan (the
-    kernel's plan fields are ``const``), so a kept plan serves every
+    Returns ``(plan, injector)``: the kept plan and None, or a new plan
+    and the fault injector of the cold core it was built from (None when
+    ``spec`` injects no faults; the core is gone when this returns). The
+    process keeps one plan, the last: the old one is dropped before the
+    next is built, so two are never alive at once. Lanes only read a plan
+    (the kernel's plan fields are ``const``), so a kept plan serves every
     later call unchanged.
     """
     from repro.uarch import batchcore
@@ -184,34 +189,7 @@ def _stream_plan(spec):
     core = cold_core(spec)
     _plans[key] = batchcore.build_plan(core,
                                        spec.warmup + spec.n_instructions)
-    return _plans[key], _WarmupLane(spec, core)
-
-
-class _WarmupLane:
-    """What one warmup key brings to a call: its warmup lane's scheme
-    scalars, and its fault injector for the lanes' tapes.
-
-    Read off a core of the key's first spec: ``core`` when one was built
-    already (planning a stream walks a core's trace, branch predictor
-    and caches, none of which is read here), else a fresh one. The core
-    is not kept: a call keeps injectors (kilobytes each), not cores
-    (megabytes).
-    """
-
-    def __init__(self, spec, core=None):
-        from repro.uarch.batchcore import scheme_scalars
-
-        if core is None:
-            core = build_core(spec)
-        self.scalars = scheme_scalars(core)
-        self.injector = core.injector
-        self.program = core.program
-        self.vdd = spec.vdd
-
-    def tapes(self, pcs, measurement_seeds):
-        """Tapes over the stream positions of ``pcs``, one per seed."""
-        return build_tapes(self.injector, self.program, pcs,
-                           measurement_seeds, self.vdd)
+    return _plans[key], core.injector
 
 
 def run_batch(specs, snapshot_dir, report=None, force_evict=None):
@@ -219,8 +197,8 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
 
     All specs must share one stream key and be :func:`batch_eligible`;
     violations raise ``ValueError`` (they indicate a grouping bug, not a
-    modeling limit). The kernel runs one warmup lane per warmup key
-    among ``specs`` and then the window on every lane. A missing
+    modeling limit). Each warmup key among ``specs`` runs as one engine:
+    its warmup lane, then the window on each of its lanes. A missing
     compiled kernel, data the planner rejects (:class:`BatchFallback`),
     an evicted warmup lane and per-lane evictions all degrade to the
     scalar path transparently: such a lane measures on
@@ -266,53 +244,98 @@ def run_batch(specs, snapshot_dir, report=None, force_evict=None):
 
 
 def _run_lanes(specs, force_evict):
-    """Run ``specs``' windows on the kernel, warmups first.
+    """Run ``specs``' windows on the kernel, one engine per warmup key.
 
-    Returns ``(per lane: counters or None, per lane: eviction reason)``.
-    Raises :class:`BatchFallback` for an evicted warmup lane, and for
-    one that fetched past its seedless tape (:data:`SHORT_TAPE`).
+    A warmup key's lanes fault on the tape of their clock and supply:
+    one injector per clock and one seedless tape per clock and supply
+    serve every warmup key of the call that shares them, drawn as far as
+    the farthest of those keys needs. Lanes that inject no faults read a
+    clean tape. Returns ``(per lane: counters or None, per lane: eviction
+    reason)``. Raises :class:`BatchFallback` for an evicted warmup lane,
+    and for one that fetched past its seedless tape (:data:`SHORT_TAPE`).
     """
-    from repro.uarch.batchcore import WARMUP_EVICTED, BatchEngine
+    ref = specs[0]
+    force_evict = force_evict or {}
+    plan, injector = _stream_plan(ref)
+    injectors = {ref.overclock: injector} if injector is not None else {}
+    # the lanes of each warmup key, in order of appearance, and the
+    # (clock, supply) of the tape each key reads, None for a clean one
+    keys = {}
+    for lane, spec in enumerate(specs):
+        keys.setdefault(spec.warmup_key(), []).append(lane)
+    tape_keys = []
+    reach = {}
+    for lanes in keys.values():
+        spec = specs[lanes[0]]
+        if not injects_faults(spec):
+            tape_keys.append(None)
+            reach[None] = plan.NS
+            continue
+        if spec.overclock not in injectors:
+            injectors[spec.overclock] = build_injector(spec)
+        tape_key = (spec.overclock, spec.vdd)
+        tape_keys.append(tape_key)
+        # a key whose lanes all reseed needs its seedless tape only as
+        # far as its warmup fetches
+        need = (plan.NS if any(specs[i].measurement_seed is None
+                               for i in lanes)
+                else min(plan.NS, warmup_reach(plan, ref.warmup)))
+        reach[tape_key] = max(reach.get(tape_key, 0), need)
+    pcs = plan.stream.pc
+    tapes = {}
+    for tape_key, n in reach.items():
+        tapes[tape_key] = np.zeros(plan.NS, dtype=np.int16)
+        if tape_key is not None:
+            clock, vdd = tape_key
+            tapes[tape_key][:n] = build_tapes(injectors[clock], plan.program,
+                                              pcs[:n], [None], vdd)[0]
+    counters = [None] * len(specs)
+    evicted = [None] * len(specs)
+    for lanes, tape_key in zip(keys.values(), tape_keys):
+        out, reasons = _run_warmup_key(
+            plan, tapes[tape_key], reach[tape_key],
+            injectors[tape_key[0]] if tape_key else None,
+            [specs[i] for i in lanes],
+            {k: force_evict[i] for k, i in enumerate(lanes)
+             if i in force_evict},
+        )
+        for i, lane_counters, reason in zip(lanes, out, reasons):
+            counters[i] = lane_counters
+            evicted[i] = reason
+    return counters, evicted
+
+
+def _run_warmup_key(plan, tape, drawn, injector, specs, force_evict):
+    """Warm one warmup key's lane, fork ``specs`` from it, run the window.
+
+    ``tape`` is the key's seedless tape, drawn over its first ``drawn``
+    slots, and ``injector`` the one its seeded tails are drawn with
+    (None: no faults). The engine lives only for this call, so a call
+    holds one warmup key's engine at a time. Returns the engine's
+    ``(counters, eviction reasons)`` per spec.
+    """
+    from repro.uarch.batchcore import (
+        WARMUP_EVICTED, BatchEngine, scheme_scalars,
+    )
 
     ref = specs[0]
-    plan, first_lane = _stream_plan(ref)
-    pcs = plan.stream.pc
-    # lane -> its warmup lane: one per warmup key, in order of appearance
-    index = {}
-    sources = [index.setdefault(spec.warmup_key(), len(index))
-               for spec in specs]
-    warm = [first_lane or _WarmupLane(ref)] + [
-        _WarmupLane(specs[sources.index(w)]) for w in range(1, len(index))
-    ]
-    # a warmup lane whose lanes all reseed needs its seedless tape only
-    # as far as its warmup fetches
-    unseeded = {w for w, spec in zip(sources, specs)
-                if spec.measurement_seed is None}
-    reach = np.array([
-        plan.NS if w in unseeded
-        else min(plan.NS, warmup_reach(plan, ref.warmup))
-        for w in range(len(warm))
-    ])
-    tapes = np.zeros((len(warm), plan.NS), dtype=np.int16)
-    for w, lane in enumerate(warm):
-        tapes[w, :reach[w]] = lane.tapes(pcs[:reach[w]], [None])[0]
-    engine = BatchEngine(plan, tapes, [lane.scalars for lane in warm])
+    engine = BatchEngine(plan, tape, scheme_scalars(ref))
     if ref.warmup:
-        for w, counters in enumerate(engine.run(ref.warmup)):
-            if counters is None:
-                raise BatchFallback(
-                    f"{WARMUP_EVICTED}: {engine.evicted_reason[w]}"
-                )
-    first = engine.first_unfetched
-    if (first > reach).any():
+        (warm,) = engine.run(ref.warmup)
+        if warm is None:
+            raise BatchFallback(
+                f"{WARMUP_EVICTED}: {engine.evicted_reason[0]}"
+            )
+    first = int(engine.first_unfetched[0])
+    if first > drawn:
         raise BatchFallback(SHORT_TAPE)
+    seeded = [k for k, spec in enumerate(specs)
+              if spec.measurement_seed is not None]
     tails = {}
-    for w, lane in enumerate(warm):
-        draws = [i for i, (source, spec) in enumerate(zip(sources, specs))
-                 if source == w and spec.measurement_seed is not None]
-        if draws:
-            rows = lane.tapes(pcs[first[w]:],
-                              [specs[i].measurement_seed for i in draws])
-            tails.update(zip(draws, rows))
-    engine.fork(sources, tails)
+    if injector is not None and seeded:
+        rows = build_tapes(injector, plan.program, plan.stream.pc[first:],
+                           [specs[k].measurement_seed for k in seeded],
+                           ref.vdd)
+        tails = dict(zip(seeded, rows))
+    engine.fork(len(specs), tails)
     return engine.run(ref.n_instructions, force_evict), engine.evicted_reason

@@ -9,17 +9,18 @@ and window, :mod:`repro.uarch.batchstream`) into plain arrays that read
 no scheme, and :class:`BatchEngine` lays out one row of machine state
 per lane and hands the batch to the compiled kernel
 (``batchkernel.c``, bound by :mod:`repro.uarch.batchkernel`), which
-advances lanes in place. A lane's scheme is lane state
-(:func:`scheme_scalars`). A batch runs one warmup lane per warmup key,
-gives every lane the state of its own warmup lane at the warmup
-boundary (:meth:`BatchEngine.fork`, the kernel-side
+advances lanes in place. A lane's scheme is lane state, read from its
+spec (:func:`scheme_scalars`). An engine holds one warmup key: it warms
+that key's warmup lane, gives every lane of the key that lane's state
+at the warmup boundary (:meth:`BatchEngine.fork`, the kernel-side
 ``begin_measurement``) and runs the window on all of them, so no lane is
-warmed on the scalar core or forked from a snapshot.
+warmed on the scalar core or forked from a snapshot. A batch of several
+warmup keys runs one engine after another on the same plan.
 
 The layout is driven by the kernel's ABI table
 (:data:`~repro.uarch.batchkernel.ARRAYS`): every per-lane array starts as
-its lane's :func:`scheme_scalars` value, as the plan's ``<name>0`` row
-(or scalar) broadcast to all lanes, or as zeros when neither has it, and
+the warmup lane's :func:`scheme_scalars` value, as a copy of the plan's
+``<name>0`` row (or scalar), or as zeros when neither has it, and
 every lane scalar named after a ``SimStats`` counter or a
 ``MemoryHierarchy.stats()`` key is exported under that name. Adding
 per-lane state is one table entry.
@@ -57,8 +58,10 @@ import numpy as np
 from repro.core.policies import (
     CriticalityDrivenSelection, FaultyFirstSelection,
 )
+from repro.core.schemes import make_scheme
 from repro.core.tep import TimingErrorPredictor
 from repro.core.vte import vte_effects
+from repro.faults.sensors import VoltageSensor
 from repro.isa.opcodes import (
     OP_FU_KIND, OP_LATENCY, UNPIPELINED_OPS, OpClass, PipeStage,
 )
@@ -69,6 +72,7 @@ from repro.uarch.batchkernel import (
     by_role, call_kernel, role,
 )
 from repro.uarch.batchstream import BatchFallback, build_stream
+from repro.uarch.config import CoreConfig
 from repro.uarch.issue_queue import TIMESTAMP_MASK
 from repro.uarch.stats import SimStats
 
@@ -260,6 +264,8 @@ def build_plan(core, n_commits, margin=256):
 
     _plan_caches(plan, core.hierarchy)
     plan.stream = stream
+    # the static code the stream runs: fault tapes resolve its PCs
+    plan.program = core.program
     return plan
 
 
@@ -316,16 +322,19 @@ def _plan_caches(plan, hier):
     plan.lat_mem = hier._lat_mem
 
 
-def scheme_scalars(core):
-    """The lane scalars that ``core``'s scheme, supply and clock decide.
+def scheme_scalars(spec):
+    """The lane scalars that ``spec``'s scheme, supply and clock decide.
 
-    ``core`` is a cold core of the lane's own spec. A scheme with a
-    timing predictor probes the TEP when the core's sensor gate is
-    statically armed (which follows the supply and the clock), and a
-    CDS core marks only instructions that probed it at fetch.
+    ``spec`` is :func:`~repro.snapshot.batch.batch_eligible`. A scheme
+    with a timing predictor probes the TEP when the supply or the clock
+    arms its sensor for the whole run (the core's static gate, the same
+    :meth:`~repro.faults.sensors.VoltageSensor.statically_armed`), and a
+    CDS lane marks only instructions that probed it at fetch.
     """
-    scheme = core.scheme
-    tep_probe = bool(scheme.uses_tep and core._tep_gate == 0)
+    scheme = make_scheme(spec.scheme)
+    sensor = VoltageSensor(spec.vdd, overclocked=spec.overclock > 1.0)
+    tep_probe = bool(scheme.uses_tep and sensor.statically_armed())
+    config = spec.config or CoreConfig.core1()
     return {
         "tep_probe": tep_probe,
         "uses_vte": bool(scheme.uses_vte),
@@ -338,7 +347,7 @@ def scheme_scalars(core):
             else "AGE"
         ],
         "crit_threshold": (
-            core.config.criticality_threshold
+            config.criticality_threshold
             if scheme.detects_criticality and tep_probe else 0
         ),
     }
@@ -361,48 +370,47 @@ _MEASURED = _STATS_ROWS + _CACHE_ROWS + (
 
 
 class BatchEngine:
-    """Fault-tape lanes over one plan, advanced by the compiled kernel.
+    """Fault-tape lanes of one warmup key, advanced by the compiled kernel.
 
-    All lanes share the plan's slot space and fetch-group schedule; their
-    schemes (:func:`scheme_scalars`) and fault tapes (and everything
+    The engine starts as the key's one warmup lane (its
+    :func:`scheme_scalars` and its seedless fault tape), warms it
+    (:meth:`run`), continues as every lane of the key from that lane's
+    state at the boundary (:meth:`fork`) and runs the window. All lanes
+    share the plan's slot space and fetch-group schedule, and their
+    scheme; their fault tapes from the boundary on (and everything
     downstream of them: timing, TEP state, d-side cache contents)
     differ. Every per-lane row is an attribute named after its entry in
-    :data:`repro.uarch.batchkernel.ARRAYS`. A batch warms one lane per
-    warmup key (:meth:`run`), gives every lane the state of its own
-    warmup lane at the boundary (:meth:`fork`) and runs the window. A
-    lane leaves the convoy only by *eviction* — the caller re-runs that
-    seed on the scalar path.
+    :data:`repro.uarch.batchkernel.ARRAYS`. A lane leaves the convoy only
+    by *eviction* — the caller re-runs that seed on the scalar path.
     """
 
-    def __init__(self, plan, tapes, lanes):
-        """One lane per row of ``tapes`` (lanes x slots), at cycle 0.
-
-        ``lanes[i]`` holds lane ``i``'s :func:`scheme_scalars`.
-        """
+    def __init__(self, plan, tape, scalars):
+        """One lane at cycle 0: ``tape`` (one fault mask per slot, copied)
+        and ``scalars``, the lane's :func:`scheme_scalars`."""
         self.plan = plan
-        N = self.N = tapes.shape[0]
+        self.N = 1
         self.params = {n: getattr(plan, n) for n in PARAMS
                        if n not in ("N", "target")}
-        self.params["N"] = N
+        self.params["N"] = 1
         for name, dtype, shape in ARRAYS:
             if role(shape) == "plan" or name == "tape":
                 continue
             row = getattr(plan, f"{name}0", None)
-            if name in lanes[0]:
-                value = np.array([lane[name] for lane in lanes], dtype=dtype)
+            if name in scalars:
+                value = np.array([scalars[name]], dtype=dtype)
             elif row is None:
                 extents = [batchkernel._extent(d, self.params) for d in shape]
                 value = np.zeros(extents, dtype=dtype)
             elif role(shape) == "scalar":
-                value = np.full(N, row, dtype=dtype)
+                value = np.full(1, row, dtype=dtype)
             else:
-                value = np.repeat(row[None], N, axis=0)
+                value = row[None].copy()
             setattr(self, name, value)
-        self.tape = tapes
-        self.evicted_reason = [None] * N
+        self.tape = np.array(tape, dtype=np.int16, ndmin=2)
+        self.evicted_reason = [None]
         #: per lane, the virtual cycle, burned stall cycles and fetch
         #: group at which its counters were last zeroed
-        self._start = (np.zeros(N, dtype=np.int64),) * 3
+        self._start = (np.zeros(1, dtype=np.int64),) * 3
 
     # ------------------------------------------------------------------
     def _evict(self, lane, reason):
@@ -450,32 +458,28 @@ class BatchEngine:
         """Each lane's next slot to fetch: where a reseeded stream starts."""
         return np.append(self.plan.g_start, self.plan.NS)[self.g_ptr]
 
-    def fork(self, sources, tails):
-        """Continue as ``len(sources)`` lanes, lane ``i`` from ``sources[i]``.
+    def fork(self, n, tails):
+        """Continue the warmup lane as ``n`` lanes.
 
-        This is the warmup boundary: every lane row and lane scalar is
-        copied from the lane's source, and the counters
+        This is the warmup boundary: every lane row and lane scalar
+        starts as the warmup lane's, and the counters
         ``begin_measurement`` resets (:data:`_MEASURED`) start again from
-        zero. ``tails`` maps a new lane to the tape it fetches from its
-        source's :attr:`first_unfetched` on, drawn from its own fault
-        stream; every other lane keeps its source's tape.
+        zero. ``tails`` maps a lane to the tape it fetches from
+        :attr:`first_unfetched` on, drawn from its own fault stream;
+        every other lane keeps the warmup lane's tape.
         """
-        sources = np.asarray(sources, dtype=np.int64)
-        first = self.first_unfetched[sources]
-        # lanes that continue their own warmup lanes keep its arrays: a
-        # copy would double the engine's largest rows for a moment
-        moved = not np.array_equal(sources, np.arange(self.N))
-        self.N = self.params["N"] = len(sources)
+        first = int(self.first_unfetched[0])
+        self.N = self.params["N"] = n
         for name in by_role("row") + by_role("scalar"):
             value = getattr(self, name)
-            if moved:
-                value = value[sources]
             if name in _MEASURED:
-                value = np.zeros_like(value)
+                value = np.zeros((n,) + value.shape[1:], dtype=value.dtype)
+            elif n != 1:
+                value = np.repeat(value, n, axis=0)
             setattr(self, name, value)
         for lane, tail in tails.items():
-            self.tape[lane, first[lane]:] = tail
-        self.evicted_reason = [None] * self.N
+            self.tape[lane, first:] = tail
+        self.evicted_reason = [None] * n
         self._start = (self.v_end.copy(), self.burned.copy(),
                        self.g_ptr.copy())
 

@@ -405,6 +405,38 @@ def _extent(dim, params):
     return params[name] + int(extra or 0)
 
 
+def _array_checks():
+    """Per :data:`ARRAYS` entry: name, dtype object, dtype string, shape
+    and each dimension as ``(param or None, constant)``."""
+    checks = []
+    for name, dtype, shape in ARRAYS:
+        dims = []
+        for dim in shape:
+            if isinstance(dim, int):
+                dims.append((None, dim))
+            else:
+                param, _, extra = dim.partition("+")
+                dims.append((param, int(extra or 0)))
+        checks.append((name, np.dtype(dtype), dtype, shape, tuple(dims)))
+    return tuple(checks)
+
+
+#: what :func:`call_kernel` checks each array against, parsed once
+_ARRAY_CHECKS = _array_checks()
+
+
+def _address(a):
+    """The address of C-contiguous ``a``'s first byte.
+
+    A ctypes view of a writable array's buffer yields it several times
+    faster than ``a.ctypes``, which the kernel call would pay for every
+    array of every call; read-only and empty arrays take ``a.ctypes``.
+    """
+    if a.size and a.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
+
+
 def _check_names(kind, given, declared):
     missing = [n for n in declared if n not in given]
     extra = sorted(set(given) - set(declared))
@@ -431,25 +463,25 @@ def call_kernel(fn, arrays, params):
             raise KernelABIError(
                 f"kernel param {name!r}: {params[name]!r} is not an integer"
             ) from None
-    for name, dtype, shape in ARRAYS:
+    addresses = []
+    for name, dt, dtype, shape, dims in _ARRAY_CHECKS:
         a = arrays[name]
-        if not isinstance(a, np.ndarray) or a.dtype != np.dtype(dtype):
+        if not isinstance(a, np.ndarray) or a.dtype != dt:
             got = getattr(a, "dtype", type(a).__name__)
             raise KernelABIError(
                 f"kernel array {name!r}: dtype {got}, expected {dtype}"
             )
-        if not a.flags["C_CONTIGUOUS"]:
+        if not a.flags.c_contiguous:
             raise KernelABIError(f"kernel array {name!r}: not C-contiguous")
         count = 1
-        for dim in shape:
-            count *= _extent(dim, prm)
+        for param, extent in dims:
+            count *= extent if param is None else prm[param] + extent
         if a.size != count:
             raise KernelABIError(
                 f"kernel array {name!r}: {a.size} elements, expected "
                 f"{count} for shape {shape}"
             )
-    ptrs = (ctypes.c_void_p * len(ARRAYS))(
-        *[arrays[name].ctypes.data for name, _, _ in ARRAYS]
-    )
+        addresses.append(_address(a))
+    ptrs = (ctypes.c_void_p * len(ARRAYS))(*addresses)
     vals = (ctypes.c_int64 * len(PARAMS))(*[prm[name] for name in PARAMS])
     fn(ptrs, vals)

@@ -13,12 +13,15 @@ that the vector engine (:mod:`repro.uarch.batchcore`) indexes per cycle.
 The stream reads no fault injector: it depends only on the program, the
 seed, the window and the core configuration.
 
-What *does* differ per lane is the fault realization: each warmup key
-has an injector of its own (its scheme, supply and clock decide whether
-and how often a PC faults), each campaign draw reseeds its injector's
-per-instance RNG from its ``measurement_seed`` at the first instruction
-fetched after the warmup, and a lane without one continues the warmup
-stream. :func:`build_tapes` replays such a stream per lane — the real
+What *does* differ per lane is the fault realization. A faulting lane's
+injector follows its stream and its clock, never its scheme or supply,
+so the lanes of one clock share one; the supply enters per instance, so
+the lanes of one clock and supply share one seedless stream. Each
+campaign draw reseeds the injector's per-instance RNG from its
+``measurement_seed`` at the first instruction fetched after the warmup,
+and a lane without one continues the warmup stream; a lane of a
+fault-free scheme, or at nominal supply and clock, has no injector.
+:func:`build_tapes` replays such a stream per lane — the real
 :meth:`~repro.faults.injector.FaultInjector.resolve` for critical PCs, a
 short-circuit for SAFE PCs (which consume exactly one background draw) —
 producing a dense (lanes x instructions) fault-stage-mask tape.

@@ -223,7 +223,7 @@ class OoOCore:
             self._tep_gate = 0      # unconditionally armed
         elif getattr(sensor, "dynamic", False):
             self._tep_gate = 2      # flaky/storm sensor: ask per fetch
-        elif sensor.overclocked or sensor.vdd <= sensor.v_threshold:
+        elif sensor.statically_armed():
             self._tep_gate = 0      # statically armed for the whole run
         elif sensor.thermal is None:
             self._tep_gate = 1      # statically unfavorable

@@ -27,6 +27,7 @@ import pytest
 from repro.core.schemes import SchemeKind
 from repro.core.tep import TEPConfig
 from repro.faults.storm import StormConfig
+from repro.faults.timing import VDD_NOMINAL
 from repro.harness.parallel import run_many
 from repro.harness.runner import RunSpec
 from repro.uarch.batchkernel import MAX_IQ, MAX_WIDTH
@@ -508,7 +509,9 @@ if HAVE_HYPOTHESIS:
                 SchemeKind.FAULT_FREE, SchemeKind.RAZOR, SchemeKind.EP,
                 SchemeKind.ABS, SchemeKind.FFS, SchemeKind.CDS,
             )),
-            "vdd": st.sampled_from((0.97, 1.0, 1.04)),
+            # the nominal supply: no injector, and a TEP scheme's
+            # sensor unarmed unless the clock is raised
+            "vdd": st.sampled_from((0.97, 1.0, 1.04, VDD_NOMINAL)),
             "n_instructions": st.integers(min_value=200, max_value=2000),
             "warmup": st.integers(min_value=0, max_value=1500),
             "seed": st.integers(min_value=1, max_value=1000),
@@ -666,6 +669,18 @@ if HAVE_HYPOTHESIS:
         ))
     ]
 
+    #: every scheme at the nominal supply, at the nominal clock (no
+    #: injector, TEP unarmed) and a raised one, beside a faulting supply
+    NOMINAL_LANES = [
+        dict(scheme=scheme, vdd=vdd, overclock=clock)
+        for vdd, clock in ((VDD_NOMINAL, 1.0), (VDD_NOMINAL, 1.08),
+                           (0.97, 1.0))
+        for scheme in (
+            SchemeKind.FAULT_FREE, SchemeKind.RAZOR, SchemeKind.EP,
+            SchemeKind.ABS, SchemeKind.FFS, SchemeKind.CDS,
+        )
+    ]
+
     @settings(
         derandomize=True, max_examples=25, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -725,10 +740,13 @@ if HAVE_HYPOTHESIS:
                       mseeds=[1, 2, 3]), store=False)
     @example(run=_run(benchmark="mcf", scheme=SchemeKind.CDS, vdd=1.04,
                       config=dict(criticality_threshold=4)), store=True)
-    # one stream under every scheme at both supplies, and lanes of one
-    # scheme at three clocks, one of them twice
+    # one stream under every scheme at both supplies, and at the nominal
+    # supply beside 0.97 V; lanes of one scheme at three clocks, one of
+    # them twice
     @example(run=_run(benchmark="bzip2", config=dict(criticality_threshold=2),
                       lanes=MIXED_LANES), store=False)
+    @example(run=_run(benchmark="bzip2", config=dict(criticality_threshold=2),
+                      lanes=NOMINAL_LANES), store=False)
     @example(run=_run(benchmark="astar", scheme=SchemeKind.FFS, lanes=[
         dict(overclock=1.0, measurement_seed=1),
         dict(overclock=1.08, measurement_seed=2),

@@ -3,9 +3,11 @@
 Specs of one stream key fetch the identical instruction stream whatever
 their scheme, supply and clock, so they share a kernel call and one
 batch plan, and a process keeps its last plan for the next call on the
-same stream. These tests count ``build_plan`` calls, check that a kept
-plan is never written and that two plans are never alive at once, and
-pin how far a batch of seeded lanes draws its seedless tapes.
+same stream. A call builds one core (the plan's), one injector per
+clock, one seedless tape per clock and supply, and one small engine per
+warmup key. These tests count those, check that a kept plan is never
+written and that two plans are never alive at once, and pin how far a
+batch of seeded lanes draws its seedless tapes.
 """
 
 import hashlib
@@ -53,6 +55,38 @@ def plans(monkeypatch):
 
 
 @pytest.fixture
+def cores(monkeypatch):
+    """One entry per ``build_core`` call: the spec's scheme."""
+    from repro.harness import runner
+
+    calls = []
+    build_core = runner.build_core
+
+    def counted(spec):
+        calls.append(spec.scheme)
+        return build_core(spec)
+
+    monkeypatch.setattr(runner, "build_core", counted)
+    return calls
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """One entry per ``BatchEngine``: how many lanes it forked into."""
+    from repro.uarch import batchcore
+
+    lanes = []
+
+    class Counted(batchcore.BatchEngine):
+        def fork(self, n, tails):
+            lanes.append(n)
+            return super().fork(n, tails)
+
+    monkeypatch.setattr(batchcore, "BatchEngine", Counted)
+    return lanes
+
+
+@pytest.fixture
 def reports(monkeypatch):
     """The :class:`BatchReport` of every ``run_batch`` call."""
     from repro.snapshot import batch
@@ -96,10 +130,41 @@ def test_a_figure_grid_builds_one_plan_per_benchmark(kernel, plans,
             == [_digest(r) for r in run_many(specs, batch_lanes=0)])
 
 
+def test_headline_runs_one_call_per_benchmark(kernel, plans, cores,
+                                              drawn, engines, reports):
+    """The headline fills both supplies with one ``run_many``: a call per
+    benchmark holds its five schemes at 1.04 and at 0.97 V, builds one
+    core and one plan, draws one seedless tape per supply (FAULT_FREE
+    lanes draw none) and runs one one-lane engine per warmup key."""
+    from repro.harness import experiments
+
+    experiments.headline(n_instructions=600, warmup=300,
+                         benchmarks=["gcc", "mcf"], jobs=1)
+    assert [r.n_lanes for r in reports] == [10, 10]
+    assert all(r.vector_lanes == 10 and r.fallback_reason is None
+               for r in reports)
+    assert len(plans) == 2 and len(cores) == 2
+    assert [seeds for _, seeds in drawn] == [[None]] * 4
+    assert engines == [1] * 20
+
+
+def test_table1_runs_one_call_per_benchmark(kernel, plans, reports):
+    """Table 1's two sweeps and its nominal-supply baseline are seven
+    lanes of one stream: one call, one plan."""
+    from repro.harness import experiments
+
+    experiments.table1(n_instructions=600, warmup=300, benchmarks=["gcc"])
+    assert [r.n_lanes for r in reports] == [7]
+    assert reports[0].vector_lanes == 7
+    assert len(plans) == 1
+
+
 def test_a_campaign_point_builds_one_plan_for_its_calls(kernel, plans,
-                                                        reports, tmp_path):
+                                                        cores, reports,
+                                                        tmp_path):
     """A fault-mode point's two draw batches and its baseline are three
-    kernel calls on one stream, which plan once."""
+    kernel calls on one stream, which plan once and build one core: a
+    later call builds its lanes' injector alone."""
     from repro.campaign.executor import run_campaign
     from repro.campaign.plan import CampaignSpec
 
@@ -113,6 +178,7 @@ def test_a_campaign_point_builds_one_plan_for_its_calls(kernel, plans,
     assert [r.n_lanes for r in reports] == [4, 1, 4]
     assert sum(r.vector_lanes for r in reports) == 9
     assert plans == [False]
+    assert len(cores) == 1
 
 
 def test_a_kept_plan_is_never_written(kernel):
