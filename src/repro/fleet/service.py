@@ -36,13 +36,12 @@ SCALE_INTERVAL = 0.25
 IDLE_GRACE = 1.0
 
 
-def query_status(host, port, timeout=5.0, secret=None, tls_ca=None):
+def query_status(host, port, timeout=5.0, tls_ca=None):
     """Ask a live coordinator for its status dict (blocking).
 
     ``status`` asks are answered before the handshake gate — they carry
     no lease and reveal only campaign progress — but when the
     coordinator serves TLS the connection itself needs ``tls_ca``.
-    ``secret`` is accepted for symmetry and future tightening.
     """
     from repro.fleet.protocol import read_message, send_message
     from repro.fleet.security import client_ssl_context

@@ -74,10 +74,10 @@ from repro.uarch.batchkernel import (
 from repro.uarch.batchstream import BatchFallback, build_stream
 from repro.uarch.config import CoreConfig
 from repro.uarch.issue_queue import TIMESTAMP_MASK
+from repro.uarch.pipeline import (
+    HANG_CYCLES, INORDER_FAULT_MASK, default_cycle_budget,
+)
 from repro.uarch.stats import SimStats
-
-#: fault-stage bits of the in-order stages, which the kernel does not model
-_INORDER_MASK = 0b1000001111
 
 #: the fallback reason of a window with a cache tag outside
 #: :data:`~repro.uarch.batchkernel.TAG_DTYPE` (an address of 2**37 or
@@ -171,7 +171,7 @@ def build_plan(core, n_commits, margin=256):
     plan.replay_recovery = cfg.replay_recovery
     plan.recovery_bubbles = cfg.recovery_bubbles
     plan.model_wrong_path = bool(cfg.model_wrong_path)
-    plan.hang_cycles = 20000
+    plan.hang_cycles = HANG_CYCLES
 
     # ---- per-slot static arrays --------------------------------------
     lat_by_op = np.array([OP_LATENCY[OpClass(i)] for i in range(8)],
@@ -434,14 +434,15 @@ class BatchEngine:
         fn = batchkernel.load_kernel()
         # tapes carrying in-order-stage bits would hit the scalar
         # dispatch-side checks the kernel doesn't model
-        bad = self.active & (self.tape & _INORDER_MASK).any(axis=1)
+        bad = self.active & (self.tape & INORDER_FAULT_MASK).any(axis=1)
         for lane in np.nonzero(bad)[0].tolist():
             self._evict(lane, "in-order-stage fault on tape")
         for lane, at in (force_evict or {}).items():
             self.force_at[lane] = self.v_end[lane] + at
         # the scalar core's cycle budget, counted from the real cycle
         # each lane starts this call at
-        self.max_cycles[:] = self.v_end + self.burned + 400 * target + 20000
+        self.max_cycles[:] = (self.v_end + self.burned
+                              + default_cycle_budget(target))
         self.params["target"] = target
         arrays = {
             name: getattr(self.plan if role(shape) == "plan" else self, name)

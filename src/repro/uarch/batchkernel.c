@@ -12,9 +12,10 @@
  * Every lane starts from a cold core.  The lanes of a batch share one
  * instruction stream (the plan); each carries its own scheme's mode
  * (tep_probe, uses_vte, uses_ep_stall, tolerates, sel_mode,
- * crit_threshold) and cycle budget as lane scalars.  A batch runs one
- * warmup lane per warmup key, then its window on every lane, each lane
- * forked from its own warmup lane, in two calls.
+ * crit_threshold) and cycle budget as lane scalars.  An engine serves
+ * one warmup key in two calls: the first runs its one warmup lane to
+ * the warmup boundary, the second runs the window on every lane forked
+ * from it (repro.snapshot.batch runs one engine per warmup key).
  * Facts about op classes (latency, unit kind, unpipelined units) come
  * from the plan, so this file holds no op-class number.  Bit-identity
  * against the scalar core is asserted by

@@ -65,6 +65,16 @@ _INORDER_FAULT_STAGES = tuple(
     (stage, 1 << int(stage))
     for stage in _REPLAY_ONLY_STAGES + _INORDER_STALL_STAGES
 )
+#: the fault-stage bits of the in-order stages, front end and retire
+INORDER_FAULT_MASK = sum(bit for _, bit in _INORDER_FAULT_STAGES)
+
+#: cycles without a commit after which :meth:`OoOCore.run` gives up
+HANG_CYCLES = 20000
+
+
+def default_cycle_budget(max_committed):
+    """The cycles :meth:`OoOCore.run` allows for ``max_committed``."""
+    return 400 * max_committed + 20000
 
 
 class DeadlockError(RuntimeError):
@@ -235,7 +245,7 @@ class OoOCore:
     # ==================================================================
     # public API
     # ==================================================================
-    def run(self, max_committed, max_cycles=None, hang_cycles=20000):
+    def run(self, max_committed, max_cycles=None, hang_cycles=HANG_CYCLES):
         """Simulate until ``max_committed`` instructions retire.
 
         Returns the :class:`~repro.uarch.stats.SimStats` of the run.
@@ -250,7 +260,7 @@ class OoOCore:
         if max_committed <= 0:
             raise ValueError("max_committed must be positive")
         if max_cycles is None:
-            max_cycles = 400 * max_committed + 20000
+            max_cycles = default_cycle_budget(max_committed)
         last_cycle = self.cycle + max_cycles
         stats = self.stats
         progress_committed = stats.committed
